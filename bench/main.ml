@@ -581,141 +581,12 @@ let engine_speedup () =
     !worst
 
 (* ---------------------------------------------------------------- *)
-(* BATCH: vectorized interpreter vs scalar tuple-at-a-time            *)
-(* ---------------------------------------------------------------- *)
-
-let batch_exec () =
-  section "BATCH"
-    "Vectorized (batched) interpreter vs scalar tuple-at-a-time (answers cross-checked)";
-  Format.printf
-    "scalar = tuple-at-a-time interpretation of the same compiled plans@.";
-  Format.printf
-    "(WDPT_ENGINE_BATCH=0); batched = columnar slot arrays over morsel@.";
-  Format.printf
-    "groups with a survivor bitmask and index probes grouped by key.@.";
-  Format.printf
-    "enum/sat/proj are the ENGINE primitives; answers must be identical.@.";
-  let was_batched = Engine.batched_enabled () in
-  let run_batched b f =
-    Engine.set_batched b;
-    Fun.protect ~finally:(fun () -> Engine.set_batched was_batched) f
-  in
-  print_row "  %-10s  %8s  %-6s  %12s  %12s  %9s  %7s@." "query" "|D|" "prim"
-    "scalar(ms)" "batched(ms)" "speedup" "agree";
-  let queries =
-    [ ("chain3", Workload.Gen_cq.chain 3);
-      ("chain4", Workload.Gen_cq.chain 4);
-      ("star3", Workload.Gen_cq.star 3) ]
-  in
-  let sizes = if !smoke then [ 200; 800 ] else [ 800; 1600; 3200 ] in
-  let largest = List.fold_left max 0 sizes in
-  let worst_enum = ref infinity in
-  List.iter
-    (fun (name, q) ->
-      List.iter
-        (fun size ->
-          let db =
-            Workload.Gen_db.random_graph_db ~seed:37 ~nodes:(size / 4) ~edges:size
-          in
-          let body = Cq.Query.body q in
-          let x0 = List.hd (Cq.Query.head q) in
-          let adom = Value.Set.elements (Database.active_domain db) in
-          let proj_q = Cq.Query.make ~head:[ x0 ] ~body in
-          let row prim t_scalar t_batched agree =
-            if not agree then
-              failwith ("BATCH: " ^ prim ^ " mismatch on " ^ name);
-            let speedup = t_scalar /. t_batched in
-            if size = largest && prim = "enum" then
-              worst_enum := Float.min !worst_enum speedup;
-            record "BATCH"
-              (Printf.sprintf "%s n=%d %s scalar" name size prim)
-              t_scalar;
-            record "BATCH"
-              (Printf.sprintf "%s n=%d %s batched" name size prim)
-              t_batched;
-            print_row "  %-10s  %8d  %-6s  %12.2f  %12.2f  %8.1fx  %7b@." name
-              size prim (t_scalar *. 1000.) (t_batched *. 1000.) speedup agree
-          in
-          (* enum: every homomorphism; the same compiled plan runs under both
-             interpreters (the dispatch happens at execution time) *)
-          let plan = Engine.compile db body ~init:Mapping.empty in
-          let enum () =
-            let n = ref 0 in
-            Engine.iter_envs plan (fun _ -> incr n);
-            !n
-          in
-          let n_b = ref 0 and n_s = ref 0 in
-          let t_b = run_batched true (fun () -> time_it (fun () -> n_b := enum ())) in
-          let t_s = run_batched false (fun () -> time_it (fun () -> n_s := enum ())) in
-          row "enum" t_s t_b (!n_b = !n_s);
-          (* sat: the per-binding decision loop of the Table-1 EVAL
-             experiments — a sink variable bound to each active-domain value *)
-          let sink =
-            List.nth body (List.length body - 1)
-            |> Atom.vars |> List.rev |> List.hd
-          in
-          let sat () =
-            List.fold_left
-              (fun acc v ->
-                if Cq.Eval.satisfiable db body ~init:(Mapping.singleton sink v)
-                then acc + 1
-                else acc)
-              0 adom
-          in
-          let s_b = ref 0 and s_s = ref 0 in
-          let t_b = run_batched true (fun () -> time_it (fun () -> s_b := sat ())) in
-          let t_s = run_batched false (fun () -> time_it (fun () -> s_s := sat ())) in
-          row "sat" t_s t_b (!s_b = !s_s);
-          (* proj: distinct answers projected onto one head variable *)
-          let p_b = ref Mapping.Set.empty and p_s = ref Mapping.Set.empty in
-          let t_b =
-            run_batched true (fun () ->
-                time_it (fun () -> p_b := Cq.Eval.answers db proj_q))
-          in
-          let t_s =
-            run_batched false (fun () ->
-                time_it (fun () -> p_s := Cq.Eval.answers db proj_q))
-          in
-          row "proj" t_s t_b (Mapping.Set.equal !p_b !p_s))
-        sizes)
-    queries;
-  print_row
-    "  worst enum speedup at largest |D|: %.1fx  (acceptance: >= 2x with identical answers)@."
-    !worst_enum;
-  (* morsel-size sweep: group size bounds the columnar footprint, so too-small
-     groups pay per-group overhead and huge groups lose cache residency *)
-  print_row "  morsel sweep (chain4 enum, |D| = %d, batched):@." largest;
-  print_row "  %8s  %12s@." "morsel" "enum(ms)";
-  let db =
-    Workload.Gen_db.random_graph_db ~seed:37 ~nodes:(largest / 4) ~edges:largest
-  in
-  let plan =
-    Engine.compile db (Cq.Query.body (Workload.Gen_cq.chain 4)) ~init:Mapping.empty
-  in
-  let g0 = Engine.Parallel.morsel_rows () in
-  List.iter
-    (fun m ->
-      Engine.Parallel.set_morsel_rows m;
-      let t =
-        Fun.protect
-          ~finally:(fun () -> Engine.Parallel.set_morsel_rows g0)
-          (fun () ->
-            run_batched true (fun () ->
-                time_it (fun () ->
-                    let n = ref 0 in
-                    Engine.iter_envs plan (fun _ -> incr n))))
-      in
-      print_row "  %8d  %12.2f@." m (t *. 1000.);
-      record "BATCH" (Printf.sprintf "morsel=%d enum |D|=%d" m largest) t)
-    [ 256; 1024; 4096 ]
-
-(* ---------------------------------------------------------------- *)
 (* AUDIT: plan audit is O(plan size); checked-execution overhead      *)
 (* ---------------------------------------------------------------- *)
 
 let audit_overhead () =
   section "AUDIT"
-    "Plan_audit is O(plan size), not O(data); checked execution overhead vs fast path";
+    "Plan_audit is O(plan size), not O(data); checked execution overhead vs unchecked";
   Format.printf
     "audit must stay flat as |D| grows (it reads per-atom summaries only);@.";
   Format.printf
@@ -831,7 +702,6 @@ let resource_envelope () =
     "high-water mark must stay within its certified component (sound),@.";
   Format.printf
     "and the certified/measured ratio shows how tight the envelope is.@.";
-  let was_batched = Engine.batched_enabled () in
   let q = Workload.Gen_cq.chain 4 in
   let body = Cq.Query.body q in
   print_row "  %8s  %12s  %14s  %10s  %10s  %10s@." "|D|" "audit(ms)"
@@ -848,13 +718,10 @@ let resource_envelope () =
       (* checked mode arms the per-group replay buffer, so all three
          envelope components see a nonzero measured mark *)
       let was_checked = Engine.checked_enabled () in
-      Engine.set_batched true;
       Engine.set_checked true;
       let r =
         Fun.protect
-          ~finally:(fun () ->
-            Engine.set_batched was_batched;
-            Engine.set_checked was_checked)
+          ~finally:(fun () -> Engine.set_checked was_checked)
           (fun () ->
             let r = Analysis.Resource.of_plan p in
             Engine.reset_batch_stats ();
@@ -1181,13 +1048,9 @@ let drift_adaptive () =
     "certificate, and the hot probe moves behind the selective join. The@.";
   Format.printf
     "feedback audit reads counter summaries only, so it must stay flat in |D|.@.";
-  let was_batched = Engine.batched_enabled () in
   let was_adapt = Engine.adapt_enabled () in
-  Engine.set_batched true;
   Fun.protect
-    ~finally:(fun () ->
-      Engine.set_batched was_batched;
-      Engine.set_adapt was_adapt)
+    ~finally:(fun () -> Engine.set_adapt was_adapt)
     (fun () ->
       let atoms =
         [ Atom.make "S" [ Term.var "x" ];
@@ -1455,9 +1318,9 @@ let () =
     [ ("--json", Arg.String (fun s -> json_out := Some s),
        "OUT  write per-experiment median timings as JSON");
       ("--smoke", Arg.Set smoke,
-       "  quick subset (t1a + engine + batch + opt + par + race, reduced sizes) for CI");
+       "  quick subset (t1a + engine + resource + opt + par + race + drift + delta, reduced sizes) for CI");
       ("--only", Arg.String (fun s -> only := Some s),
-       "ID  run a single experiment (t1a t1b t1pf t1hw t1pm t1sub t2mem t2app fig2 cor2 prop2 engine batch audit resource opt par race drift delta bechamel)");
+       "ID  run a single experiment (t1a t1b t1pf t1hw t1pm t1sub t2mem t2app fig2 cor2 prop2 engine audit resource opt par race drift delta bechamel)");
       ("--morsel-rows", Arg.Int (fun n ->
            if n < 1 then raise (Arg.Bad "--morsel-rows: morsel size must be >= 1");
            Engine.Parallel.set_morsel_rows n),
@@ -1476,7 +1339,7 @@ let () =
      looks like a passing benchmark), listing what is available *)
   let experiments =
     [ "t1a"; "t1b"; "t1pf"; "t1hw"; "t1pm"; "t1sub"; "t2mem"; "t2app"; "fig2";
-      "cor2"; "prop2"; "engine"; "batch"; "audit"; "resource"; "opt"; "par";
+      "cor2"; "prop2"; "engine"; "audit"; "resource"; "opt"; "par";
       "race"; "drift"; "delta"; "bechamel" ]
   in
   (match !only with
@@ -1489,7 +1352,7 @@ let () =
   Format.printf "WDPT reproduction benchmarks (Barceló & Pichler, PODS 2015)@.";
   let want name =
     if !smoke then
-      name = "t1a" || name = "engine" || name = "batch" || name = "resource"
+      name = "t1a" || name = "engine" || name = "resource"
       || name = "opt" || name = "par" || name = "race" || name = "drift"
       || name = "delta"
     else match !only with None -> true | Some s -> s = name
@@ -1506,7 +1369,6 @@ let () =
   if want "cor2" then cor2_fpt ();
   if want "prop2" then prop2 ();
   if want "engine" then engine_speedup ();
-  if want "batch" then batch_exec ();
   if want "audit" then audit_overhead ();
   if want "resource" then resource_envelope ();
   if want "opt" then opt_pipeline ();

@@ -109,8 +109,8 @@ let max_mem_arg =
 
 let degrade_arg =
   let doc =
-    "With $(b,--max-mem): instead of rejecting outright, degrade to the \
-     scalar sequential interpreter (batch pipeline off, one domain) and \
+    "With $(b,--max-mem): instead of rejecting outright, degrade to \
+     sequential execution (one domain, same batched pipeline) and \
      re-certify; exit 3 only if even the degraded envelope exceeds the \
      budget."
   in
@@ -132,17 +132,16 @@ let admission_gate ~budget ~degrade db q =
       let r = Analysis.Resource.of_plan plan in
       if Analysis.Resource.admits r ~budget then ()
       else if degrade then begin
-        Engine.set_batched false;
         Engine.Parallel.set_domains 1;
         let r = Analysis.Resource.of_plan plan in
         if Analysis.Resource.admits r ~budget then
           Format.eprintf
-            "max-mem: degraded to scalar-sequential — certified peak %d \
+            "max-mem: degraded to sequential — certified peak %d \
              byte(s) within the %d-byte budget@."
             r.Analysis.Resource.r_peak_bytes budget
         else begin
           Format.eprintf
-            "max-mem: rejected — even the scalar-sequential certified peak \
+            "max-mem: rejected — even the sequential certified peak \
              (%d byte(s)%s) exceeds the %d-byte budget@."
             r.Analysis.Resource.r_peak_bytes
             (if r.Analysis.Resource.r_saturated then ", saturated" else "")
@@ -153,8 +152,7 @@ let admission_gate ~budget ~degrade db q =
       else begin
         Format.eprintf
           "max-mem: rejected — certified peak %d byte(s)%s exceeds the \
-           %d-byte budget (use --degrade to fall back to \
-           scalar-sequential)@."
+           %d-byte budget (use --degrade to fall back to sequential)@."
           r.Analysis.Resource.r_peak_bytes
           (if r.Analysis.Resource.r_saturated then ", saturated" else "")
           budget;
@@ -372,7 +370,9 @@ let watch_cmd =
     in
     let emit_json fields =
       Format.printf "%a@." Analysis.Json.pp
-        (Analysis.Json.Obj (("schema", Analysis.Json.Int 1) :: fields))
+        (Analysis.Json.Obj
+           (("schema", Analysis.Json.Int Analysis.Json.schema_version)
+           :: fields))
     in
     let n0, m0 = counts () in
     (match format with

@@ -7,7 +7,6 @@
           wdpt_fuzz --opt-diff [COUNT] [SEED]
           wdpt_fuzz --par-diff [COUNT] [SEED]
           wdpt_fuzz --race-diff [COUNT] [SEED]
-          wdpt_fuzz --batch-diff [COUNT] [SEED]
           wdpt_fuzz --batch-audit-diff [COUNT] [SEED]
           wdpt_fuzz --drift-diff [COUNT] [SEED]
           wdpt_fuzz --delta-diff [COUNT] [SEED]
@@ -39,15 +38,6 @@
    final fault-injection check flips the test-only corrupted reducer on and
    requires the sanitizer to catch it.
 
-   --batch-diff COUNT runs the batched-execution differential (default
-   300): on COUNT random instances it evaluates once with the vectorized
-   interpreter off (scalar tuple-at-a-time) and once with it on, at domain
-   pools of 1 and 2 — the answer sets must be identical at both the WDPT
-   and the CQ level (the enumeration orders legitimately differ: the
-   batched pipeline runs atoms in the fixed static order while the scalar
-   path re-selects per node). A small random morsel size forces group
-   boundaries through even tiny draws.
-
    --drift-diff COUNT runs the adaptive re-planning differential (default
    300): on COUNT random instances it evaluates with adaptation off and
    then twice with it on (the first adaptive pass collects counters and may
@@ -70,12 +60,16 @@
    default; WDPT_DELTA_FUZZ_DELETES=1 doubles that to half, so the
    tombstone/compaction paths see delete-heavy streams.
 
-   --batch-audit-diff COUNT runs the batch-pipeline auditor differential
-   (default 300): on COUNT random instances the genuine batched layout must
-   audit clean (zero E017-E020) at domain pools of 1 and 2, and after a
-   count plus a full enumeration of the plan every measured batch_stats
-   high-water mark must stay within the certified Analysis.Resource
-   envelope (zero E021), with randomized morsel size and checked mode. *)
+   --batch-audit-diff COUNT runs the batch-pipeline differential (default
+   300): on COUNT random instances, with randomized morsel size and checked
+   mode, at domain pools of 1 and 2, the genuine batched layout must audit
+   clean (zero E017-E020), the answer sets must equal the naive oracles at
+   both semantics levels (Cq.Eval.Naive, engine-free, for the full-tree CQ;
+   Wdpt.Semantics.eval_naive — every subtree's homomorphisms, then the
+   subsumption-maximal ones — for the WDPT, within the brute-force budget),
+   and after a count plus a full enumeration of the plan every measured
+   batch_stats high-water mark must stay within the certified
+   Analysis.Resource envelope (zero E021). *)
 
 open Relational
 
@@ -317,68 +311,6 @@ let check_fault_injection () =
         false
       with Engine.Race_failure _ -> true)
 
-(* ---- batched differential ------------------------------------------------ *)
-
-(* One instance of the --batch-diff mode: identical answer sets with the
-   vectorized interpreter off and on, at pools 1 and 2, under a randomized
-   morsel size so group boundaries land inside even small candidate
-   ranges. *)
-let check_batch_diff st p db =
-  let failures = ref [] in
-  let fail name = failures := name :: !failures in
-  let pick l = List.nth l (Random.State.int st (List.length l)) in
-  let morsel = pick [ 1; 2; 7; 1024 ] in
-  let with_config ~batched ~domains f =
-    Engine.set_batched batched;
-    Engine.Parallel.set_domains domains;
-    Engine.Parallel.set_min_rows 1;
-    Engine.Parallel.set_morsel_rows morsel;
-    Fun.protect
-      ~finally:(fun () ->
-        Engine.set_batched true;
-        Engine.Parallel.set_domains 1;
-        Engine.Parallel.set_min_rows 128;
-        Engine.Parallel.set_morsel_rows 1024)
-      f
-  in
-  let q = Wdpt.Pattern_tree.q_full p in
-  let scalar_wdpt = with_config ~batched:false ~domains:1 (fun () -> Wdpt.Semantics.eval db p) in
-  let scalar_cq = with_config ~batched:false ~domains:1 (fun () -> Cq.Eval.answers db q) in
-  List.iter
-    (fun nd ->
-      let tag s = Printf.sprintf "%s@%d-domains-morsel-%d" s nd morsel in
-      with_config ~batched:true ~domains:nd (fun () ->
-          if not (Mapping.Set.equal (Wdpt.Semantics.eval db p) scalar_wdpt)
-          then fail (tag "wdpt-eval-batched-vs-scalar");
-          if not (Mapping.Set.equal (Cq.Eval.answers db q) scalar_cq) then
-            fail (tag "cq-eval-batched-vs-scalar")))
-    [ 1; 2 ];
-  !failures
-
-let batch_diff_main count seed0 =
-  let bad = ref 0 and checked = ref 0 and skipped = ref 0 in
-  let seed = ref seed0 in
-  while !checked < count do
-    incr seed;
-    let p, db = random_instance !seed in
-    if not (opt_diff_feasible p db) then incr skipped
-    else begin
-      incr checked;
-      let st = Random.State.make [| !seed; 0xba7c |] in
-      match check_batch_diff st p db with
-      | [] -> ()
-      | failures ->
-          incr bad;
-          Printf.printf "seed %d FAILED: %s\n%!" !seed
-            (String.concat ", " failures)
-    end
-  done;
-  Printf.printf
-    "batch-diff: %d instance(s) from seed %d (%d oversized skipped): %d \
-     failure(s)\n"
-    count seed0 !skipped !bad;
-  exit (if !bad = 0 then 0 else 1)
-
 (* ---- incremental-maintenance differential -------------------------------- *)
 
 (* One instance of the --delta-diff mode; see the header comment. The
@@ -487,33 +419,41 @@ let delta_diff_main count seed0 =
 (* ---- batch-audit differential ------------------------------------------- *)
 
 (* One instance of the --batch-audit-diff mode: the genuine batched layout
-   audits clean (E017-E020) at pools 1 and 2, and after running the plan
-   (one count, one full enumeration — the latter crosses the parallel
-   buffering and, when the random draw arms checked mode, the per-group
-   replay) every measured high-water mark stays within the certified
-   resource envelope (zero E021). The morsel size is randomized like
-   --batch-diff so group boundaries land inside small draws. *)
+   audits clean (E017-E020) at pools 1 and 2, after running the plan (one
+   count, one full enumeration — the latter crosses the parallel buffering
+   and, when the random draw arms checked mode, the per-group replay) every
+   measured high-water mark stays within the certified resource envelope
+   (zero E021), and the answers at both semantics levels equal the naive
+   oracles, computed once under the default configuration. The quadratic
+   brute-force WDPT oracle is kept to the budget the time-based fuzzer
+   gives it; beyond that the WDPT answers are compared against the
+   procedural evaluator under the default configuration. The morsel size is
+   randomized so group boundaries land inside small draws. *)
 let check_batch_audit_diff st p db =
   let failures = ref [] in
   let fail name = failures := name :: !failures in
   let pick l = List.nth l (Random.State.int st (List.length l)) in
   let morsel = pick [ 1; 2; 7; 1024 ] in
   let checked = pick [ false; true ] in
-  let atoms = Cq.Query.body (Wdpt.Pattern_tree.q_full p) in
+  let q = Wdpt.Pattern_tree.q_full p in
+  let atoms = Cq.Query.body q in
+  let naive_cq = Cq.Eval.Naive.answers db q in
+  let ref_wdpt =
+    if brute_force_feasible p db then Wdpt.Semantics.eval_naive db p
+    else Wdpt.Semantics.eval db p
+  in
   List.iter
     (fun nd ->
       let tag s =
         Printf.sprintf "%s@%d-domains-morsel-%d%s" s nd morsel
           (if checked then "-checked" else "")
       in
-      Engine.set_batched true;
       Engine.set_checked checked;
       Engine.Parallel.set_domains nd;
       Engine.Parallel.set_min_rows 1;
       Engine.Parallel.set_morsel_rows morsel;
       Fun.protect
         ~finally:(fun () ->
-          Engine.set_batched true;
           Engine.set_checked false;
           Engine.Parallel.set_domains 1;
           Engine.Parallel.set_min_rows 128;
@@ -537,7 +477,7 @@ let check_batch_audit_diff st p db =
           ignore (Engine.count_envs plan);
           Engine.iter_envs plan (fun _ -> ());
           let stats = Engine.batch_stats () in
-          match Analysis.Batch_audit.check_envelope resource stats with
+          (match Analysis.Batch_audit.check_envelope resource stats with
           | [] -> ()
           | ds ->
               fail
@@ -553,12 +493,17 @@ let check_batch_audit_diff st p db =
                                 Printf.sprintf "%s-%d>%d" component measured
                                   certified
                             | _ -> "E021")
-                          ds)))))
+                          ds))));
+          if not (Mapping.Set.equal (Cq.Eval.answers db q) naive_cq) then
+            fail (tag "cq-eval-vs-naive");
+          if not (Mapping.Set.equal (Wdpt.Semantics.eval db p) ref_wdpt) then
+            fail (tag "wdpt-eval-vs-reference")))
     [ 1; 2 ];
   !failures
 
 let batch_audit_diff_main count seed0 =
   let bad = ref 0 and checked = ref 0 and skipped = ref 0 in
+  let brute = ref 0 in
   let seed = ref seed0 in
   while !checked < count do
     incr seed;
@@ -566,6 +511,7 @@ let batch_audit_diff_main count seed0 =
     if not (opt_diff_feasible p db) then incr skipped
     else begin
       incr checked;
+      if brute_force_feasible p db then incr brute;
       let st = Random.State.make [| !seed; 0xa0d1 |] in
       match check_batch_audit_diff st p db with
       | [] -> ()
@@ -576,9 +522,9 @@ let batch_audit_diff_main count seed0 =
     end
   done;
   Printf.printf
-    "batch-audit-diff: %d instance(s) from seed %d (%d oversized skipped): \
-     %d failure(s)\n"
-    count seed0 !skipped !bad;
+    "batch-audit-diff: %d instance(s) from seed %d (%d oversized skipped, %d \
+     against the brute-force WDPT oracle): %d failure(s)\n"
+    count seed0 !skipped !brute !bad;
   exit (if !bad = 0 then 0 else 1)
 
 (* ---- adaptive re-planning differential ----------------------------------- *)
@@ -776,15 +722,6 @@ let () =
     in
     par_diff_main count seed0
   end;
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "--batch-diff" then begin
-    let count =
-      if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2) else 300
-    in
-    let seed0 =
-      if Array.length Sys.argv > 3 then int_of_string Sys.argv.(3) else 42
-    in
-    batch_diff_main count seed0
-  end;
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "--delta-diff" then begin
     let count =
       if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2) else 300
@@ -835,7 +772,6 @@ let () =
       \       wdpt_fuzz --opt-diff [COUNT] [SEED]\n\
       \       wdpt_fuzz --par-diff [COUNT] [SEED]\n\
       \       wdpt_fuzz --race-diff [COUNT] [SEED]\n\
-      \       wdpt_fuzz --batch-diff [COUNT] [SEED]\n\
       \       wdpt_fuzz --batch-audit-diff [COUNT] [SEED]\n\
       \       wdpt_fuzz --drift-diff [COUNT] [SEED]\n\
       \       wdpt_fuzz --delta-diff [COUNT] [SEED]\n"

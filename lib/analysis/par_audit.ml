@@ -305,8 +305,7 @@ let par_json (v : I.par_view) =
 
 let batch_json (b : I.batch_view) =
   Json.Obj
-    [ ("enabled", Bool b.I.b_enabled);
-      ("morsel-rows", Int b.I.b_morsel_rows);
+    [ ("morsel-rows", Int b.I.b_morsel_rows);
       ("groups", Int b.I.b_groups);
       ( "columns",
         List
@@ -328,17 +327,10 @@ let batch_json (b : I.batch_view) =
 
 let pp_batch ppf (b : I.batch_view) =
   begin
-    if not b.I.b_enabled then
-      Format.fprintf ppf
-        "batch: off — scalar tuple-at-a-time interpreter \
-         (WDPT_ENGINE_BATCH=0); would-be geometry: %d-row morsel group(s), \
-         %d group(s) at the top level@,"
-        b.I.b_morsel_rows b.I.b_groups
-    else
-      Format.fprintf ppf
-        "batch: vectorized — %d-row morsel group(s), %d group(s) at the top \
-         level@,"
-        b.I.b_morsel_rows b.I.b_groups;
+    Format.fprintf ppf
+      "batch: vectorized — %d-row morsel group(s), %d group(s) at the top \
+       level@,"
+      b.I.b_morsel_rows b.I.b_groups;
     Format.fprintf ppf "  columns:";
     if Array.length b.I.b_columns = 0 then Format.fprintf ppf " none"
     else

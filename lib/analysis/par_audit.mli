@@ -53,6 +53,6 @@ val pp_par : Format.formatter -> Engine.Inspect.par_view -> unit
     ({!Engine.Inspect.batch_view}) for [wdpt explain --format json]. *)
 val batch_json : Engine.Inspect.batch_view -> Json.t
 
-(** Text rendering of the batch decision (vectorized vs scalar, morsel
-    geometry, stage pipeline) for [wdpt explain]. *)
+(** Text rendering of the batch layout (morsel geometry, stage pipeline)
+    for [wdpt explain]. *)
 val pp_batch : Format.formatter -> Engine.Inspect.batch_view -> unit

@@ -35,7 +35,6 @@ let sat_mul a b =
 let cap_bound w = sat_mul 2 (max 16 w)
 
 type t = {
-  r_batched : bool;
   r_checked : bool;
   r_rows : int;
   r_group_rows : int;
@@ -77,8 +76,7 @@ let analyze ?checked (v : I.view) (pv : I.par_view) (b : I.batch_view) =
     || Array.exists (fun r -> r = 0) stage_rows
   in
   if nstages = 0 then
-    { r_batched = b.I.b_enabled;
-      r_checked = checked;
+    { r_checked = checked;
       r_rows = rows;
       r_group_rows = 0;
       r_groups = b.I.b_groups;
@@ -172,8 +170,7 @@ let analyze ?checked (v : I.view) (pv : I.par_view) (b : I.batch_view) =
       !peak >= cap || !column_words >= cap || !dense_words >= cap
       || replay_rows >= cap || peak_bytes >= cap
     in
-    { r_batched = b.I.b_enabled;
-      r_checked = checked;
+    { r_checked = checked;
       r_rows = rows;
       r_group_rows = g;
       r_groups = b.I.b_groups;
@@ -198,8 +195,7 @@ let admits t ~budget = (not t.r_saturated) && t.r_peak_bytes <= budget
 
 let to_json t =
   Json.Obj
-    [ ("batched", Bool t.r_batched);
-      ("checked", Bool t.r_checked);
+    [ ("checked", Bool t.r_checked);
       ("rows", Int t.r_rows);
       ("group-rows", Int t.r_group_rows);
       ("groups", Int t.r_groups);

@@ -4,7 +4,7 @@
     The pass composes the batch geometry ({!Engine.Inspect.batch_view}:
     columns per stage, morsel group width, group count, probe-table gating
     thresholds) with {!Dataflow} per-step candidate-row bounds — re-run
-    along the batched pipeline's fixed stage order, not the scalar static
+    along the batched pipeline's fixed stage order, not the plan's static
     order, so the per-stage bounds are sound for the order that actually
     executes — into a certified peak-bytes/peak-rows envelope per plan.
 
@@ -25,7 +25,6 @@
 val cap : int
 
 type t = {
-  r_batched : bool;  (** the batched pipeline is enabled *)
   r_checked : bool;  (** checked mode (per-group replay buffering) is armed *)
   r_rows : int;  (** top-level candidate rows *)
   r_group_rows : int;  (** morsel group width bound (min morsel rows) *)
@@ -56,9 +55,7 @@ type t = {
 }
 
 (** [analyze ?checked view par_view batch_view]. [checked] defaults to
-    [Engine.checked_enabled ()]. The geometry is computed from the would-be
-    batch layout even when [b_enabled] is false (the scalar path uses
-    strictly less scratch, so the envelope still dominates). *)
+    [Engine.checked_enabled ()]. *)
 val analyze :
   ?checked:bool ->
   Engine.Inspect.view ->

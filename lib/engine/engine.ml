@@ -8,9 +8,8 @@
    immutable int-array tuples, variables as slots of a flat int-array
    environment, atoms as per-position check/slot instructions — and then runs
    a tight matching loop that allocates nothing on the happy path. Candidate
-   ranking reads stored counts from the compiled (rel, pos, value) index, so
-   the dynamic fewest-candidates atom order of the old evaluator is preserved
-   at O(arity) per remaining atom instead of a list materialization.
+   ranking reads stored counts from the compiled (rel, pos, value) index at
+   O(arity) per atom instead of a list materialization.
 
    Mappings cross the boundary exactly twice: once at compile time (init and
    constants are interned) and once per reported solution (slots are read
@@ -196,8 +195,8 @@ type atom_plan = {
    instruction sequence leaves after its Check instructions filter, under the
    uniformity assumption: each Check at position [pos] keeps a 1/dcount(pos)
    fraction of the stored rows. Empty relations score -inf. This is the
-   ranking the static order sorts by, audited by Plan_audit E005 and the
-   checked interpreter. *)
+   ranking the static order sorts by, audited by Plan_audit E005 and
+   checked mode. *)
 let selectivity ~rows ~dcounts ops =
   if rows = 0 then neg_infinity
   else begin
@@ -371,10 +370,10 @@ let build_core cdb atom_list =
     if !feasible then Array.of_list (List.map Option.get atoms) else [||]
   in
   (* static atom order: ground atoms first, then ascending selectivity score
-     (stable). The runtime selection is still dynamic (fewest candidates
-     under the current env); this only fixes the initial arrangement and
-     tie-breaking, and gives the plan a statically auditable order
-     invariant — richer than raw row counts because Check instructions
+     (stable). The runners choose the top-level atom by fewest candidates
+     and the remaining stages by bound positions ([fixed_order]); this
+     order breaks their ties, and gives the plan a statically auditable
+     order invariant — richer than raw row counts because Check instructions
      discount by the distinct count of their position. *)
   let order =
     let key i = atom_key atoms.(i) in
@@ -558,8 +557,9 @@ let ground_witness_row (ap : atom_plan) =
    kept atom constrains nothing new; an all-Check atom satisfied by some
    stored row (the certificate names the witness row) is always satisfied.
    Unmatched ground atoms are deliberately left in place: proving emptiness
-   is O(data), and the dynamic selection already kills such enumerations at
-   the first node. *)
+   is O(data), and the top-level choice already kills such enumerations: an
+   unmatched ground atom has zero candidates, so the smallest top-level
+   candidate range is empty. *)
 let pass_dead_instruction (p : t) =
   let n = Array.length p.atoms in
   let atom_map = Array.make n (-1) in
@@ -878,14 +878,14 @@ let value_of p id = Interner.get p.cdb.Db.pool id
 let slot_of p x = Interner.find p.vars x
 
 (* ------------------------------------------------------------------ *)
-(* The matching loop                                                    *)
+(* The top-level choice                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The first dynamic atom selection of an enumeration, replicated outside the
-   matching loop so the parallel partitioner can slice its candidate row
-   sequence: at the top level the environment is exactly [init_env], so the
-   selection — smallest stored count among bound positions of each atom in
-   [order], strict first-wins minimum — is a pure function of the plan.
+(* The first atom of every enumeration, chosen outside the runners so the
+   parallel partitioner can slice its candidate row sequence: at the top
+   level the environment is exactly [init_env], so the selection —
+   smallest stored count among bound positions of each atom in [order],
+   strict first-wins minimum — is a pure function of the plan.
    Chunked runs that enumerate contiguous slices of this row sequence and
    concatenate in slice order reproduce the sequential enumeration order
    exactly. *)
@@ -960,178 +960,6 @@ let fb_commit p fc fb =
     | None -> ()
     | Some (_, cert) -> store_adapt p cert
 
-(* [iter_envs_fast_slice p fc ~lo ~hi ~cancel f]: the matching loop, restricted
-   to candidates [lo, hi) of the top-level choice [fc]. [cancel] is polled
-   between top-level candidates (a peer found a witness). The full sequential
-   enumeration is the [0, fc_count) slice. *)
-let iter_envs_fast_slice p fc ~lo ~hi ~cancel ~fb f =
-  if p.feasible && Array.length p.atoms > 0 then begin
-    let env = Array.copy p.init_env in
-    let n = Array.length p.atoms in
-    let fb_c = fb.fb_contexts
-    and fb_p = fb.fb_probed
-    and fb_s = fb.fb_survived in
-    begin
-      let remaining = Array.copy p.order in
-      (* a slot is written at most once per search path, so one trail of
-         [nslots] entries serves the whole recursion *)
-      let trail = Array.make (Array.length env) 0 in
-      let sp = ref 0 in
-      let undo_to mark =
-        while !sp > mark do
-          decr sp;
-          env.(trail.(!sp)) <- -1
-        done
-      in
-      (* returns false with the trail already unwound on mismatch; on success
-         the caller undoes to its own pre-call mark after recursing *)
-      let match_tuple ops (t : Tuple.t) =
-        let mark = !sp in
-        let len = Array.length ops in
-        let rec go i =
-          if i >= len then true
-          else
-            let arg = t.(i) in
-            match ops.(i) with
-            | Check id -> if arg = id then go (i + 1) else false
-            | Slot s ->
-                let v = env.(s) in
-                if v < 0 then begin
-                  env.(s) <- arg;
-                  trail.(!sp) <- s;
-                  incr sp;
-                  go (i + 1)
-                end
-                else if v = arg then go (i + 1)
-                else false
-        in
-        if go 0 then true
-        else begin
-          undo_to mark;
-          false
-        end
-      in
-      (* estimated candidate count of an atom under the current env: the
-         smallest stored count among bound positions, defaulting to a scan
-         of the whole relation — exactly the ranking the old evaluator
-         computed by materializing and length-comparing candidate lists.
-         Results land in the three refs below so the selection loop in
-         [go] allocates nothing. *)
-      let est_cost = ref 0 and est_rows = ref [||] and est_scan = ref false in
-      let estimate ap =
-        let r = ap.a_rel in
-        est_cost := r.Db.nrows;
-        est_rows := [||];
-        est_scan := true;
-        let ops = ap.a_ops in
-        for pos = 0 to Array.length ops - 1 do
-          let bound =
-            match ops.(pos) with
-            | Check id -> id
-            | Slot s -> env.(s)
-          in
-          if bound >= 0 then
-            match Hashtbl.find_opt r.Db.index.(pos) bound with
-            | Some cell ->
-                if !est_scan || cell.Db.count < !est_cost then begin
-                  est_cost := cell.Db.count;
-                  est_rows := cell.Db.rows;
-                  est_scan := false
-                end
-            | None -> begin
-                est_cost := 0;
-                est_rows := [||];
-                est_scan := false
-              end
-        done
-      in
-      let rec go k =
-        if k = 0 then f env
-        else begin
-          estimate p.atoms.(remaining.(0));
-          let bi = ref 0 and bcost = ref !est_cost in
-          let brows = ref !est_rows and bscan = ref !est_scan in
-          for j = 1 to k - 1 do
-            estimate p.atoms.(remaining.(j));
-            if !est_cost < !bcost then begin
-              bi := j;
-              bcost := !est_cost;
-              brows := !est_rows;
-              bscan := !est_scan
-            end
-          done;
-          let slot_j = !bi in
-          let ai = remaining.(slot_j) in
-          remaining.(slot_j) <- remaining.(k - 1);
-          remaining.(k - 1) <- ai;
-          let ap = p.atoms.(ai) in
-          let ops = ap.a_ops and tuples = ap.a_rel.Db.tuples in
-          fb_c.(ai) <- fb_c.(ai) + 1;
-          fb_p.(ai) <- fb_p.(ai) + !bcost;
-          if !bscan then
-            (* candidate counts are live prefixes: bcost rows, not capacity *)
-            for ti = 0 to !bcost - 1 do
-              let mark = !sp in
-              if match_tuple ops tuples.(ti) then begin
-                fb_s.(ai) <- fb_s.(ai) + 1;
-                go (k - 1);
-                undo_to mark
-              end
-            done
-          else begin
-            let rows = !brows in
-            for ri = 0 to !bcost - 1 do
-              let mark = !sp in
-              if match_tuple ops tuples.(rows.(ri)) then begin
-                fb_s.(ai) <- fb_s.(ai) + 1;
-                go (k - 1);
-                undo_to mark
-              end
-            done
-          end;
-          remaining.(k - 1) <- remaining.(slot_j);
-          remaining.(slot_j) <- ai
-        end
-      in
-      (* top level: the pre-computed first choice, restricted to [lo, hi) —
-         identical to what [go n] would have selected and iterated. The top
-         atom's single probe context is credited at commit time (once per
-         run), not here: a chunked region slices this very loop. *)
-      let ai = remaining.(fc.fc_pos) in
-      remaining.(fc.fc_pos) <- remaining.(n - 1);
-      remaining.(n - 1) <- ai;
-      let ap = p.atoms.(ai) in
-      let ops = ap.a_ops and tuples = ap.a_rel.Db.tuples in
-      let i = ref lo in
-      while !i < hi && not (cancel ()) do
-        let ti = if fc.fc_scan then !i else fc.fc_rows.(!i) in
-        let mark = !sp in
-        fb_p.(ai) <- fb_p.(ai) + 1;
-        if match_tuple ops tuples.(ti) then begin
-          fb_s.(ai) <- fb_s.(ai) + 1;
-          go (n - 1);
-          undo_to mark
-        end;
-        incr i
-      done
-    end
-  end
-
-(* [iter_envs p f] calls [f env] (env borrowed: valid only during the call)
-   for every assignment of the slots consistent with all atoms. *)
-let iter_envs_fast p f =
-  if p.feasible then begin
-    if Array.length p.atoms = 0 then f (Array.copy p.init_env)
-    else
-      match select_first p with
-      | None -> ()
-      | Some fc ->
-          let fb = fb_create (Array.length p.atoms) in
-          iter_envs_fast_slice p fc ~lo:0 ~hi:fc.fc_count ~cancel:no_cancel ~fb
-            f;
-          fb_commit p fc fb
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Batched (vectorized) execution                                       *)
 (* ------------------------------------------------------------------ *)
@@ -1159,15 +987,6 @@ let iter_envs_fast p f =
    Top-level candidates are processed in morsel-sized groups, bounding the
    columnar footprint; groups are contiguous candidate ranges, so group
    concatenation preserves the order. *)
-
-let batched_flag =
-  Atomic.make
-    (match Sys.getenv_opt "WDPT_ENGINE_BATCH" with
-    | Some ("0" | "false" | "no") -> false
-    | _ -> true)
-
-let set_batched b = Atomic.set batched_flag b
-let batched_enabled () = Atomic.get batched_flag
 
 (* morsel size: the unit of parallel work distribution and the batch group
    width of the vectorized interpreter *)
@@ -2003,123 +1822,6 @@ let iter_envs_batched_slice p fc ~lo ~hi ~cancel ~fb f =
      note_max bm_column_words !words)
   end
 
-(* scalar twin of the batched interpreter: the same fixed stage order, one
-   environment at a time. Checked-batched mode replays it per morsel group
-   and compares env for env — matching tuples arrive in increasing
-   stored-row order on both sides, so the two enumerations must coincide
-   exactly. *)
-let iter_envs_fixed_slice p fc ~lo ~hi ~cancel ~fb:_ f =
-  if p.feasible && Array.length p.atoms > 0 then begin
-    let env = Array.copy p.init_env in
-    let fc_atom = p.order.(fc.fc_pos) in
-    let rest = Array.of_list (List.tl (fixed_order p fc)) in
-    let nrest = Array.length rest in
-    let trail = Array.make (Array.length env) 0 in
-    let sp = ref 0 in
-    let undo_to mark =
-      while !sp > mark do
-        decr sp;
-        env.(trail.(!sp)) <- -1
-      done
-    in
-    let match_tuple ops (t : Tuple.t) =
-      let mark = !sp in
-      let len = Array.length ops in
-      let rec go i =
-        if i >= len then true
-        else
-          let arg = t.(i) in
-          match ops.(i) with
-          | Check id -> if arg = id then go (i + 1) else false
-          | Slot s ->
-              let v = env.(s) in
-              if v < 0 then begin
-                env.(s) <- arg;
-                trail.(!sp) <- s;
-                incr sp;
-                go (i + 1)
-              end
-              else if v = arg then go (i + 1)
-              else false
-      in
-      if go 0 then true
-      else begin
-        undo_to mark;
-        false
-      end
-    in
-    let rec go k =
-      if k >= nrest then f env
-      else begin
-        let ap = p.atoms.(rest.(k)) in
-        let r = ap.a_rel in
-        let cost = ref r.Db.nrows and rows = ref [||] and scan = ref true in
-        let ops = ap.a_ops in
-        for pos = 0 to Array.length ops - 1 do
-          let bound =
-            match ops.(pos) with Check id -> id | Slot s -> env.(s)
-          in
-          if bound >= 0 then
-            match Hashtbl.find_opt r.Db.index.(pos) bound with
-            | Some cell ->
-                if !scan || cell.Db.count < !cost then begin
-                  cost := cell.Db.count;
-                  rows := cell.Db.rows;
-                  scan := false
-                end
-            | None ->
-                cost := 0;
-                rows := [||];
-                scan := false
-        done;
-        let tuples = r.Db.tuples in
-        if !scan then
-          for ti = 0 to !cost - 1 do
-            let mark = !sp in
-            if match_tuple ops tuples.(ti) then begin
-              go (k + 1);
-              undo_to mark
-            end
-          done
-        else begin
-          let rs = !rows in
-          for ri = 0 to !cost - 1 do
-            let mark = !sp in
-            if match_tuple ops tuples.(rs.(ri)) then begin
-              go (k + 1);
-              undo_to mark
-            end
-          done
-        end
-      end
-    in
-    let ap = p.atoms.(fc_atom) in
-    let ops = ap.a_ops and tuples = ap.a_rel.Db.tuples in
-    let i = ref lo in
-    while !i < hi && not (cancel ()) do
-      let ti = if fc.fc_scan then !i else fc.fc_rows.(!i) in
-      let mark = !sp in
-      if match_tuple ops tuples.(ti) then begin
-        go 0;
-        undo_to mark
-      end;
-      incr i
-    done
-  end
-
-let iter_envs_batched p f =
-  if p.feasible then begin
-    if Array.length p.atoms = 0 then f (Array.copy p.init_env)
-    else
-      match select_first p with
-      | None -> ()
-      | Some fc ->
-          let fb = fb_create (Array.length p.atoms) in
-          iter_envs_batched_slice p fc ~lo:0 ~hi:fc.fc_count ~cancel:no_cancel
-            ~fb f;
-          fb_commit p fc fb
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Checked execution (sanitizer mode)                                   *)
 (* ------------------------------------------------------------------ *)
@@ -2255,159 +1957,137 @@ let verify_solution p env =
           r.Db.name)
     p.atoms
 
-(* instrumented twin of [iter_envs_fast_slice]: identical instruction
-   selection and enumeration order, with every instruction's effect
-   validated — tuple widths, single-write slot discipline, trail
-   bracketing — and every reported solution re-verified against the stored
-   relations. Each slice validates the static invariants on entry and the
-   trail/environment restoration on exit, so a parallel chunked run performs
-   the full sequential set of checks per chunk. *)
-(* checked slices accept (and ignore) the counter record so the four slice
-   interpreters stay interchangeable in [Parallel.slice_interp]; checked
-   runs deliberately commit no feedback — their replayed double-execution
-   would double-count the genuine run's probes *)
-let iter_envs_checked_slice p fc ~lo ~hi ~cancel ~fb:_ f =
-  sanitize_static p;
+(* ------------------------------------------------------------------ *)
+(* The fixed-order scalar runner                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Scalar twin of the batched interpreter: the same fixed stage order, one
+   environment at a time, restricted to candidates [lo, hi) of the
+   top-level choice [fc]; [cancel] is polled between top-level candidates
+   (a peer found a witness). It serves first-match ([sat],
+   [first_homomorphism]), which usually stops within a handful of
+   candidates and so must not materialize a morsel group first, and it is
+   the twin checked-batched mode replays per morsel group and compares env
+   for env — matching tuples arrive in increasing stored-row order on both
+   sides, so the two enumerations must coincide exactly.
+
+   With [check] it validates the static invariants on entry, every stored
+   tuple's width, every probed index cell's count against its capacity and
+   every reported solution against the stored relations, and the trail
+   and environment restoration on exit; a parallel chunked run therefore
+   performs the full set of checks per chunk. It commits no feedback
+   counters: a first-match run stops at a point that depends on the pool
+   size, and a checked replay would double-count the genuine run's
+   probes. *)
+let iter_envs_fixed_slice ~check p fc ~lo ~hi ~cancel f =
+  if check then sanitize_static p;
   if p.feasible && Array.length p.atoms > 0 then begin
     let env = Array.copy p.init_env in
-    let n = Array.length p.atoms in
-    begin
-      let remaining = Array.copy p.order in
-      let trail = Array.make (Array.length env) 0 in
-      let sp = ref 0 in
-      let undo_to mark =
-        while !sp > mark do
-          decr sp;
-          let s = trail.(!sp) in
-          if env.(s) < 0 then
-            check_fail "trail undo of slot %d: slot was not bound" s;
-          env.(s) <- -1
-        done;
-        if !sp <> mark then check_fail "trail not unwound to its mark"
+    let fc_atom = p.order.(fc.fc_pos) in
+    let rest = Array.of_list (List.tl (fixed_order p fc)) in
+    let nrest = Array.length rest in
+    let trail = Array.make (Array.length env) 0 in
+    let sp = ref 0 in
+    let undo_to mark =
+      while !sp > mark do
+        decr sp;
+        env.(trail.(!sp)) <- -1
+      done
+    in
+    let match_tuple ai ops (t : Tuple.t) =
+      let mark = !sp in
+      let len = Array.length ops in
+      if check && Array.length t <> len then
+        check_fail "atom %d: stored tuple width %d, %d instruction(s)" ai
+          (Array.length t) len;
+      let rec go i =
+        if i >= len then true
+        else
+          let arg = t.(i) in
+          match ops.(i) with
+          | Check id -> if arg = id then go (i + 1) else false
+          | Slot s ->
+              let v = env.(s) in
+              if v < 0 then begin
+                env.(s) <- arg;
+                trail.(!sp) <- s;
+                incr sp;
+                go (i + 1)
+              end
+              else if v = arg then go (i + 1)
+              else false
       in
-      let match_tuple ai ops (t : Tuple.t) =
-        let mark = !sp in
-        let len = Array.length ops in
-        if Array.length t <> len then
-          check_fail "atom %d: stored tuple width %d, %d instruction(s)" ai
-            (Array.length t) len;
-        let rec go i =
-          if i >= len then true
-          else
-            let arg = t.(i) in
-            match ops.(i) with
-            | Check id -> if arg = id then go (i + 1) else false
-            | Slot s ->
-                let v = env.(s) in
-                if v < 0 then begin
-                  if !sp >= Array.length trail then
-                    check_fail "trail overflow writing slot %d" s;
-                  env.(s) <- arg;
-                  trail.(!sp) <- s;
-                  incr sp;
-                  go (i + 1)
-                end
-                else if v = arg then go (i + 1)
-                else false
-        in
-        if go 0 then true
-        else begin
-          undo_to mark;
-          false
-        end
-      in
-      let est_cost = ref 0 and est_rows = ref [||] and est_scan = ref false in
-      let estimate ap =
+      if go 0 then true
+      else begin
+        undo_to mark;
+        false
+      end
+    in
+    let rec go k =
+      if k >= nrest then begin
+        if check then verify_solution p env;
+        f env
+      end
+      else begin
+        let ai = rest.(k) in
+        let ap = p.atoms.(ai) in
         let r = ap.a_rel in
-        est_cost := r.Db.nrows;
-        est_rows := [||];
-        est_scan := true;
+        let cost = ref r.Db.nrows and rows = ref [||] and scan = ref true in
         let ops = ap.a_ops in
         for pos = 0 to Array.length ops - 1 do
           let bound =
-            match ops.(pos) with
-            | Check id -> id
-            | Slot s -> env.(s)
+            match ops.(pos) with Check id -> id | Slot s -> env.(s)
           in
           if bound >= 0 then
             match Hashtbl.find_opt r.Db.index.(pos) bound with
             | Some cell ->
-                if cell.Db.count > Array.length cell.Db.rows then
+                if check && cell.Db.count > Array.length cell.Db.rows then
                   check_fail "index cell of %s pos %d: count %d, capacity %d"
                     r.Db.name pos cell.Db.count (Array.length cell.Db.rows);
-                if !est_scan || cell.Db.count < !est_cost then begin
-                  est_cost := cell.Db.count;
-                  est_rows := cell.Db.rows;
-                  est_scan := false
+                if !scan || cell.Db.count < !cost then begin
+                  cost := cell.Db.count;
+                  rows := cell.Db.rows;
+                  scan := false
                 end
-            | None -> begin
-                est_cost := 0;
-                est_rows := [||];
-                est_scan := false
-              end
-        done
-      in
-      let rec go k =
-        if k = 0 then begin
-          verify_solution p env;
-          f env
-        end
-        else begin
-          estimate p.atoms.(remaining.(0));
-          let bi = ref 0 and bcost = ref !est_cost in
-          let brows = ref !est_rows and bscan = ref !est_scan in
-          for j = 1 to k - 1 do
-            estimate p.atoms.(remaining.(j));
-            if !est_cost < !bcost then begin
-              bi := j;
-              bcost := !est_cost;
-              brows := !est_rows;
-              bscan := !est_scan
+            | None ->
+                cost := 0;
+                rows := [||];
+                scan := false
+        done;
+        let tuples = r.Db.tuples in
+        if !scan then
+          for ti = 0 to !cost - 1 do
+            let mark = !sp in
+            if match_tuple ai ops tuples.(ti) then begin
+              go (k + 1);
+              undo_to mark
             end
-          done;
-          let slot_j = !bi in
-          let ai = remaining.(slot_j) in
-          remaining.(slot_j) <- remaining.(k - 1);
-          remaining.(k - 1) <- ai;
-          let ap = p.atoms.(ai) in
-          let ops = ap.a_ops and tuples = ap.a_rel.Db.tuples in
-          if !bscan then
-            for ti = 0 to !bcost - 1 do
-              let mark = !sp in
-              if match_tuple ai ops tuples.(ti) then begin
-                go (k - 1);
-                undo_to mark
-              end
-            done
-          else begin
-            let rows = !brows in
-            for ri = 0 to !bcost - 1 do
-              let mark = !sp in
-              if match_tuple ai ops tuples.(rows.(ri)) then begin
-                go (k - 1);
-                undo_to mark
-              end
-            done
-          end;
-          remaining.(k - 1) <- remaining.(slot_j);
-          remaining.(slot_j) <- ai
+          done
+        else begin
+          let rs = !rows in
+          for ri = 0 to !cost - 1 do
+            let mark = !sp in
+            if match_tuple ai ops tuples.(rs.(ri)) then begin
+              go (k + 1);
+              undo_to mark
+            end
+          done
         end
-      in
-      let ai = remaining.(fc.fc_pos) in
-      remaining.(fc.fc_pos) <- remaining.(n - 1);
-      remaining.(n - 1) <- ai;
-      let ap = p.atoms.(ai) in
-      let ops = ap.a_ops and tuples = ap.a_rel.Db.tuples in
-      let i = ref lo in
-      while !i < hi && not (cancel ()) do
-        let ti = if fc.fc_scan then !i else fc.fc_rows.(!i) in
-        let mark = !sp in
-        if match_tuple ai ops tuples.(ti) then begin
-          go (n - 1);
-          undo_to mark
-        end;
-        incr i
-      done;
+      end
+    in
+    let ap = p.atoms.(fc_atom) in
+    let ops = ap.a_ops and tuples = ap.a_rel.Db.tuples in
+    let i = ref lo in
+    while !i < hi && not (cancel ()) do
+      let ti = if fc.fc_scan then !i else fc.fc_rows.(!i) in
+      let mark = !sp in
+      if match_tuple fc_atom ops tuples.(ti) then begin
+        go 0;
+        undo_to mark
+      end;
+      incr i
+    done;
+    if check then begin
       if !sp <> 0 then check_fail "trail not empty after enumeration";
       Array.iteri
         (fun s v ->
@@ -2417,30 +2097,19 @@ let iter_envs_checked_slice p fc ~lo ~hi ~cancel ~fb:_ f =
     end
   end
 
-let iter_envs_checked p f =
-  if Array.length p.atoms = 0 || not p.feasible then begin
-    sanitize_static p;
-    if p.feasible then f (Array.copy p.init_env)
-  end
-  else
-    match select_first p with
-    | None -> ()
-    | Some fc ->
-        iter_envs_checked_slice p fc ~lo:0 ~hi:fc.fc_count ~cancel:no_cancel
-          ~fb:(fb_create 0) f
-
 (* checked-batched execution: every morsel group's batched effects are
-   validated env-for-env against the scalar fixed-order twin — same fixed
-   stage order, same enumeration order — and every solution is re-verified
-   against the stored relations before the caller sees it. A mismatch in
-   either direction (a dropped or an extra batched solution, or any slot
-   disagreement) is a Check_failure. *)
+   validated env-for-env against the checked fixed-order twin, which
+   re-verifies each of its solutions against the stored relations before
+   the comparison. A mismatch in either direction (a dropped or an extra
+   batched solution, or any slot disagreement) is a Check_failure, raised
+   before the caller sees any solution of the group. The slice accepts
+   (and ignores) the counter record so it stays interchangeable with
+   [iter_envs_batched_slice] in [Parallel.slice_interp]; the replay runs
+   the group twice over, so its counters are deliberately discarded. *)
 let iter_envs_batched_checked_slice p fc ~lo ~hi ~cancel ~fb:_ f =
   sanitize_static p;
   if p.feasible && Array.length p.atoms > 0 then begin
     let group = morsel_rows () in
-    (* scratch record: the checked replay runs the batched pipeline twice
-       over, so its counters are deliberately discarded *)
     let scratch = fb_create (Array.length p.atoms) in
     let glo = ref lo in
     while !glo < hi && not (cancel ()) do
@@ -2451,8 +2120,8 @@ let iter_envs_batched_checked_slice p fc ~lo ~hi ~cancel ~fb:_ f =
       let batched = Array.of_list (List.rev !buf) in
       note_max bm_replay_rows (Array.length batched);
       let k = ref 0 in
-      iter_envs_fixed_slice p fc ~lo:!glo ~hi:ghi ~cancel:no_cancel
-        ~fb:scratch (fun env ->
+      iter_envs_fixed_slice ~check:true p fc ~lo:!glo ~hi:ghi
+        ~cancel:no_cancel (fun env ->
           if !k >= Array.length batched then
             check_fail
               "batched run dropped solution %d of the scalar fixed-order twin"
@@ -2467,7 +2136,6 @@ let iter_envs_batched_checked_slice p fc ~lo ~hi ~cancel ~fb:_ f =
                      %d (%d vs %d)"
                     !k s b.(s) v)
               env;
-            verify_solution p b;
             incr k
           end);
       if !k <> Array.length batched then
@@ -2478,26 +2146,38 @@ let iter_envs_batched_checked_slice p fc ~lo ~hi ~cancel ~fb:_ f =
     done
   end
 
-let iter_envs_batched_checked p f =
-  if Array.length p.atoms = 0 || not p.feasible then begin
-    sanitize_static p;
-    if p.feasible then f (Array.copy p.init_env)
-  end
-  else
-    match select_first p with
-    | None -> ()
-    | Some fc ->
-        iter_envs_batched_checked_slice p fc ~lo:0 ~hi:fc.fc_count
-          ~cancel:no_cancel ~fb:(fb_create 0) f
+(* The one prelude of the sequential runs: a plan with a top-level choice
+   runs [slice] over its whole candidate range [0, fc_count); otherwise the
+   plan is infeasible (no solution) or has no atoms (one solution, its
+   initial environment). *)
+let run_seq p f slice =
+  match select_first p with
+  | Some fc -> slice fc
+  | None ->
+      if Atomic.get checked then sanitize_static p;
+      if p.feasible then f (Array.copy p.init_env)
 
-(* the sequential dispatch; the public [iter_envs] below additionally
+(* the sequential enumeration; the public [iter_envs] below additionally
    partitions across domains when enabled *)
 let iter_envs_seq p f =
-  match (Atomic.get batched_flag, Atomic.get checked) with
-  | true, true -> iter_envs_batched_checked p f
-  | true, false -> iter_envs_batched p f
-  | false, true -> iter_envs_checked p f
-  | false, false -> iter_envs_fast p f
+  run_seq p f (fun fc ->
+      if Atomic.get checked then
+        iter_envs_batched_checked_slice p fc ~lo:0 ~hi:fc.fc_count
+          ~cancel:no_cancel ~fb:(fb_create 0) f
+      else begin
+        let fb = fb_create (Array.length p.atoms) in
+        iter_envs_batched_slice p fc ~lo:0 ~hi:fc.fc_count ~cancel:no_cancel
+          ~fb f;
+        fb_commit p fc fb
+      end)
+
+(* the sequential first-match run: same order as [iter_envs_seq], one
+   environment at a time, so an exception raised by [f] exits at the first
+   witness *)
+let iter_envs_first p f =
+  run_seq p f (fun fc ->
+      iter_envs_fixed_slice ~check:(Atomic.get checked) p fc ~lo:0
+        ~hi:fc.fc_count ~cancel:no_cancel f)
 
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel enumeration                                          *)
@@ -2744,15 +2424,12 @@ module Parallel = struct
 
   let leave () = Atomic.set in_region false
 
-  (* the slice interpreter is chosen once per region from the batched and
-     checked flags and shared by every worker: a concurrent
-     [set_checked]/[set_batched] cannot tear a run into mixed chunks *)
+  (* the slice interpreter is chosen once per region from the checked flag
+     and shared by every worker: a concurrent [set_checked] cannot tear a
+     run into mixed chunks *)
   let slice_interp () =
-    match (Atomic.get batched_flag, Atomic.get checked) with
-    | true, true -> iter_envs_batched_checked_slice
-    | true, false -> iter_envs_batched_slice
-    | false, true -> iter_envs_checked_slice
-    | false, false -> iter_envs_fast_slice
+    if Atomic.get checked then iter_envs_batched_checked_slice
+    else iter_envs_batched_slice
 
   (* [iter p f]: every satisfying environment, in an order identical to the
      sequential enumeration. Chunks buffer copies of their solutions; the
@@ -2785,12 +2462,11 @@ module Parallel = struct
           | Some tr -> log_access tr i loc ~write
           | None -> ()
         in
-        let batched = Atomic.get batched_flag in
         Fun.protect ~finally:leave (fun () ->
             run_chunks ?trace ~nd ~nchunks (fun i ->
                 let lo, hi = bounds.(i) in
                 let buf = ref [] in
-                if batched then log i (Column_block i) ~write:true;
+                log i (Column_block i) ~write:true;
                 interp p fc ~lo ~hi ~cancel:no_cancel ~fb:fbs.(i) (fun env ->
                     buf := Array.copy env :: !buf);
                 log i (Chunk_cell i) ~write:true;
@@ -2835,12 +2511,11 @@ module Parallel = struct
           | Some tr -> log_access tr i loc ~write
           | None -> ()
         in
-        let batched = Atomic.get batched_flag in
         Fun.protect ~finally:leave (fun () ->
             run_chunks ?trace ~nd ~nchunks (fun i ->
                 let lo, hi = bounds.(i) in
                 let n = ref 0 in
-                if batched then log i (Column_block i) ~write:true;
+                log i (Column_block i) ~write:true;
                 interp p fc ~lo ~hi ~cancel:no_cancel ~fb:fbs.(i) (fun _ ->
                     incr n);
                 log i (Chunk_cell i) ~write:true;
@@ -2864,25 +2539,20 @@ module Parallel = struct
   (* [sat p]: the first witness on any domain raises the shared atomic flag;
      peers poll it between top-level candidates and stop early.
 
-     First-match probes stay tuple-at-a-time even in batched mode: a
-     vectorized pipeline materializes a whole morsel group (and builds its
-     probe tables) before its first result, which is exactly wrong for a
+     First-match probes run on the fixed-order scalar runner: the batched
+     pipeline materializes a whole morsel group (and builds its probe
+     tables) before its first result, which is exactly wrong for a
      short-circuit that usually stops within a handful of candidates. *)
-  let sat_interp () =
-    if Atomic.get checked then iter_envs_checked_slice
-    else iter_envs_fast_slice
-
   let sat p =
     match enter p with
     | None -> (
         try
-          (if Atomic.get checked then iter_envs_checked else iter_envs_fast)
-            p
-            (fun _ -> raise Hit);
+          iter_envs_first p (fun _ -> raise Hit);
           false
         with Hit -> true)
     | Some (nd, fc) ->
-        let interp = sat_interp () in
+        (* read once per region, like [slice_interp] *)
+        let check = Atomic.get checked in
         let nchunks = nchunks_for nd fc.fc_count in
         let bounds = chunk_bounds fc.fc_count nchunks in
         let found = Atomic.make false in
@@ -2902,13 +2572,9 @@ module Parallel = struct
                 in
                 if not (cancel ()) then begin
                   let lo, hi = bounds.(i) in
-                  (* a correctly sized but discarded record: parallel sat
-                     commits no feedback — cancellation truncates the probe
-                     stream nondeterministically across pool sizes *)
                   try
-                    interp p fc ~lo ~hi ~cancel
-                      ~fb:(fb_create (Array.length p.atoms)) (fun _ ->
-                        raise Hit)
+                    iter_envs_fixed_slice ~check p fc ~lo ~hi ~cancel
+                      (fun _ -> raise Hit)
                   with Hit ->
                     log i Cancel_flag ~write:true;
                     Atomic.set found true
@@ -3167,15 +2833,10 @@ module Inspect = struct
          { s_name = "region-guard"; s_kind = Atomic_cell };
          { s_name = "chunk-buffers"; s_kind = Chunk_local };
          { s_name = "chunk-counts"; s_kind = Chunk_local };
-         { s_name = "feedback-cells"; s_kind = Chunk_local } |]
-    in
-    (* the batched interpreter's columnar state is chunk-local: each chunk
-       allocates and writes only its own slot columns *)
-    let shared =
-      if batched_enabled () then
-        Array.append shared
-          [| { s_name = "batch-columns"; s_kind = Chunk_local } |]
-      else shared
+         { s_name = "feedback-cells"; s_kind = Chunk_local };
+         (* the batched interpreter's columnar state is chunk-local: each
+            chunk allocates and writes only its own slot columns *)
+         { s_name = "batch-columns"; s_kind = Chunk_local } |]
     in
     let writes =
       [ { w_site = "chunk-dispatch";
@@ -3194,15 +2855,10 @@ module Inspect = struct
           w_owner_only = true };
         { w_site = "feedback-accumulate";
           w_target = "feedback-cells";
+          w_owner_only = true };
+        { w_site = "batch-column-write";
+          w_target = "batch-columns";
           w_owner_only = true } ]
-    in
-    let writes =
-      if batched_enabled () then
-        writes
-        @ [ { w_site = "batch-column-write";
-              w_target = "batch-columns";
-              w_owner_only = true } ]
-      else writes
     in
     (* the seeded fault is an honest part of the runtime while enabled, so
        the static view declares its cross-chunk store — and E014 flags it *)
@@ -3241,7 +2897,6 @@ module Inspect = struct
   }
 
   type batch_view = {
-    b_enabled : bool;          (* current value of the batch flag *)
     b_morsel_rows : int;       (* configured batch group width *)
     b_stages : batch_stage_view array;  (* fixed stage order *)
     b_columns : (int * string) array;
@@ -3253,12 +2908,10 @@ module Inspect = struct
      interpreter compiles its pipeline with — like [par], inspecting it
      certifies the layout the run will actually use. *)
   let batch (p : t) =
-    let enabled = batched_enabled () in
     let m = Parallel.morsel_rows () in
     match select_first p with
     | None ->
-        { b_enabled = enabled;
-          b_morsel_rows = m;
+        { b_morsel_rows = m;
           b_stages = [||];
           b_columns = [||];
           b_groups = 0 }
@@ -3272,8 +2925,7 @@ module Inspect = struct
                 (Array.to_list st.bs_binds))
             stages
         in
-        { b_enabled = enabled;
-          b_morsel_rows = m;
+        { b_morsel_rows = m;
           b_stages =
             Array.of_list
               (List.map
@@ -3371,14 +3023,14 @@ let homomorphisms db atoms ~init =
 
 exception Found of Mapping.t
 
-(* first answer = first answer of the sequential enumeration: runs on the
-   sequential path so the exception exits as soon as the witness is found
-   (a parallel region would buffer whole chunks before replaying). *)
+(* first answer = first answer of the enumeration: runs on the sequential
+   fixed-order runner so the exception exits as soon as the witness is found
+   (a morsel group or a parallel region would buffer before replaying). *)
 let first_homomorphism db atoms ~init =
   let p = compile db atoms ~init in
   let table = conversion_table p in
   try
-    iter_envs_seq p (fun env ->
+    iter_envs_first p (fun env ->
         raise (Found (mapping_of_env_with p table env)));
     None
   with Found h -> Some h

@@ -49,7 +49,7 @@ val compile : Database.t -> Atom.t list -> init:Mapping.t -> t
     The static atom order of every plan sorts by the lexicographic key
     [(ground?, score)]: fully-ground atoms (only [Check] instructions) first,
     then ascending {!selectivity} score. [Analysis.Plan_audit] E005 and the
-    checked interpreter verify exactly this invariant. *)
+    checked mode verify exactly this invariant. *)
 
 (** [selectivity ~rows ~dcounts ops] is log10 of the estimated candidate rows
     left after the [Check] instructions filter: log10 [rows] minus log10 of
@@ -168,7 +168,8 @@ val cached_swap : t -> swap_cert option
 
 (** {2 Batched (vectorized) execution}
 
-    By default the engine executes each compiled instruction over a vector
+    Every enumeration ({!iter_envs}, {!count_envs}, the projections and
+    their parallel chunks) executes each compiled instruction over a vector
     of candidate environments at once: the environment vector is columnar
     (one flat [int array] per stage-bound slot, batch-row indexed), checks
     narrow a survivor bitmask in place, and index probes sort/group the
@@ -181,13 +182,11 @@ val cached_swap : t -> swap_cert option
     in checked mode. Top-level candidates are processed in groups of
     {!Parallel.morsel_rows} rows, bounding the columnar footprint.
 
-    [WDPT_ENGINE_BATCH=0] (or {!set_batched}[ false]) falls back to the
-    tuple-at-a-time interpreter with dynamic per-node atom selection; the
-    two modes produce the same answer multiset, though possibly in a
-    different order ([wdpt_fuzz --batch-diff] checks set equality). *)
-
-val set_batched : bool -> unit
-val batched_enabled : unit -> bool
+    First-match ({!sat}, {!first_homomorphism}) runs on that scalar
+    fixed-order twin instead: one environment at a time over the same stage
+    order, so it stops at the first witness without materializing a morsel
+    group, and it finds the first solution the batched enumeration would
+    yield. *)
 
 (** High-water marks of the batched pipeline's memory consumers, in the
     units the certified resource envelope ({!Analysis.Resource}) is stated
@@ -235,9 +234,11 @@ val iter_envs : t -> (int array -> unit) -> unit
     reducer: per-chunk counts, summed. *)
 val count_envs : t -> int
 
-(** [sat p]: some satisfying assignment exists. Parallel reducer: the first
-    witness on any domain raises a shared atomic cancellation flag; peers
-    poll it between top-level candidates and stop early. *)
+(** [sat p]: some satisfying assignment exists. Runs on the scalar
+    fixed-order runner, tuple at a time, and commits no feedback counters.
+    Parallel reducer: the first witness on any domain raises a shared
+    atomic cancellation flag; peers poll it between top-level candidates
+    and stop early. *)
 val sat : t -> bool
 
 (** [mapping_of_env p env] converts a satisfying environment back to a
@@ -251,6 +252,9 @@ val iter_homomorphisms :
 
 val homomorphisms : Database.t -> Atom.t list -> init:Mapping.t -> Mapping.t list
 
+(** [first_homomorphism db atoms ~init] is the first mapping
+    [iter_homomorphisms] would yield, found sequentially on the scalar
+    fixed-order runner, which stops at the first witness. *)
 val first_homomorphism :
   Database.t -> Atom.t list -> init:Mapping.t -> Mapping.t option
 
@@ -287,7 +291,8 @@ val stream_projections :
     the loop — so the row range partitions into contiguous chunks that
     domains drain from a shared atomic counter. Per-primitive reducers merge
     in chunk order (= sequential order). Checked mode composes: every chunk
-    runs the instrumented interpreter with the full per-run validation.
+    runs the checked replay (or, for [sat], the checked fixed-order runner)
+    with the full per-run validation.
     A region falls back to sequential when the pool size is 1, the top-level
     candidate count is under {!Parallel.min_rows}, or a region is already
     running (nested engine calls from an enumeration callback). *)
@@ -564,7 +569,6 @@ module Inspect : sig
   }
 
   type batch_view = {
-    b_enabled : bool;  (** {!Engine.batched_enabled} at inspection time *)
     b_morsel_rows : int;  (** batch group size ({!Parallel.morsel_rows}) *)
     b_stages : batch_stage_view array;
         (** fixed stage order: top-level choice first, then the static
@@ -600,15 +604,18 @@ end
 (** {2 Checked execution (sanitizer mode)}
 
     When enabled — [WDPT_ENGINE_CHECKED=1] in the environment, or
-    {!set_checked} — every enumeration runs on an instrumented interpreter
-    that validates the plan invariants statically (the runtime twin of
-    [Analysis.Plan_audit]: slot ranges, interner ids, arity coherence, order,
-    staleness), checks each instruction's effect (tuple widths, single-write
-    slot discipline, trail bracketing, index counts), and re-verifies every
-    reported solution against the stored relations. Same instruction
-    selection and enumeration order as the fast path. *)
+    {!set_checked} — every run validates the plan invariants on entry (the
+    runtime twin of [Analysis.Plan_audit]: slot ranges, interner ids, arity
+    coherence, order, staleness). Enumeration replays every morsel group of
+    the batched pipeline on the scalar fixed-order twin and compares the
+    two env for env; first-match runs on that same twin. The twin checks
+    stored tuple widths and index cell counts as it probes, re-verifies
+    every solution it reports against the stored relations, and checks
+    that the trail and environment are restored on exit. Answers and
+    their order are those of the unchecked run; no feedback counters are
+    committed. *)
 
-(** Raised by the instrumented interpreter on any invariant violation. *)
+(** Raised by checked execution on any invariant violation. *)
 exception Check_failure of string
 
 val set_checked : bool -> unit

@@ -7,19 +7,18 @@ open Relational
    when the branches are processed. *)
 let iter_maximal_extensions db p ~init yield =
   (* stream maximal extensions of [h] into the subtree at [node]; nothing is
-     yielded iff the node's pattern cannot be matched at all, so children are
-     probed for matchability before recursing *)
+     yielded iff the node's pattern cannot be matched at all, so a child that
+     yielded nothing leaves the extension as it was *)
   let rec iter_ext node h k =
     Cq.Eval.iter_homomorphisms db (Pattern_tree.atoms p node) ~init:h (fun g ->
         let rec kids acc = function
           | [] -> k acc
           | c :: rest ->
-              let matchable =
-                Option.is_some
-                  (Cq.Eval.first_homomorphism db (Pattern_tree.atoms p c) ~init:acc)
-              in
-              if matchable then iter_ext c acc (fun e -> kids e rest)
-              else kids acc rest
+              let matched = ref false in
+              iter_ext c acc (fun e ->
+                  matched := true;
+                  kids e rest);
+              if not !matched then kids acc rest
         in
         kids g (Pattern_tree.children p node))
   in

@@ -1,8 +1,9 @@
 (* The plan auditor (Analysis.Plan_audit), the static cost model
    (Analysis.Cost) and the checked execution mode: every genuine plan audits
    clean, every deliberately corrupted IR view is rejected with the right
-   E-code and witness, static bounds dominate measured counts, and the
-   instrumented interpreter agrees with the fast path answer-for-answer. *)
+   E-code and witness, static bounds dominate measured counts, checked
+   execution agrees with unchecked execution answer-for-answer, and it
+   rejects a plan whose compiled store fell behind its database. *)
 
 open Relational
 open Helpers
@@ -228,7 +229,7 @@ let prop_bound_dominates =
       && dominates answers cost.Analysis.Cost.answer_bound
       && answers <= Analysis.Cost.bound_count cost)
 
-(* (c) checked execution agrees with the fast path, env for env *)
+(* (c) checked execution agrees with unchecked execution, env for env *)
 let prop_checked_agrees =
   qtest ~count:200 "checked execution = fast execution (order and content)"
     (QCheck.pair arbitrary_cq arbitrary_db) (fun (q, db) ->
@@ -247,6 +248,36 @@ let prop_checked_agrees =
       List.length fast = List.length checked
       && List.for_all2 (fun a b -> a = b) fast checked)
 
+(* (d) the sanitizer runs on every entry point: a plan compiled before a
+   Database.add holds a store behind the live database, and checked mode
+   refuses to run it, sequentially and on a pool of 2 *)
+let test_detached_plan () =
+  let was = Engine.checked_enabled () in
+  let d0 = Engine.Parallel.domains () and m0 = Engine.Parallel.min_rows () in
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.set_checked was;
+      Engine.Parallel.set_domains d0;
+      Engine.Parallel.set_min_rows m0)
+    (fun () ->
+      Engine.set_checked true;
+      Engine.Parallel.set_min_rows 1;
+      List.iter
+        (fun nd ->
+          Engine.Parallel.set_domains nd;
+          let db = db3 () in
+          let p = Engine.compile db [ e "x" "y"; e "y" "z" ] ~init:Mapping.empty in
+          Database.add db (Fact.make "E" [ Value.int 4; Value.int 5 ]);
+          let raises name run =
+            match run () with
+            | () -> Alcotest.failf "%s at pool %d: no Check_failure" name nd
+            | exception Engine.Check_failure _ -> ()
+          in
+          raises "sat" (fun () -> ignore (Engine.sat p));
+          raises "count_envs" (fun () -> ignore (Engine.count_envs p));
+          raises "iter_envs" (fun () -> Engine.iter_envs p (fun _ -> ())))
+        [ 1; 2 ])
+
 let suite =
   [ Alcotest.test_case "clean plans audit clean" `Quick test_clean;
     Alcotest.test_case "E001 uninitialized slot read" `Quick test_e001;
@@ -261,4 +292,6 @@ let suite =
     Alcotest.test_case "tree classification" `Quick test_tree_class;
     prop_compiled_plans_audit_clean;
     prop_bound_dominates;
-    prop_checked_agrees ]
+    prop_checked_agrees;
+    Alcotest.test_case "checked mode rejects a detached plan" `Quick
+      test_detached_plan ]

@@ -3,9 +3,10 @@
    slices), batch-edge geometry (candidate ranges smaller than a morsel
    group, survivor masks going all-zero mid-instruction, morsel boundaries
    inside OPT branches), paging parity on the batched streamed path, morsel
-   configuration clamping, and qcheck properties pinning batched = scalar
-   answers at both semantics levels and a deterministic batched enumeration
-   order across pool sizes. *)
+   configuration clamping, and qcheck properties pinning the batched
+   answers to the naive oracles (Cq.Eval.Naive, Semantics.eval_naive) at
+   both semantics levels and a deterministic batched enumeration order
+   across pool sizes. *)
 
 open Relational
 open Helpers
@@ -13,17 +14,14 @@ module P = Engine.Parallel
 module I = Engine.Inspect
 
 (* every test restores the ambient engine configuration, whatever happens
-   (the suite may itself run under WDPT_ENGINE_BATCH / _DOMAINS / _MORSEL) *)
-let with_engine ?batched ?domains ?min_rows ?morsel f =
-  let b0 = Engine.batched_enabled () in
+   (the suite may itself run under WDPT_ENGINE_DOMAINS / _MORSEL) *)
+let with_engine ?domains ?min_rows ?morsel f =
   let d0 = P.domains () and m0 = P.min_rows () and g0 = P.morsel_rows () in
-  Option.iter Engine.set_batched batched;
   Option.iter P.set_domains domains;
   Option.iter P.set_min_rows min_rows;
   Option.iter P.set_morsel_rows morsel;
   Fun.protect
     ~finally:(fun () ->
-      Engine.set_batched b0;
       P.set_domains d0;
       P.set_min_rows m0;
       P.set_morsel_rows g0)
@@ -75,12 +73,7 @@ let test_morsel_config () =
       P.set_morsel_rows (1 lsl 30);
       check_int "oversized clamps to the cap" (1 lsl 20) (P.morsel_rows ());
       P.set_morsel_rows 256;
-      check_int "in-range value kept" 256 (P.morsel_rows ()));
-  (* the batched toggle round-trips *)
-  with_engine ~batched:false (fun () ->
-      check_bool "toggle off" false (Engine.batched_enabled ()));
-  with_engine ~batched:true (fun () ->
-      check_bool "toggle on" true (Engine.batched_enabled ()))
+      check_int "in-range value kept" 256 (P.morsel_rows ()))
 
 (* ---- batch-edge geometry ------------------------------------------------- *)
 
@@ -88,13 +81,13 @@ let test_batch_edges () =
   (* candidate range far smaller than the morsel group: one ragged batch *)
   let db = db_of_edges [ (1, 2); (2, 3) ] in
   let plan = Engine.compile db [ e "x" "y"; e "y" "z" ] ~init:Mapping.empty in
-  with_engine ~batched:true ~morsel:1024 (fun () ->
+  with_engine ~morsel:1024 (fun () ->
       check_int "batch smaller than the group" 1 (Engine.count_envs plan));
   (* a constant check kills the entire batch at stage 0 *)
   let dead0 =
     Engine.compile db [ atom "E" [ v "x"; c 99 ] ] ~init:Mapping.empty
   in
-  with_engine ~batched:true (fun () ->
+  with_engine (fun () ->
       check_int "mask all-zero at stage 0" 0 (Engine.count_envs dead0);
       check_bool "no solutions enumerated" true (envs_of dead0 = []));
   (* a later filter stage starves every surviving row mid-instruction: the
@@ -108,12 +101,14 @@ let test_batch_edges () =
       [ atom "U" [ v "x" ]; atom "E" [ v "x"; v "y" ] ]
       ~init:Mapping.empty
   in
-  with_engine ~batched:true (fun () ->
+  with_engine (fun () ->
       check_int "mask all-zero mid-pipeline" 0 (Engine.count_envs dead_mid);
       check_bool "sat agrees" false (Engine.sat dead_mid));
   (* forcing single-row batches exercises every group boundary *)
-  let full = with_engine ~batched:false (fun () -> envs_of plan) in
-  with_engine ~batched:true ~morsel:1 (fun () ->
+  let full =
+    Cq.Eval.Naive.homomorphisms db [ e "x" "y"; e "y" "z" ] ~init:Mapping.empty
+  in
+  with_engine ~morsel:1 (fun () ->
       check_int "1-row morsel groups, same count" (List.length full)
         (Engine.count_envs plan))
 
@@ -133,18 +128,18 @@ let test_opt_boundary () =
     (fun i ->
       if i mod 2 = 0 then Database.add db (Fact.make "U" [ Value.int i ]))
     (List.init 11 Fun.id);
-  let scalar = with_engine ~batched:false (fun () -> Wdpt.Semantics.eval db p) in
+  let reference = Wdpt.Semantics.eval_naive db p in
   check_bool "instance has extended and bare answers" true
-    (Mapping.Set.cardinal scalar = 10);
+    (Mapping.Set.cardinal reference = 10);
   (* morsel 3 puts group boundaries inside both the root body's and the OPT
      branch's candidate ranges, sequentially and across a pool of 2 *)
   List.iter
     (fun nd ->
-      with_engine ~batched:true ~domains:nd ~min_rows:1 ~morsel:3 (fun () ->
+      with_engine ~domains:nd ~min_rows:1 ~morsel:3 (fun () ->
           check_bool
             (Printf.sprintf "batched OPT answers at pool %d" nd)
             true
-            (Mapping.Set.equal (Wdpt.Semantics.eval db p) scalar)))
+            (Mapping.Set.equal (Wdpt.Semantics.eval db p) reference)))
     [ 1; 2 ]
 
 (* ---- paging parity on the batched streamed path -------------------------- *)
@@ -162,7 +157,7 @@ let test_paging_parity () =
     check_int "emitted = returned" (List.length !out) n;
     List.rev !out
   in
-  with_engine ~batched:true ~morsel:2 (fun () ->
+  with_engine ~morsel:2 (fun () ->
       let full = stream ~offset:0 ~limit:None in
       check_int "distinct projections" 4 (List.length full);
       (* pages cut at morsel boundaries reassemble the batched stream *)
@@ -173,40 +168,32 @@ let test_paging_parity () =
       in
       check_bool "batched pages reassemble the batched stream" true
         (pages = full);
-      (* and the page union is the scalar answer set *)
-      let scalar =
-        with_engine ~batched:false (fun () -> stream ~offset:0 ~limit:None)
-      in
-      check_bool "batched pages = scalar answers as sets" true
+      (* and the page union is the naive answer set *)
+      check_bool "batched pages = naive answers as sets" true
         (Mapping.Set.equal
            (Mapping.Set.of_list pages)
-           (Mapping.Set.of_list scalar)))
+           (Cq.Eval.Naive.answers db (Cq.Query.make ~head:onto ~body:atoms))))
 
 (* ---- properties ---------------------------------------------------------- *)
 
 let prop_batched_cq_agree =
-  qtest ~count:100 "batched = scalar CQ answers (pools 1/2/4, small morsels)"
+  qtest ~count:100 "batched = naive CQ answers (pools 1/2/4, small morsels)"
     (QCheck.pair arbitrary_cq arbitrary_db) (fun (q, db) ->
-      let scalar =
-        with_engine ~batched:false ~domains:1 (fun () -> Cq.Eval.answers db q)
-      in
+      let naive = Cq.Eval.Naive.answers db q in
       List.for_all
         (fun nd ->
-          with_engine ~batched:true ~domains:nd ~min_rows:1 ~morsel:2
-            (fun () -> Mapping.Set.equal (Cq.Eval.answers db q) scalar))
+          with_engine ~domains:nd ~min_rows:1 ~morsel:2 (fun () ->
+              Mapping.Set.equal (Cq.Eval.answers db q) naive))
         [ 1; 2; 4 ])
 
 let prop_batched_wdpt_agree =
-  qtest ~count:60 "batched = scalar WDPT answers (pools 1/2/4)"
+  qtest ~count:60 "batched = naive WDPT answers (pools 1/2/4)"
     (QCheck.pair arbitrary_small_wdpt arbitrary_db) (fun (p, db) ->
-      let scalar =
-        with_engine ~batched:false ~domains:1 (fun () ->
-            Wdpt.Semantics.eval db p)
-      in
+      let naive = Wdpt.Semantics.eval_naive db p in
       List.for_all
         (fun nd ->
-          with_engine ~batched:true ~domains:nd ~min_rows:1 ~morsel:3
-            (fun () -> Mapping.Set.equal (Wdpt.Semantics.eval db p) scalar))
+          with_engine ~domains:nd ~min_rows:1 ~morsel:3 (fun () ->
+              Mapping.Set.equal (Wdpt.Semantics.eval db p) naive))
         [ 1; 2; 4 ])
 
 let prop_batched_order_deterministic =
@@ -214,13 +201,12 @@ let prop_batched_order_deterministic =
     (QCheck.pair arbitrary_cq arbitrary_db) (fun (q, db) ->
       let plan = Engine.compile db (Cq.Query.body q) ~init:Mapping.empty in
       let reference =
-        with_engine ~batched:true ~domains:1 ~min_rows:1 ~morsel:2 (fun () ->
-            envs_of plan)
+        with_engine ~domains:1 ~min_rows:1 ~morsel:2 (fun () -> envs_of plan)
       in
       List.for_all
         (fun nd ->
-          with_engine ~batched:true ~domains:nd ~min_rows:1 ~morsel:2
-            (fun () -> envs_of plan = reference && envs_of plan = reference))
+          with_engine ~domains:nd ~min_rows:1 ~morsel:2 (fun () ->
+              envs_of plan = reference && envs_of plan = reference))
         [ 2; 4 ])
 
 let suite =

@@ -4,8 +4,8 @@
    the batch_view draws exactly its E-code with the exact machine-checkable
    witness, measured batch_stats high-water marks stay within the certified
    envelope (and a shrunk envelope draws E021 per component), admission
-   verdicts, the schema-stable batch JSON under WDPT_ENGINE_BATCH=0, and
-   paging across ragged-tail morsel-group boundaries. *)
+   verdicts, the batch and resource JSON key lists, and paging across
+   ragged-tail morsel-group boundaries. *)
 
 open Relational
 open Helpers
@@ -15,19 +15,17 @@ module D = Analysis.Diagnostic
 module R = Analysis.Resource
 
 (* every test restores the ambient engine configuration, whatever happens
-   (the suite may itself run under WDPT_ENGINE_BATCH / _DOMAINS / _MORSEL /
+   (the suite may itself run under WDPT_ENGINE_DOMAINS / _MORSEL /
    _CHECKED) *)
-let with_engine ?batched ?checked ?domains ?min_rows ?morsel f =
-  let b0 = Engine.batched_enabled () and c0 = Engine.checked_enabled () in
+let with_engine ?checked ?domains ?min_rows ?morsel f =
+  let c0 = Engine.checked_enabled () in
   let d0 = P.domains () and m0 = P.min_rows () and g0 = P.morsel_rows () in
-  Option.iter Engine.set_batched batched;
   Option.iter Engine.set_checked checked;
   Option.iter P.set_domains domains;
   Option.iter P.set_min_rows min_rows;
   Option.iter P.set_morsel_rows morsel;
   Fun.protect
     ~finally:(fun () ->
-      Engine.set_batched b0;
       Engine.set_checked c0;
       P.set_domains d0;
       P.set_min_rows m0;
@@ -68,21 +66,13 @@ let test_genuine_clean () =
     (fun nd ->
       List.iter
         (fun morsel ->
-          with_engine ~batched:true ~domains:nd ~min_rows:1 ~morsel (fun () ->
+          with_engine ~domains:nd ~min_rows:1 ~morsel (fun () ->
               check_bool
                 (Printf.sprintf "clean at pool %d morsel %d" nd morsel)
                 true
                 (Analysis.Batch_audit.audit plan = [])))
         [ 1; 7; 1024 ])
-    [ 1; 2; 4 ];
-  (* the would-be layout of a disabled pipeline is the same stage sequence,
-     and it still audits clean *)
-  with_engine ~batched:false (fun () ->
-      let b = I.batch plan in
-      check_bool "disabled view keeps its geometry" true
-        (Array.length b.I.b_stages = 2);
-      check_bool "clean with batch off" true
-        (Analysis.Batch_audit.audit plan = []))
+    [ 1; 2; 4 ]
 
 (* ---- corruption tests: exactly the right code + witness ----------------- *)
 
@@ -204,7 +194,7 @@ let test_e020 () =
   | _ -> Alcotest.fail "E020 streamed: wrong code or witness"
 
 let test_e021 () =
-  with_engine ~batched:true ~checked:true ~domains:1 ~min_rows:1 ~morsel:7
+  with_engine ~checked:true ~domains:1 ~min_rows:1 ~morsel:7
     (fun () ->
       let plan = compile_plan () in
       let r = R.of_plan plan in
@@ -246,7 +236,7 @@ let test_e021 () =
 (* ---- admission ----------------------------------------------------------- *)
 
 let test_admission () =
-  with_engine ~batched:true ~checked:false ~domains:1 ~min_rows:1 ~morsel:7
+  with_engine ~checked:false ~domains:1 ~min_rows:1 ~morsel:7
     (fun () ->
       let plan = compile_plan () in
       let r = R.of_plan plan in
@@ -265,39 +255,22 @@ let json_keys = function
   | Analysis.Json.Obj fields -> List.map fst fields
   | _ -> []
 
-let batch_keys = [ "enabled"; "morsel-rows"; "groups"; "columns"; "stages" ]
+let batch_keys = [ "morsel-rows"; "groups"; "columns"; "stages" ]
 
 let resource_keys =
-  [ "batched"; "checked"; "rows"; "group-rows"; "groups"; "slices"; "slots";
+  [ "checked"; "rows"; "group-rows"; "groups"; "slices"; "slots";
     "stage-rows"; "peak-rows"; "column-words"; "dense-words"; "replay-rows";
     "buffered-rows"; "peak-bytes"; "infeasible"; "saturated" ]
 
 let test_schema_stable () =
   let plan = compile_plan () in
-  (* the batch JSON keeps its full schema — including the would-be stage
-     geometry — when the pipeline is disabled (WDPT_ENGINE_BATCH=0) *)
-  List.iter
-    (fun batched ->
-      with_engine ~batched (fun () ->
-          let b = I.batch plan in
-          check_bool
-            (Printf.sprintf "batch json schema (batched=%b)" batched)
-            true
-            (json_keys (Analysis.Par_audit.batch_json b) = batch_keys);
-          check_bool
-            (Printf.sprintf "enabled flag tracks config (batched=%b)" batched)
-            true
-            (b.I.b_enabled = batched);
-          check_int
-            (Printf.sprintf "stage geometry survives (batched=%b)" batched)
-            2
-            (Array.length b.I.b_stages);
-          check_int
-            (Printf.sprintf "group geometry survives (batched=%b)" batched)
-            b.I.b_groups
-            ((41 + b.I.b_morsel_rows - 1) / b.I.b_morsel_rows)))
-    [ true; false ];
-  with_engine ~batched:true (fun () ->
+  with_engine (fun () ->
+      let b = I.batch plan in
+      check_bool "batch json schema" true
+        (json_keys (Analysis.Par_audit.batch_json b) = batch_keys);
+      check_int "stage geometry" 2 (Array.length b.I.b_stages);
+      check_int "group geometry" b.I.b_groups
+        ((41 + b.I.b_morsel_rows - 1) / b.I.b_morsel_rows);
       check_bool "resource json schema" true
         (json_keys (R.to_json (R.of_plan plan)) = resource_keys))
 
@@ -325,7 +298,7 @@ let test_ragged_paging () =
   in
   List.iter
     (fun nd ->
-      with_engine ~batched:true ~domains:nd ~min_rows:1 ~morsel:7 (fun () ->
+      with_engine ~domains:nd ~min_rows:1 ~morsel:7 (fun () ->
           let _, all = collect ~offset:0 ~limit:None in
           let total = List.length all in
           check_int "41 distinct rows" 41 total;
@@ -357,7 +330,7 @@ let prop_genuine_clean =
       let plan = Engine.compile db (Cq.Query.body q) ~init:Mapping.empty in
       List.for_all
         (fun nd ->
-          with_engine ~batched:true ~domains:nd ~min_rows:1 ~morsel:3
+          with_engine ~domains:nd ~min_rows:1 ~morsel:3
             (fun () -> Analysis.Batch_audit.audit plan = []))
         [ 1; 2; 4 ])
 
@@ -366,7 +339,7 @@ let prop_envelope_dominates =
     (QCheck.pair arbitrary_cq arbitrary_db) (fun (q, db) ->
       List.for_all
         (fun (nd, checked) ->
-          with_engine ~batched:true ~checked ~domains:nd ~min_rows:1 ~morsel:3
+          with_engine ~checked ~domains:nd ~min_rows:1 ~morsel:3
             (fun () ->
               let plan =
                 Engine.compile db (Cq.Query.body q) ~init:Mapping.empty

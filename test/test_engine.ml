@@ -94,19 +94,20 @@ let prop_homomorphisms_agree =
         (Mapping.Set.of_list
            (Cq.Eval.Naive.homomorphisms db body ~init:Mapping.empty)))
 
+(* bind a random body variable to a value that may or may not occur *)
+let random_init q seed =
+  match String_set.elements (Cq.Query.vars q) with
+  | [] -> Mapping.empty
+  | xs ->
+      let x = List.nth xs (seed mod List.length xs) in
+      Mapping.singleton x (Value.int (seed - 2))
+
 let prop_satisfiable_agree_under_init =
   qtest ~count:300 "compiled satisfiable = naive satisfiable (random init)"
     (QCheck.triple arbitrary_cq arbitrary_db (QCheck.int_range 0 7))
     (fun (q, db, seed) ->
       let body = Cq.Query.body q in
-      let init =
-        (* bind a random body variable to a value that may or may not occur *)
-        match String_set.elements (Cq.Query.vars q) with
-        | [] -> Mapping.empty
-        | xs ->
-            let x = List.nth xs (seed mod List.length xs) in
-            Mapping.singleton x (Value.int (seed - 2))
-      in
+      let init = random_init q seed in
       Cq.Eval.satisfiable db body ~init
       = Cq.Eval.Naive.satisfiable db body ~init)
 
@@ -117,6 +118,46 @@ let prop_first_homomorphism_agree =
       Option.is_some (Cq.Eval.first_homomorphism db body ~init:Mapping.empty)
       = Option.is_some
           (Cq.Eval.Naive.first_homomorphism db body ~init:Mapping.empty))
+
+(* The scalar first-match runner and the batched enumeration share one
+   stage order: first_homomorphism is the first mapping iter_homomorphisms
+   yields, and satisfiable agrees with the enumeration count, at pools 1
+   and 2 with checked mode off and on. *)
+let prop_first_match_is_first_enumerated =
+  qtest ~count:200
+    "first_homomorphism = first enumerated, satisfiable = count > 0"
+    (QCheck.triple arbitrary_cq arbitrary_db (QCheck.int_range 0 7))
+    (fun (q, db, seed) ->
+      let body = Cq.Query.body q in
+      let init = random_init q seed in
+      let first_enumerated () =
+        let out = ref None in
+        (try
+           Engine.iter_homomorphisms db body ~init (fun h ->
+               out := Some h;
+               raise Exit)
+         with Exit -> ());
+        !out
+      in
+      let c0 = Engine.checked_enabled () in
+      let d0 = Engine.Parallel.domains () in
+      let m0 = Engine.Parallel.min_rows () in
+      Fun.protect
+        ~finally:(fun () ->
+          Engine.set_checked c0;
+          Engine.Parallel.set_domains d0;
+          Engine.Parallel.set_min_rows m0)
+        (fun () ->
+          Engine.Parallel.set_min_rows 1;
+          List.for_all
+            (fun (nd, checked) ->
+              Engine.Parallel.set_domains nd;
+              Engine.set_checked checked;
+              let first = Engine.first_homomorphism db body ~init in
+              Option.equal Mapping.equal first (first_enumerated ())
+              && Engine.satisfiable db body ~init
+                 = (Engine.count_envs (Engine.compile db body ~init) > 0))
+            [ (1, false); (2, false); (1, true); (2, true) ]))
 
 (* ---- engine-backed tractable WDPT evaluation vs reference semantics ---- *)
 
@@ -255,5 +296,6 @@ let suite =
     prop_homomorphisms_agree;
     prop_satisfiable_agree_under_init;
     prop_first_homomorphism_agree;
+    prop_first_match_is_first_enumerated;
     prop_eval_tractable_agrees;
     prop_maximal_elements ]

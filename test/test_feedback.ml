@@ -14,21 +14,22 @@ module F = Analysis.Feedback
 
 (* every test restores the ambient adaptive configuration (the CI runs one
    leg under WDPT_ENGINE_ADAPT=1 WDPT_ENGINE_DOMAINS=2, so "off" is not a
-   safe default to restore to) *)
-let with_config ?adapt ?threshold ?min_probed ?domains ?min_rows ?batched ()
-    f =
+   safe default to restore to). Checked runs commit no counters — their
+   per-group replay would double-count the genuine run's probes — so every
+   test here runs unchecked, also in the WDPT_ENGINE_CHECKED=1 leg. *)
+let with_config ?adapt ?threshold ?min_probed ?domains ?min_rows () f =
   let adapt0 = Engine.adapt_enabled () in
   let thr0 = Engine.drift_threshold () in
   let mp0 = Engine.drift_min_probed () in
   let dom0 = Engine.Parallel.domains () in
   let mr0 = Engine.Parallel.min_rows () in
-  let batched0 = Engine.batched_enabled () in
+  let checked0 = Engine.checked_enabled () in
+  Engine.set_checked false;
   Option.iter Engine.set_adapt adapt;
   Option.iter Engine.set_drift_threshold threshold;
   Option.iter Engine.set_drift_min_probed min_probed;
   Option.iter Engine.Parallel.set_domains domains;
   Option.iter Engine.Parallel.set_min_rows min_rows;
-  Option.iter Engine.set_batched batched;
   Fun.protect
     ~finally:(fun () ->
       Engine.set_adapt adapt0;
@@ -36,16 +37,15 @@ let with_config ?adapt ?threshold ?min_probed ?domains ?min_rows ?batched ()
       Engine.set_drift_min_probed mp0;
       Engine.Parallel.set_domains dom0;
       Engine.Parallel.set_min_rows mr0;
-      Engine.set_batched batched0)
+      Engine.set_checked checked0)
     f
 
 (* A skewed instance the static cost model underestimates. R's key 1 is hot
    (50 of 70 rows) while the per-key average is 70/21 < 4 rows, so the
    mid-pipeline stage R(1, ?y) — estimated 10^0.52 survivors per context —
-   actually yields 10^1.70, a drift of ~1.18 decades. The drift is only
-   observable under the batched pipeline (the scalar interpreter re-selects
-   atoms per node and routes around the hot key on its own), so the tests
-   that need it pin [batched:true]. Statically R orders before S and C;
+   actually yields 10^1.70, a drift of ~1.18 decades: the batched pipeline
+   runs its fixed stage order and probes the hot key for every S row.
+   Statically R orders before S and C;
    once the calibration absorbs the drift the order inverts to S, C, R. *)
 let s_rows = 10
 let hot = 50
@@ -80,7 +80,7 @@ let check_codes name expected ds =
 (* ---- clean genuine views ------------------------------------------------ *)
 
 let test_clean () =
-  with_config ~adapt:false ~batched:true () (fun () ->
+  with_config ~adapt:false () (fun () ->
       let p = ran_plan (db_of_edges [ (1, 2); (2, 3); (3, 4) ]) [ e "x" "y"; e "y" "z" ] in
       check_codes "genuine view audits clean" [] (F.audit p);
       (* a never-run plan has no evidence and audits clean too *)
@@ -103,7 +103,7 @@ let corrupt_atom (v : I.feedback_view) i f =
 let test_e022 () =
   (* E022 needs no corruption: lower the threshold below the genuine drift
      of the skewed instance and the auditor fires on the real counters *)
-  with_config ~adapt:false ~batched:true ~threshold:0.5 ~min_probed:1 ()
+  with_config ~adapt:false ~threshold:0.5 ~min_probed:1 ()
     (fun () ->
       let p = ran_plan (skew_db ()) skew_atoms in
       match F.audit p with
@@ -225,7 +225,7 @@ let test_e026 () =
 (* ---- E025: swap certificates -------------------------------------------- *)
 
 let test_e025 () =
-  with_config ~adapt:false ~batched:true ~threshold:0.5 ~min_probed:1 ()
+  with_config ~adapt:false ~threshold:0.5 ~min_probed:1 ()
     (fun () ->
       let db = skew_db () in
       let p = ran_plan db skew_atoms in
@@ -307,7 +307,7 @@ let test_parallel_merge () =
 (* ---- the adaptive cache across epochs ------------------------------------ *)
 
 let test_adapt_cache () =
-  with_config ~adapt:true ~batched:true ~threshold:0.5 ~min_probed:1 ()
+  with_config ~adapt:true ~threshold:0.5 ~min_probed:1 ()
     (fun () ->
       let db = skew_db () in
       let static =
@@ -352,9 +352,9 @@ let test_adapt_cache () =
 (* ---- schema stability ---------------------------------------------------- *)
 
 let test_schema () =
-  check_int "analysis JSON schema version" 1 Analysis.Json.schema_version;
+  check_int "analysis JSON schema version" 2 Analysis.Json.schema_version;
   (match D.report_json [] with
-  | Analysis.Json.Obj (("schema", Analysis.Json.Int 1) :: ("version", Analysis.Json.Int 1) :: _) -> ()
+  | Analysis.Json.Obj (("schema", Analysis.Json.Int 2) :: ("version", Analysis.Json.Int 1) :: _) -> ()
   | _ -> Alcotest.fail "diagnostic reports must lead with the schema version");
   (* the feedback view JSON is keyed for the explain --drift consumer *)
   with_config ~adapt:false () (fun () ->
