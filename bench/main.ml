@@ -891,38 +891,47 @@ let par_runtime () =
         Engine.Parallel.set_min_rows m0)
       f
   in
-  let body = Cq.Query.body (Workload.Gen_cq.chain 4) in
-  print_row "  %8s  %4s  %12s  %12s  %12s  %9s@." "|D|" "nd" "count(ms)"
-    "enum(ms)" "sat(ms)" "agree";
-  List.iter
-    (fun size ->
-      let db =
-        Workload.Gen_db.random_graph_db ~seed:23 ~nodes:(size / 4) ~edges:size
-      in
-      let p = Engine.compile db body ~init:Mapping.empty in
-      let reference = with_pool 1 (fun () -> Engine.count_envs p) in
-      List.iter
-        (fun nd ->
-          with_pool nd (fun () ->
-              let c = ref 0 in
-              let t_count = time_it (fun () -> c := Engine.count_envs p) in
-              let n = ref 0 in
-              let t_enum =
-                time_it (fun () ->
-                    n := 0;
-                    Engine.iter_envs p (fun _ -> incr n))
-              in
-              let s = ref false in
-              let t_sat = time_it (fun () -> s := Engine.sat p) in
-              let agree = !c = reference && !n = reference && !s = (reference > 0) in
-              if not agree then failwith "PAR: parallel run disagrees";
-              print_row "  %8d  %4d  %12.2f  %12.2f  %12.3f  %9b@." size nd
-                (t_count *. 1000.) (t_enum *. 1000.) (t_sat *. 1000.) agree;
-              record "PAR" (Printf.sprintf "count |D|=%d nd=%d" size nd) t_count;
-              record "PAR" (Printf.sprintf "enum |D|=%d nd=%d" size nd) t_enum;
-              record "PAR" (Printf.sprintf "sat |D|=%d nd=%d" size nd) t_sat))
-        [ 1; 2; 4; 8 ])
-    (if !smoke then [ 200; 800 ] else [ 800; 1600; 3200 ]);
+  let curve ~chain ~tag sizes pools =
+    let body = Cq.Query.body (Workload.Gen_cq.chain chain) in
+    print_row "  chain-%d CQ@." chain;
+    print_row "  %8s  %4s  %12s  %12s  %12s  %9s@." "|D|" "nd" "count(ms)"
+      "enum(ms)" "sat(ms)" "agree";
+    List.iter
+      (fun size ->
+        let db =
+          Workload.Gen_db.random_graph_db ~seed:23 ~nodes:(size / 4) ~edges:size
+        in
+        let p = Engine.compile db body ~init:Mapping.empty in
+        let reference = with_pool 1 (fun () -> Engine.count_envs p) in
+        List.iter
+          (fun nd ->
+            with_pool nd (fun () ->
+                let c = ref 0 in
+                let t_count = time_it (fun () -> c := Engine.count_envs p) in
+                let n = ref 0 in
+                let t_enum =
+                  time_it (fun () ->
+                      n := 0;
+                      Engine.iter_envs p (fun _ -> incr n))
+                in
+                let s = ref false in
+                let t_sat = time_it (fun () -> s := Engine.sat p) in
+                let agree = !c = reference && !n = reference && !s = (reference > 0) in
+                if not agree then failwith "PAR: parallel run disagrees";
+                print_row "  %8d  %4d  %12.2f  %12.2f  %12.3f  %9b@." size nd
+                  (t_count *. 1000.) (t_enum *. 1000.) (t_sat *. 1000.) agree;
+                record "PAR" (Printf.sprintf "count %s|D|=%d nd=%d" tag size nd) t_count;
+                record "PAR" (Printf.sprintf "enum %s|D|=%d nd=%d" tag size nd) t_enum;
+                record "PAR" (Printf.sprintf "sat %s|D|=%d nd=%d" tag size nd) t_sat))
+          pools)
+      sizes
+  in
+  curve ~chain:4 ~tag:"" (if !smoke then [ 200; 800 ] else [ 800; 1600; 3200 ])
+    [ 1; 2; 4; 8 ];
+  (* long top-level ranges on a cheap query: the sizes a row threshold
+     would have to be chosen from *)
+  if not !smoke then
+    curve ~chain:2 ~tag:"chain-2 " [ 12800; 51200; 204800 ] [ 1; 2 ];
   (* incremental maintenance: with a warm compiled form, Database.add appends
      into the interned tuples and counted index cells in place; the baseline
      drops the cache so the next query recompiles from scratch. Acceptance:

@@ -79,14 +79,15 @@ let or_die = function
 let domains_arg =
   let doc =
     "Domain pool size for parallel enumeration (1-64; 1 = sequential). \
-     Overrides WDPT_ENGINE_DOMAINS."
+     Overrides WDPT_ENGINE_DOMAINS. Parallel regions also need --min-rows."
   in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
 
 let min_rows_arg =
   let doc =
     "Minimum top-level candidate rows before a parallel region is worth \
-     spawning (>= 1; default 128)."
+     spawning (>= 1). Regions are opt-in: without this option every pool \
+     size runs sequentially."
   in
   Arg.(value & opt (some int) None & info [ "min-rows" ] ~docv:"N" ~doc)
 

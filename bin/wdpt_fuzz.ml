@@ -138,9 +138,16 @@ let check_instance p db =
     fail "procedural-vs-reference";
   if not (Mapping.Set.equal (Wdpt.Algebra_eval.eval db p) reference) then
     fail "algebraic-vs-reference";
+  (* brute-force strict-subsumption filter, independent of the indexed
+     Mapping.maximal_set kernel that eval_max runs *)
   let max_ref =
-    Mapping.Set.of_list (Mapping.maximal_elements (Mapping.Set.elements reference))
+    Mapping.Set.filter
+      (fun h ->
+        not (Mapping.Set.exists (Mapping.strictly_subsumes h) reference))
+      reference
   in
+  if not (Mapping.Set.equal (Wdpt.Semantics.eval_max db p) max_ref) then
+    fail "eval-max-vs-reference";
   List.iter
     (fun h ->
       if Wdpt.Eval_tractable.decision db p h <> Mapping.Set.mem h reference then
@@ -204,13 +211,14 @@ let check_par_diff p db =
   let failures = ref [] in
   let fail name = failures := name :: !failures in
   let with_domains n f =
+    let mr0 = Engine.Parallel.min_rows () in
     Engine.Parallel.set_domains n;
     (* threshold 1: even tiny draws cross the chunked path *)
     Engine.Parallel.set_min_rows 1;
     Fun.protect
       ~finally:(fun () ->
         Engine.Parallel.set_domains 1;
-        Engine.Parallel.set_min_rows 128)
+        Engine.Parallel.set_min_rows mr0)
       f
   in
   let q = Wdpt.Pattern_tree.q_full p in
@@ -255,13 +263,14 @@ let check_race_diff st p db =
   let nd = pick [ 2; 3; 4 ] in
   let mr = pick [ 1; 2; 5 ] in
   let with_sanitized f =
+    let mr0 = Engine.Parallel.min_rows () in
     Engine.Parallel.set_domains nd;
     Engine.Parallel.set_min_rows mr;
     Engine.Parallel.set_race_check true;
     Fun.protect
       ~finally:(fun () ->
         Engine.Parallel.set_domains 1;
-        Engine.Parallel.set_min_rows 128;
+        Engine.Parallel.set_min_rows mr0;
         Engine.Parallel.set_race_check false)
       f
   in
@@ -295,6 +304,7 @@ let check_fault_injection () =
       [ Atom.make "E" [ Term.var "x"; Term.var "y" ] ]
       ~init:Mapping.empty
   in
+  let mr0 = Engine.Parallel.min_rows () in
   Engine.Parallel.set_domains 4;
   Engine.Parallel.set_min_rows 1;
   Engine.Parallel.set_race_check true;
@@ -304,7 +314,7 @@ let check_fault_injection () =
       Engine.Parallel.set_fault_injection false;
       Engine.Parallel.set_race_check false;
       Engine.Parallel.set_domains 1;
-      Engine.Parallel.set_min_rows 128)
+      Engine.Parallel.set_min_rows mr0)
     (fun () ->
       try
         ignore (Engine.count_envs plan);
@@ -391,6 +401,9 @@ let check_delta_diff st p db =
   !failures
 
 let delta_diff_main count seed0 =
+  (* under a pool (WDPT_ENGINE_DOMAINS) every scoped re-run crosses the
+     chunked path: regions are opt-in, so open them at any size *)
+  if Engine.Parallel.domains () > 1 then Engine.Parallel.set_min_rows 1;
   let bad = ref 0 and checked = ref 0 and skipped = ref 0 in
   let seed = ref seed0 in
   while !checked < count do
@@ -448,6 +461,7 @@ let check_batch_audit_diff st p db =
         Printf.sprintf "%s@%d-domains-morsel-%d%s" s nd morsel
           (if checked then "-checked" else "")
       in
+      let mr0 = Engine.Parallel.min_rows () in
       Engine.set_checked checked;
       Engine.Parallel.set_domains nd;
       Engine.Parallel.set_min_rows 1;
@@ -456,7 +470,7 @@ let check_batch_audit_diff st p db =
         ~finally:(fun () ->
           Engine.set_checked false;
           Engine.Parallel.set_domains 1;
-          Engine.Parallel.set_min_rows 128;
+          Engine.Parallel.set_min_rows mr0;
           Engine.Parallel.set_morsel_rows 1024)
         (fun () ->
           let plan = Engine.compile db atoms ~init:Mapping.empty in

@@ -256,7 +256,8 @@ let audit p = audit_view (Engine.Inspect.par p)
 let par_json (v : I.par_view) =
   Json.Obj
     [ ("domains", Int v.I.pv_domains);
-      ("min-rows", Int v.I.pv_min_rows);
+      ("min-rows",
+        if v.I.pv_min_rows = max_int then Json.Null else Int v.I.pv_min_rows);
       ("morsel-rows", Int v.I.pv_morsel_rows);
       ("atom", (match v.I.pv_atom with None -> Json.Null | Some a -> Int a));
       ("rows", Int v.I.pv_rows);
@@ -357,8 +358,11 @@ let pp_batch ppf (b : I.batch_view) =
 
 let pp_par ppf (v : I.par_view) =
   Format.fprintf ppf "decision: %s@," v.I.pv_reason;
-  Format.fprintf ppf "  pool of %d domain(s), %d-row threshold, %d-row morsels@,"
-    v.I.pv_domains v.I.pv_min_rows v.I.pv_morsel_rows;
+  Format.fprintf ppf "  pool of %d domain(s), %s, %d-row morsels@,"
+    v.I.pv_domains
+    (if v.I.pv_min_rows = max_int then "no row threshold"
+     else Printf.sprintf "%d-row threshold" v.I.pv_min_rows)
+    v.I.pv_morsel_rows;
   (match v.I.pv_atom with
   | Some a ->
       Format.fprintf ppf "  top-level atom %d: %d candidate row(s)@," a

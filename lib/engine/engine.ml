@@ -1006,14 +1006,14 @@ let morsel_rows () = Atomic.get morsel_rows_flag
 
 (* High-water marks of the batched pipeline's memory consumers, in the same
    units the certified resource envelope (Analysis.Resource) is stated in.
-   Each mark is the peak of one slice (column/dense scratch) or one
-   group/chunk (replay buffering) — never a cross-domain sum, so a
-   per-slice envelope can be checked sound against it directly. The
+   Each mark is the peak of one slice (column scratch), one build (dense
+   tables) or one group/chunk (replay buffering) — never a cross-domain
+   sum, so a per-slice envelope can be checked sound against it directly. The
    counters are bumped once per slice / group, not per row: measurement
    costs nothing on the hot path. *)
 type batch_stats = {
   bm_column_words : int;  (* peak columnar scratch words of any one slice *)
-  bm_dense_words : int;   (* peak dense probe-table words of any one slice *)
+  bm_dense_words : int;   (* peak dense probe-table words of any one build *)
   bm_replay_rows : int;   (* peak buffered rows of any one group/chunk *)
 }
 
@@ -1127,9 +1127,62 @@ let batch_stages p fc =
         bs_filter = !binds = [] })
     (fixed_order p fc)
 
+(* dense probe tables: interned ids are small nonnegative ints, so a
+   single-column probe can usually bypass the hash table entirely — built
+   from the counted index, per expansion stage of [batch_stages p fc], only
+   when the key range stays within a constant factor of the cell count. A
+   run over fewer than 128 candidate rows skips the build: the O(index)
+   setup would dominate its probe savings. The tables are read-only once
+   built, so a parallel region builds them once and shares them with every
+   chunk; per chunk, the O(index) build would be repeated once per morsel
+   and grow with the input as fast as the work it saves. *)
+type dense_tables = {
+  dn_max : int array;  (* per stage: largest dense key, -1 = not built *)
+  dn_count : int array array;
+  dn_rows : int array array array;  (* alias the counted index cells' rows *)
+}
+
+let dense_tables p fc ~rows =
+  let stages = Array.of_list (batch_stages p fc) in
+  let nstages = Array.length stages in
+  let dense_max = Array.make nstages (-1) in
+  let dense_count = Array.make nstages [||] in
+  let dense_rows = Array.make nstages [||] in
+  for k = 1 to nstages - 1 do
+    let st = stages.(k) in
+    if rows >= 128 && Array.length st.bs_cols = 1 then begin
+      let pos, _ = st.bs_cols.(0) in
+      let idx = p.atoms.(st.bs_atom).a_rel.Db.index.(pos) in
+      let ncells = Hashtbl.length idx in
+      let mk = Hashtbl.fold (fun key _ m -> max key m) idx (-1) in
+      if mk >= 0 && mk < (4 * ncells) + 64 then begin
+        let dc = Array.make (mk + 1) 0 in
+        let dr = Array.make (mk + 1) [||] in
+        Hashtbl.iter
+          (fun key cell ->
+            if key >= 0 then begin
+              dc.(key) <- cell.Db.count;
+              dr.(key) <- cell.Db.rows
+            end)
+          idx;
+        dense_max.(k) <- mk;
+        dense_count.(k) <- dc;
+        dense_rows.(k) <- dr
+      end
+    end
+  done;
+  (* dense footprint: the two top arrays per built stage (the row arrays
+     alias the counted index, nothing is copied) *)
+  (let dw = ref 0 in
+   for k = 1 to nstages - 1 do
+     if dense_max.(k) >= 0 then dw := !dw + (2 * (dense_max.(k) + 1))
+   done;
+   note_max bm_dense_words !dw);
+  { dn_max = dense_max; dn_count = dense_count; dn_rows = dense_rows }
+
 exception Batch_dead
 
-let iter_envs_batched_slice p fc ~lo ~hi ~cancel ~fb f =
+let iter_envs_batched_slice ?dense p fc ~lo ~hi ~cancel ~fb f =
   if p.feasible && Array.length p.atoms > 0 && lo < hi then begin
     let fb_c = fb.fb_contexts
     and fb_p = fb.fb_probed
@@ -1176,44 +1229,11 @@ let iter_envs_batched_slice p fc ~lo ~hi ~cancel ~fb f =
     let tuples0 = p.atoms.(st0.bs_atom).a_rel.Db.tuples in
     let env = Array.copy p.init_env in
     let group = morsel_rows () in
-    (* dense probe tables: interned ids are small nonnegative ints, so a
-       single-column probe can usually bypass the hash table entirely —
-       built once per slice from the counted index, only when the key range
-       stays within a constant factor of the cell count. Small slices skip
-       the build: the O(index) setup would dominate their probe savings. *)
-    let dense_max = Array.make nstages (-1) in
-    let dense_count = Array.make nstages [||] in
-    let dense_rows = Array.make nstages [||] in
-    for k = 1 to nstages - 1 do
-      let st = stages.(k) in
-      if hi - lo >= 128 && Array.length st.bs_cols = 1 then begin
-        let pos, _ = st.bs_cols.(0) in
-        let idx = p.atoms.(st.bs_atom).a_rel.Db.index.(pos) in
-        let ncells = Hashtbl.length idx in
-        let mk = Hashtbl.fold (fun key _ m -> max key m) idx (-1) in
-        if mk >= 0 && mk < (4 * ncells) + 64 then begin
-          let dc = Array.make (mk + 1) 0 in
-          let dr = Array.make (mk + 1) [||] in
-          Hashtbl.iter
-            (fun key cell ->
-              if key >= 0 then begin
-                dc.(key) <- cell.Db.count;
-                dr.(key) <- cell.Db.rows
-              end)
-            idx;
-          dense_max.(k) <- mk;
-          dense_count.(k) <- dc;
-          dense_rows.(k) <- dr
-        end
-      end
-    done;
-    (* dense footprint of this slice: the two top arrays per built stage
-       (the row arrays alias the counted index, nothing is copied) *)
-    (let dw = ref 0 in
-     for k = 1 to nstages - 1 do
-       if dense_max.(k) >= 0 then dw := !dw + (2 * (dense_max.(k) + 1))
-     done;
-     note_max bm_dense_words !dw);
+    let { dn_max = dense_max; dn_count = dense_count; dn_rows = dense_rows } =
+      match dense with
+      | Some d -> d
+      | None -> dense_tables p fc ~rows:(hi - lo)
+    in
     (* columnar batch state, rebuilt per morsel group. Every buffer below is
        scratch reused across stages and groups and grown geometrically: the
        steady state of a slice allocates nothing per group. *)
@@ -2106,16 +2126,19 @@ let iter_envs_fixed_slice ~check p fc ~lo ~hi ~cancel f =
    (and ignores) the counter record so it stays interchangeable with
    [iter_envs_batched_slice] in [Parallel.slice_interp]; the replay runs
    the group twice over, so its counters are deliberately discarded. *)
-let iter_envs_batched_checked_slice p fc ~lo ~hi ~cancel ~fb:_ f =
+let iter_envs_batched_checked_slice ?dense p fc ~lo ~hi ~cancel ~fb:_ f =
   sanitize_static p;
   if p.feasible && Array.length p.atoms > 0 then begin
     let group = morsel_rows () in
+    let dense =
+      match dense with Some d -> d | None -> dense_tables p fc ~rows:(hi - lo)
+    in
     let scratch = fb_create (Array.length p.atoms) in
     let glo = ref lo in
     while !glo < hi && not (cancel ()) do
       let ghi = min hi (!glo + group) in
       let buf = ref [] in
-      iter_envs_batched_slice p fc ~lo:!glo ~hi:ghi ~cancel:no_cancel
+      iter_envs_batched_slice ~dense p fc ~lo:!glo ~hi:ghi ~cancel:no_cancel
         ~fb:scratch (fun env -> buf := Array.copy env :: !buf);
       let batched = Array.of_list (List.rev !buf) in
       note_max bm_replay_rows (Array.length batched);
@@ -2196,10 +2219,16 @@ module Parallel = struct
   let set_domains n = Atomic.set domains_flag (max 1 (min n 64))
   let domains () = Atomic.get domains_flag
 
-  (* below this many top-level candidate rows a region is not worth the
-     Domain.spawn latency; tests lower it to exercise the parallel path on
-     small instances *)
-  let min_rows_flag = Atomic.make 128
+  (* Regions are opt-in: a pool alone runs sequentially until a caller names
+     the fewest top-level candidate rows worth a region's cost (spawning and
+     joining the helper domains, buffering and merging their results, and
+     the stop-the-world minor collections a second domain adds). On a
+     2-core x86 VM pool 2 never beat pool 1 for enumeration or [sat], and
+     [count] won or lost by query shape rather than by row count
+     (EXPERIMENTS.md), so there is no measured default; [max_int] stands
+     for "no threshold set". Tests set it to 1 to exercise the parallel
+     path on small instances. *)
+  let min_rows_flag = Atomic.make max_int
   let set_min_rows n = Atomic.set min_rows_flag (max 1 n)
   let min_rows () = Atomic.get min_rows_flag
 
@@ -2442,6 +2471,7 @@ module Parallel = struct
     | None -> iter_envs_seq p f
     | Some (nd, fc) ->
         let interp = slice_interp () in
+        let dense = dense_tables p fc ~rows:fc.fc_count in
         let checked_run = Atomic.get checked in
         let nchunks = nchunks_for nd fc.fc_count in
         let bounds = chunk_bounds fc.fc_count nchunks in
@@ -2467,7 +2497,7 @@ module Parallel = struct
                 let lo, hi = bounds.(i) in
                 let buf = ref [] in
                 log i (Column_block i) ~write:true;
-                interp p fc ~lo ~hi ~cancel:no_cancel ~fb:fbs.(i) (fun env ->
+                interp ~dense p fc ~lo ~hi ~cancel:no_cancel ~fb:fbs.(i) (fun env ->
                     buf := Array.copy env :: !buf);
                 log i (Chunk_cell i) ~write:true;
                 buffers.(i) <- List.rev !buf;
@@ -2495,6 +2525,7 @@ module Parallel = struct
         !n
     | Some (nd, fc) ->
         let interp = slice_interp () in
+        let dense = dense_tables p fc ~rows:fc.fc_count in
         let checked_run = Atomic.get checked in
         let nchunks = nchunks_for nd fc.fc_count in
         let bounds = chunk_bounds fc.fc_count nchunks in
@@ -2516,7 +2547,7 @@ module Parallel = struct
                 let lo, hi = bounds.(i) in
                 let n = ref 0 in
                 log i (Column_block i) ~write:true;
-                interp p fc ~lo ~hi ~cancel:no_cancel ~fb:fbs.(i) (fun _ ->
+                interp ~dense p fc ~lo ~hi ~cancel:no_cancel ~fb:fbs.(i) (fun _ ->
                     incr n);
                 log i (Chunk_cell i) ~write:true;
                 counts.(i) <- !n;
@@ -2622,9 +2653,12 @@ module Parallel = struct
             d_chunks = 1;
             d_chunk_rows = fc.fc_count;
             d_reason =
-              Printf.sprintf
-                "sequential: %d candidate row(s) under the %d-row threshold"
-                fc.fc_count mr }
+              (if mr = max_int then
+                 "sequential: no row threshold set (regions are opt-in)"
+               else
+                 Printf.sprintf
+                   "sequential: %d candidate row(s) under the %d-row threshold"
+                   fc.fc_count mr) }
         else
           let nchunks = nchunks_for nd fc.fc_count in
           { d_domains = nd;

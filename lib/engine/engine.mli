@@ -201,7 +201,8 @@ type batch_stats = {
           scratch, survivor mask, candidate arrays) of any one slice *)
   bm_dense_words : int;
       (** peak dense probe-table words (the per-stage count/rows top arrays;
-          row arrays alias the counted index) of any one slice *)
+          row arrays alias the counted index) of any one build: one per
+          sequential run, one per parallel region, shared by its chunks *)
   bm_replay_rows : int;
       (** peak buffered environment rows of any one checked-mode morsel
           group or parallel enumeration chunk *)
@@ -294,7 +295,8 @@ val stream_projections :
     runs the checked replay (or, for [sat], the checked fixed-order runner)
     with the full per-run validation.
     A region falls back to sequential when the pool size is 1, the top-level
-    candidate count is under {!Parallel.min_rows}, or a region is already
+    candidate count is under {!Parallel.min_rows} (always, until a threshold
+    is set), or a region is already
     running (nested engine calls from an enumeration callback). *)
 module Parallel : sig
   (** Set the domain pool size (clamped to [1..64]). 1 = sequential.
@@ -303,11 +305,17 @@ module Parallel : sig
 
   val domains : unit -> int
 
-  (** Minimum top-level candidate rows before a parallel region pays for its
-      [Domain.spawn] latency (default 128; tests lower it to exercise the
-      parallel path on small instances). *)
+  (** Minimum top-level candidate rows before a region pays its dispatch
+      cost: spawning and joining the helper domains, buffering and merging
+      their results. Regions are opt-in: until this is set, {!min_rows} is
+      [max_int] and a pool of any size runs sequentially. On a 2-core VM
+      pool 2 never beat pool 1 for enumeration or [sat], and [count] won or
+      lost by query shape rather than by row count, so no default was
+      measurable. Tests set 1 to exercise the parallel path on small
+      instances. *)
   val set_min_rows : int -> unit
 
+  (** The current threshold; [max_int] when none was set. *)
   val min_rows : unit -> int
 
   (** Morsel size: the maximum rows per parallel chunk and the batch group

@@ -72,32 +72,55 @@ let pp ppf h =
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") pp_binding)
     (bindings h)
 
-let maximal_elements hs =
-  (* A mapping can only be strictly subsumed by one of strictly larger domain
-     (equal cardinality + subsumption = equality), so sweep in decreasing
-     cardinality and test each candidate only against the already-kept
-     mappings of strictly larger domain. Transitivity makes kept-only checks
-     sufficient: anything that subsumes a dropped subsumer is itself kept. *)
-  let distinct = List.sort_uniq compare hs in
-  let by_size_desc =
-    List.stable_sort (fun a b -> Int.compare (cardinal b) (cardinal a)) distinct
-  in
-  let kept = ref [] in
-  List.iter
-    (fun h ->
-      let n = cardinal h in
-      if
-        not
-          (List.exists
-             (fun (n', h') -> n' > n && subsumes h h')
-             !kept)
-      then kept := (n, h) :: !kept)
-    by_size_desc;
-  (* keep the historical contract: result sorted by [compare] *)
-  List.sort compare (List.rev_map snd !kept)
-
 module Set = Set.Make (struct
   type nonrec t = t
 
   let compare = compare
 end)
+
+(* the posting list of one binding x ↦ v: every input mapping holding it,
+   with its cardinality *)
+type posting = { mutable len : int; mutable members : (int * t) list }
+
+module Binding_tbl = Hashtbl.Make (struct
+  type t = string * Value.t
+
+  let equal (x, v) (y, w) = String.equal x y && Value.equal v w
+  let hash (x, v) = Hashtbl.hash (Hashtbl.hash x, Value.hash v)
+end)
+
+let maximal_set s =
+  (* h ⊏ h' puts every binding of h into h', so any strict subsumer of h sits
+     in the posting list of each of h's bindings and scanning the shortest
+     one is enough. The elements of a set are distinct, so a subsumer of
+     strictly larger domain is a strict one. *)
+  let postings = Binding_tbl.create 256 in
+  Set.iter
+    (fun h ->
+      let entry = (cardinal h, h) in
+      M.iter
+        (fun x v ->
+          match Binding_tbl.find_opt postings (x, v) with
+          | Some p ->
+              p.len <- p.len + 1;
+              p.members <- entry :: p.members
+          | None -> Binding_tbl.add postings (x, v) { len = 1; members = [ entry ] })
+        h)
+    s;
+  let subsumed h =
+    if M.is_empty h then Binding_tbl.length postings > 0
+    else
+      let n = cardinal h in
+      let shortest =
+        M.fold
+          (fun x v best ->
+            let p = Binding_tbl.find postings (x, v) in
+            if p.len < best.len then p else best)
+          h
+          { len = max_int; members = [] }
+      in
+      List.exists (fun (n', h') -> n' > n && subsumes h h') shortest.members
+  in
+  Set.filter (fun h -> not (subsumed h)) s
+
+let maximal_elements hs = Set.elements (maximal_set (Set.of_list hs))

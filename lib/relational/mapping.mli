@@ -58,8 +58,19 @@ val matches_fact : t -> Atom.t -> Fact.t -> t option
 
 val pp : Format.formatter -> t -> unit
 
-(** [maximal_elements hs] keeps the mappings of [hs] that are not strictly
-    subsumed by another element (deduplicating equal ones). *)
-val maximal_elements : t list -> t list
-
 module Set : Set.S with type elt = t
+
+(** [maximal_set s] keeps the elements of [s] that no other element strictly
+    subsumes: the [⊑]-maximal mappings, as MAX-EVAL needs them.
+
+    One call indexes every binding [x ↦ v] to the elements holding it, then
+    tests each [h] only against the elements of larger domain in the
+    shortest posting list of [h]'s bindings (a strict subsumer holds all of
+    them). Building the index is O(Σ|h|) hashtable operations; the filter
+    costs one [subsumes] per entry of each scanned list, so it is quadratic
+    only when every binding of many mappings is shared by many others. *)
+val maximal_set : Set.t -> Set.t
+
+(** [maximal_elements hs] is [maximal_set] over the distinct elements of
+    [hs], sorted by [compare]. *)
+val maximal_elements : t list -> t list

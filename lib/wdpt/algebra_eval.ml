@@ -14,6 +14,4 @@ let solutions db p =
 
 let eval db p = Mapping_algebra.project (Pattern_tree.free_set p) (solutions db p)
 
-let eval_max db p =
-  Mapping.Set.of_list
-    (Mapping.maximal_elements (Mapping.Set.elements (eval db p)))
+let eval_max db p = Mapping.maximal_set (eval db p)

@@ -26,15 +26,15 @@ let answer_of = function
 let empty = { support = MMap.empty; frontier = Mapping.Set.empty }
 let is_empty t = MMap.is_empty t.support
 
-let answers t =
-  MMap.fold (fun a _ acc -> Mapping.Set.add a acc) t.support Mapping.Set.empty
+let support_set support =
+  MMap.fold (fun a _ acc -> Mapping.Set.add a acc) support Mapping.Set.empty
+
+let answers t = support_set t.support
 
 let maximal t = t.frontier
 let support t a = Option.value ~default:0 (MMap.find_opt a t.support)
 
-let recompute_frontier support =
-  Mapping.Set.of_list
-    (Mapping.maximal_elements (List.map fst (MMap.bindings support)))
+let recompute_frontier support = Mapping.maximal_set (support_set support)
 
 let of_answers l =
   let support =
@@ -47,7 +47,7 @@ let of_answers l =
 
 (* [apply t ~add ~remove]: shift the supports by the two multisets and diff
    the frontier, reporting one event per answer whose status changed. The
-   frontier is recomputed from the surviving answers (O(group²) compares) —
+   frontier is recomputed from the surviving answers by Mapping.maximal_set —
    groups are comparability classes, typically tiny next to the view. *)
 let apply t ~add ~remove =
   if add = [] && remove = [] then (t, [])

@@ -68,9 +68,7 @@ let project_set p homs =
 let eval db p = project_set p (maximal_homomorphisms db p)
 let eval_naive db p = project_set p (maximal_homomorphisms_naive db p)
 
-let eval_max db p =
-  Mapping.Set.of_list
-    (Mapping.maximal_elements (Mapping.Set.elements (eval db p)))
+let eval_max db p = Mapping.maximal_set (eval db p)
 
 exception Stream_done
 

@@ -7,9 +7,7 @@ let eval db u =
     (fun acc p -> Mapping.Set.union acc (Semantics.eval db p))
     Mapping.Set.empty u
 
-let eval_max db u =
-  Mapping.Set.of_list
-    (Mapping.maximal_elements (Mapping.Set.elements (eval db u)))
+let eval_max db u = Mapping.maximal_set (eval db u)
 
 let decision db u h = List.exists (fun p -> Eval_tractable.decision db p h) u
 let partial_decision db u h = List.exists (fun p -> Partial_eval.decision db p h) u

@@ -180,7 +180,7 @@ let prop_eval_tractable_agrees =
           Wdpt.Eval_tractable.decision db p h = Wdpt.Semantics.decision db p h)
         (Mapping.empty :: (answers @ negatives)))
 
-(* ---- maximal_elements sweep -------------------------------------------- *)
+(* ---- maximality kernel ------------------------------------------------- *)
 
 let naive_maximal hs =
   let distinct = List.sort_uniq Mapping.compare hs in
@@ -189,15 +189,28 @@ let naive_maximal hs =
       not (List.exists (fun h' -> Mapping.strictly_subsumes h h') distinct))
     distinct
 
+(* up to 60 mappings, each over a random subset of six variables, with
+   values drawn from a small mixed Int / Str pool so that bindings are
+   shared and many mappings are comparable *)
 let arbitrary_mappings =
+  let value =
+    QCheck.Gen.(
+      oneof
+        [ map Value.int (int_range 0 2);
+          map Value.str (oneofl [ "a"; "b" ]) ])
+  in
   let gen =
     QCheck.Gen.(
-      list_size (int_range 0 25)
-        (let* n = int_range 0 4 in
-         let* vals = list_size (return n) (int_range 0 3) in
+      list_size (int_range 0 60)
+        (let* present = list_repeat 6 bool in
+         let* vals = list_repeat 6 value in
          return
            (Mapping.of_list
-              (List.mapi (fun i v -> ("x" ^ string_of_int i, Value.int v)) vals))))
+              (List.concat
+                 (List.mapi
+                    (fun i (keep, v) ->
+                      if keep then [ ("x" ^ string_of_int i, v) ] else [])
+                    (List.combine present vals))))))
   in
   QCheck.make
     ~print:(fun hs -> Format.asprintf "%a" (Format.pp_print_list Mapping.pp) hs)
@@ -206,9 +219,50 @@ let arbitrary_mappings =
 let prop_maximal_elements =
   qtest ~count:500 "maximal_elements sweep = quadratic reference"
     arbitrary_mappings (fun hs ->
-      let a = Mapping.Set.of_list (Mapping.maximal_elements hs) in
-      let b = Mapping.Set.of_list (naive_maximal hs) in
-      Mapping.Set.equal a b)
+      Mapping.maximal_elements hs = naive_maximal hs)
+
+let prop_maximal_set =
+  qtest ~count:500 "maximal_set = quadratic reference" arbitrary_mappings
+    (fun hs ->
+      Mapping.Set.equal
+        (Mapping.maximal_set (Mapping.Set.of_list hs))
+        (Mapping.Set.of_list (naive_maximal hs)))
+
+let test_maximal_set_cases () =
+  let max_of hs = Mapping.Set.elements (Mapping.maximal_set (Mapping.Set.of_list hs)) in
+  let same name expected hs =
+    Alcotest.(check (list mapping_testable)) name
+      (List.sort Mapping.compare expected) (max_of hs)
+  in
+  same "empty set" [] [];
+  same "empty mapping alone" [ Mapping.empty ] [ Mapping.empty ];
+  let a = mapping [ ("x", 1) ] and b = mapping [ ("y", 2) ] in
+  same "empty mapping below non-empty ones" [ a; b ] [ Mapping.empty; a; b ];
+  let ab = mapping [ ("x", 1); ("y", 2) ] in
+  same "duplicates collapse" [ ab ] [ a; ab; a; ab; b ];
+  (* equal size, pairwise incomparable: all stay *)
+  let c = mapping [ ("x", 1); ("y", 3) ] and d = mapping [ ("x", 2); ("y", 2) ] in
+  same "incomparable equal-size mappings" [ ab; c; d ] [ ab; c; d ];
+  (* every binding of [h] is shared by 200 mappings that bind another
+     variable to something else, so the one strict subsumer sits deep in a
+     long posting list *)
+  let h = mapping [ ("x", 0); ("y", 0) ] in
+  let noise =
+    List.init 200 (fun i ->
+        Mapping.of_list
+          [ ("x", Value.int 0); ("y", Value.int (i + 1)); ("z", Value.int i) ]
+        :: [ Mapping.of_list
+               [ ("x", Value.int (i + 1)); ("y", Value.int 0); ("z", Value.int i) ] ])
+    |> List.concat
+  in
+  let top =
+    Mapping.of_list
+      [ ("x", Value.int 0); ("y", Value.int 0); ("w", Value.str "top") ]
+  in
+  let kept = max_of ((h :: noise) @ [ top ]) in
+  check_bool "subsumed through a long posting list" false
+    (List.exists (Mapping.equal h) kept);
+  check_int "everything else stays" (List.length noise + 1) (List.length kept)
 
 (* ---- interned relations ------------------------------------------------ *)
 
@@ -298,4 +352,6 @@ let suite =
     prop_first_homomorphism_agree;
     prop_first_match_is_first_enumerated;
     prop_eval_tractable_agrees;
-    prop_maximal_elements ]
+    Alcotest.test_case "maximal_set edge cases" `Quick test_maximal_set_cases;
+    prop_maximal_elements;
+    prop_maximal_set ]

@@ -98,6 +98,82 @@ let test_reentrancy () =
           if Engine.count_envs plan <= 0 then nested_ok := false);
       check_bool "nested evaluation inside a callback" true !nested_ok)
 
+(* ---- region lifecycle --------------------------------------------------- *)
+
+(* every region spawns and joins its helper domains: many back-to-back
+   regions, pool resizes between regions, and a chunk that raises must all
+   leave the engine reusable with sequential answers *)
+let test_many_regions () =
+  let db = chain_db 40 in
+  let plan = Engine.compile db chain_atoms ~init:Mapping.empty in
+  let seq_count = with_engine ~domains:1 (fun () -> Engine.count_envs plan) in
+  let seq_envs = with_engine ~domains:1 (fun () -> envs_of plan) in
+  with_engine ~domains:2 ~min_rows:1 (fun () ->
+      check_bool "plan opens a region" true ((P.decision plan).P.d_chunks > 1);
+      for i = 1 to 500 do
+        let ok =
+          match i mod 3 with
+          | 0 -> Engine.count_envs plan = seq_count
+          | 1 -> envs_of plan = seq_envs
+          | _ -> Engine.sat plan
+        in
+        if not ok then Alcotest.failf "region %d disagrees with sequential" i
+      done)
+
+let test_resize_between_regions () =
+  let db = chain_db 40 in
+  let plan = Engine.compile db chain_atoms ~init:Mapping.empty in
+  let seq_envs = with_engine ~domains:1 (fun () -> envs_of plan) in
+  with_engine ~min_rows:1 (fun () ->
+      List.iter
+        (fun nd ->
+          P.set_domains nd;
+          check_bool
+            (Printf.sprintf "answers at pool %d" nd)
+            true
+            (envs_of plan = seq_envs))
+        [ 3; 2; 1; 3 ])
+
+(* checked mode rejects a detached plan inside every chunk, so helpers
+   raise too; the first exception reaches the caller after the join and the
+   next region runs normally *)
+let test_worker_exception () =
+  let db = chain_db 40 in
+  let detached = Engine.compile db chain_atoms ~init:Mapping.empty in
+  Database.add db (Fact.make "E" [ Value.int 90; Value.int 91 ]);
+  with_engine ~domains:2 ~min_rows:1 ~checked:true (fun () ->
+      for _ = 1 to 20 do
+        match Engine.count_envs detached with
+        | _ -> Alcotest.fail "detached plan: no Check_failure"
+        | exception Engine.Check_failure _ -> ()
+      done);
+  let fresh = Engine.compile db chain_atoms ~init:Mapping.empty in
+  let seq = with_engine ~domains:1 (fun () -> Engine.count_envs fresh) in
+  with_engine ~domains:2 ~min_rows:1 (fun () ->
+      check_int "next region runs" seq (Engine.count_envs fresh))
+
+(* a region over at least 128 top-level rows builds the dense probe tables
+   once and every chunk reads them: answers, order and checked-mode replay
+   must match the sequential run that builds its own *)
+let test_shared_dense () =
+  let db = chain_db 600 in
+  let plan = Engine.compile db chain_atoms ~init:Mapping.empty in
+  check_bool "enough rows for the dense build" true
+    ((P.decision plan).P.d_rows >= 128);
+  let seq_envs = with_engine ~domains:1 (fun () -> envs_of plan) in
+  List.iter
+    (fun (nd, checked) ->
+      with_engine ~domains:nd ~min_rows:1 ~checked (fun () ->
+          Engine.reset_batch_stats ();
+          let name = Printf.sprintf "pool %d, checked %b" nd checked in
+          check_bool (name ^ ": chunked") true ((P.decision plan).P.d_chunks > 1);
+          check_bool (name ^ ": enumeration") true (envs_of plan = seq_envs);
+          check_int (name ^ ": count") (List.length seq_envs)
+            (Engine.count_envs plan);
+          check_bool (name ^ ": dense tables built") true
+            ((Engine.batch_stats ()).Engine.bm_dense_words > 0)))
+    [ (2, false); (4, false); (2, true) ]
+
 (* ---- incremental compiled databases ------------------------------------ *)
 
 let test_incremental_extension () =
@@ -238,6 +314,11 @@ let suite =
   [ Alcotest.test_case "partitioning decision" `Quick test_decision;
     Alcotest.test_case "reducers" `Quick test_reducers;
     Alcotest.test_case "region re-entrancy" `Quick test_reentrancy;
+    Alcotest.test_case "500 back-to-back regions" `Quick test_many_regions;
+    Alcotest.test_case "resize between regions" `Quick test_resize_between_regions;
+    Alcotest.test_case "worker exception reaches the caller" `Quick
+      test_worker_exception;
+    Alcotest.test_case "shared dense probe tables" `Quick test_shared_dense;
     Alcotest.test_case "incremental extension" `Quick test_incremental_extension;
     Alcotest.test_case "facts_since edge cases" `Quick test_facts_since_edges;
     Alcotest.test_case "E006 extended vs detached" `Quick test_e006_extended;
