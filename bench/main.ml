@@ -872,15 +872,15 @@ let opt_pipeline () =
 
 let par_runtime () =
   section "PAR"
-    "Domain-parallel enumeration (pools of 1/2/4/8) and incremental compiled databases";
+    "Domain-parallel count and semijoin regions (pools of 1/2/4/8) and incremental compiled databases";
   Format.printf
-    "the top-level candidate range is chunked across a Domain pool; answers@.";
+    "a count's top-level candidate range, or a semijoin's input rows, is@.";
   Format.printf
-    "are cross-checked against the 1-domain run. Speedup is bounded by the@.";
+    "chunked across a Domain pool; results are cross-checked against the@.";
   Format.printf
-    "machine: on a single-core container every pool size measures the same@.";
+    "1-domain run. Enumeration and sat run sequentially at every pool size,@.";
   Format.printf
-    "work plus spawn/merge overhead (parity, not speedup, is the signal).@.";
+    "so they have no pool column. Speedup is bounded by the machine's cores.@.";
   let d0 = Engine.Parallel.domains () and m0 = Engine.Parallel.min_rows () in
   let with_pool nd f =
     Engine.Parallel.set_domains nd;
@@ -894,8 +894,7 @@ let par_runtime () =
   let curve ~chain ~tag sizes pools =
     let body = Cq.Query.body (Workload.Gen_cq.chain chain) in
     print_row "  chain-%d CQ@." chain;
-    print_row "  %8s  %4s  %12s  %12s  %12s  %9s@." "|D|" "nd" "count(ms)"
-      "enum(ms)" "sat(ms)" "agree";
+    print_row "  %8s  %4s  %12s  %9s@." "|D|" "nd" "count(ms)" "agree";
     List.iter
       (fun size ->
         let db =
@@ -908,21 +907,11 @@ let par_runtime () =
             with_pool nd (fun () ->
                 let c = ref 0 in
                 let t_count = time_it (fun () -> c := Engine.count_envs p) in
-                let n = ref 0 in
-                let t_enum =
-                  time_it (fun () ->
-                      n := 0;
-                      Engine.iter_envs p (fun _ -> incr n))
-                in
-                let s = ref false in
-                let t_sat = time_it (fun () -> s := Engine.sat p) in
-                let agree = !c = reference && !n = reference && !s = (reference > 0) in
-                if not agree then failwith "PAR: parallel run disagrees";
-                print_row "  %8d  %4d  %12.2f  %12.2f  %12.3f  %9b@." size nd
-                  (t_count *. 1000.) (t_enum *. 1000.) (t_sat *. 1000.) agree;
-                record "PAR" (Printf.sprintf "count %s|D|=%d nd=%d" tag size nd) t_count;
-                record "PAR" (Printf.sprintf "enum %s|D|=%d nd=%d" tag size nd) t_enum;
-                record "PAR" (Printf.sprintf "sat %s|D|=%d nd=%d" tag size nd) t_sat))
+                let agree = !c = reference in
+                if not agree then failwith "PAR: parallel count disagrees";
+                print_row "  %8d  %4d  %12.2f  %9b@." size nd (t_count *. 1000.)
+                  agree;
+                record "PAR" (Printf.sprintf "count %s|D|=%d nd=%d" tag size nd) t_count))
           pools)
       sizes
   in
@@ -930,8 +919,47 @@ let par_runtime () =
     [ 1; 2; 4; 8 ];
   (* long top-level ranges on a cheap query: the sizes a row threshold
      would have to be chosen from *)
-  if not !smoke then
-    curve ~chain:2 ~tag:"chain-2 " [ 12800; 51200; 204800 ] [ 1; 2 ];
+  let chain2 = if !smoke then [ 800 ] else [ 12800; 51200; 204800 ] in
+  if not !smoke then curve ~chain:2 ~tag:"chain-2 " chain2 [ 1; 2 ];
+  (* semijoin regions: Yannakakis over the acyclic chain-2 query, whose
+     full reducer runs one semijoin per join-forest edge in each direction
+     (every one a region under the 1-row threshold); the answers are
+     compared with the 1-domain run *)
+  print_row "  Yannakakis answers (semijoin regions), chain-2 CQ@.";
+  print_row "  %8s  %4s  %12s  %9s  %9s@." "|D|" "nd" "answers(ms)" "regions"
+    "agree";
+  let q2 = Workload.Gen_cq.chain 2 in
+  List.iter
+    (fun size ->
+      let db =
+        Workload.Gen_db.random_graph_db ~seed:23 ~nodes:(size / 4) ~edges:size
+      in
+      let reference = with_pool 1 (fun () -> Cq.Yannakakis.answers db q2) in
+      List.iter
+        (fun nd ->
+          with_pool nd (fun () ->
+              let a = ref None in
+              let t = time_it (fun () -> a := Cq.Yannakakis.answers db q2) in
+              let agree = Option.equal Mapping.Set.equal !a reference in
+              if not agree then failwith "PAR: parallel semijoin disagrees";
+              (* the sanitizer counts the regions it validates: one untimed
+                 sanitized run counts the semijoin regions *)
+              let r0 = (Engine.Parallel.race_stats ()).Engine.Parallel.rs_regions in
+              let race0 = Engine.Parallel.race_check_enabled () in
+              Engine.Parallel.set_race_check true;
+              Fun.protect
+                ~finally:(fun () -> Engine.Parallel.set_race_check race0)
+                (fun () -> ignore (Cq.Yannakakis.answers db q2));
+              let regions =
+                (Engine.Parallel.race_stats ()).Engine.Parallel.rs_regions - r0
+              in
+              print_row "  %8d  %4d  %12.2f  %9d  %9b@." size nd (t *. 1000.)
+                regions agree;
+              record "PAR"
+                (Printf.sprintf "semijoin chain-2 |D|=%d nd=%d" size nd)
+                t))
+        [ 1; 2 ])
+    chain2;
   (* incremental maintenance: with a warm compiled form, Database.add appends
      into the interned tuples and counted index cells in place; the baseline
      drops the cache so the next query recompiles from scratch. Acceptance:
@@ -986,7 +1014,7 @@ let par_runtime () =
 
 let race_sanitizer () =
   section "RACE"
-    "Race sanitizer (WDPT_ENGINE_TSAN) overhead on parallel count/enum, answers cross-checked";
+    "Race sanitizer (WDPT_ENGINE_TSAN) overhead on parallel count, answers cross-checked";
   Format.printf
     "per-chunk access logs with logical clocks, vector-clock validation at@.";
   Format.printf
@@ -1027,11 +1055,7 @@ let race_sanitizer () =
         record "RACE" (Printf.sprintf "%s |D|=%d plain" prim size) t_plain;
         record "RACE" (Printf.sprintf "%s |D|=%d tsan" prim size) t_tsan
       in
-      row "count" (fun () -> Engine.count_envs p);
-      row "enum" (fun () ->
-          let n = ref 0 in
-          Engine.iter_envs p (fun _ -> incr n);
-          !n))
+      row "count" (fun () -> Engine.count_envs p))
     (if !smoke then [ 200; 800 ] else [ 800; 1600; 3200 ]);
   let s = Engine.Parallel.race_stats () in
   print_row

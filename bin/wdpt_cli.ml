@@ -78,15 +78,16 @@ let or_die = function
    (WDPT_ENGINE_DOMAINS, default threshold) alone. *)
 let domains_arg =
   let doc =
-    "Domain pool size for parallel enumeration (1-64; 1 = sequential). \
-     Overrides WDPT_ENGINE_DOMAINS. Parallel regions also need --min-rows."
+    "Domain pool size for parallel counting and semijoin regions (1-64; 1 \
+     = sequential). Enumeration and first-match always run sequentially. \
+     Overrides WDPT_ENGINE_DOMAINS. Regions also need --min-rows."
   in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
 
 let min_rows_arg =
   let doc =
-    "Minimum top-level candidate rows before a parallel region is worth \
-     spawning (>= 1). Regions are opt-in: without this option every pool \
+    "Minimum rows (top-level candidates of a count, input rows of a \
+     semijoin) before a parallel region is worth spawning (>= 1). Regions are opt-in: without this option every pool \
      size runs sequentially."
   in
   Arg.(value & opt (some int) None & info [ "min-rows" ] ~docv:"N" ~doc)
@@ -108,52 +109,26 @@ let max_mem_arg =
   in
   Arg.(value & opt (some int) None & info [ "max-mem" ] ~docv:"BYTES" ~doc)
 
-let degrade_arg =
-  let doc =
-    "With $(b,--max-mem): instead of rejecting outright, degrade to \
-     sequential execution (one domain, same batched pipeline) and \
-     re-certify; exit 3 only if even the degraded envelope exceeds the \
-     budget."
-  in
-  Arg.(value & flag & info [ "degrade" ] ~doc)
-
 (* Exit code 3 is reserved for admission rejections, so scripts can tell
    "too expensive under --max-mem" from diagnostic findings (1/2). *)
 let exit_admission_reject = 3
 
 (* The gate certifies the full-tree plan: the widest CQ the evaluation
    compiles (per-node plans are plans of sub-bodies, so its envelope
-   dominates theirs under the same configuration). *)
-let admission_gate ~budget ~degrade db q =
+   dominates theirs under the same configuration). Evaluation runs on one
+   domain at every pool size, so there is nothing to fall back to: over
+   budget is a rejection. *)
+let admission_gate ~budget db q =
   match budget with
   | None -> ()
   | Some budget ->
       let atoms = Cq.Query.body q in
       let plan = Engine.compile db atoms ~init:Relational.Mapping.empty in
       let r = Analysis.Resource.of_plan plan in
-      if Analysis.Resource.admits r ~budget then ()
-      else if degrade then begin
-        Engine.Parallel.set_domains 1;
-        let r = Analysis.Resource.of_plan plan in
-        if Analysis.Resource.admits r ~budget then
-          Format.eprintf
-            "max-mem: degraded to sequential — certified peak %d \
-             byte(s) within the %d-byte budget@."
-            r.Analysis.Resource.r_peak_bytes budget
-        else begin
-          Format.eprintf
-            "max-mem: rejected — even the sequential certified peak \
-             (%d byte(s)%s) exceeds the %d-byte budget@."
-            r.Analysis.Resource.r_peak_bytes
-            (if r.Analysis.Resource.r_saturated then ", saturated" else "")
-            budget;
-          exit exit_admission_reject
-        end
-      end
-      else begin
+      if not (Analysis.Resource.admits r ~budget) then begin
         Format.eprintf
           "max-mem: rejected — certified peak %d byte(s)%s exceeds the \
-           %d-byte budget (use --degrade to fall back to sequential)@."
+           %d-byte budget@."
           r.Analysis.Resource.r_peak_bytes
           (if r.Analysis.Resource.r_saturated then ", saturated" else "")
           budget;
@@ -181,12 +156,12 @@ let apply_engine_config domains min_rows morsel_rows =
 
 let eval_cmd =
   let run query data maximal relational limit offset domains min_rows
-      morsel_rows max_mem degrade adapt =
+      morsel_rows max_mem adapt =
     apply_engine_config domains min_rows morsel_rows;
     if adapt then Engine.set_adapt true;
     let p = or_die (load_tree ~relational query) in
     let db = or_die (load_db ~relational data) in
-    admission_gate ~budget:max_mem ~degrade db (Wdpt.Pattern_tree.q_full p);
+    admission_gate ~budget:max_mem db (Wdpt.Pattern_tree.q_full p);
     let print_answer h = Format.printf "%a@." Relational.Mapping.pp h in
     if limit = None && offset = 0 then begin
       (* exact answer set, cardinality first *)
@@ -271,7 +246,7 @@ let eval_cmd =
        ~doc:"Evaluate a well-designed query ({AND,OPT}-SPARQL, or pattern-tree syntax with -r).")
     Term.(const run $ query_arg $ data_arg $ maximal $ relational_arg $ limit
           $ offset $ domains_arg $ min_rows_arg $ morsel_rows_arg
-          $ max_mem_arg $ degrade_arg $ adapt)
+          $ max_mem_arg $ adapt)
 
 (* shared by watch, lint and explain; the lint -j flag stays as an alias *)
 let format_arg =

@@ -5,7 +5,6 @@
 
    Usage: wdpt_fuzz [SECONDS] [SEED]
           wdpt_fuzz --opt-diff [COUNT] [SEED]
-          wdpt_fuzz --par-diff [COUNT] [SEED]
           wdpt_fuzz --race-diff [COUNT] [SEED]
           wdpt_fuzz --batch-audit-diff [COUNT] [SEED]
           wdpt_fuzz --drift-diff [COUNT] [SEED]
@@ -22,20 +21,15 @@
    (Analysis.Equiv, zero E007-E010 expected). Count-based rather than
    time-based so a pinned seed always covers the same instances.
 
-   --par-diff COUNT runs the parallel differential: on COUNT (default 400)
-   random instances it evaluates sequentially and with a pool of 2 and 4
-   domains (the min-rows threshold lowered to 1 so small draws still cross
-   the parallel path), requiring identical answer sets at both the WDPT and
-   the CQ level and an identical env-for-env enumeration order across two
-   parallel runs.
-
    --race-diff COUNT runs the race differential (default 300): on COUNT
-   random instances it draws a random pool size and chunking threshold,
-   turns the data-race sanitizer on (every parallel region logs its
+   random instances it draws a random pool size, chunking threshold and
+   data-race sanitizer setting (when on, every parallel region logs its
    shared-location accesses and validates them vector-clock-style after the
-   join), and cross-checks the sanitized parallel answers against the
-   sequential ones — zero Race_failure and identical answers expected. A
-   final fault-injection check flips the test-only corrupted reducer on and
+   join), and cross-checks the answers under that configuration against
+   pool 1 — the WDPT and CQ answer sets, the plan's count (a count region)
+   and, for acyclic queries, the Yannakakis answers (semijoin regions).
+   Zero Race_failure and identical answers expected. A final
+   fault-injection check flips the test-only corrupted reducer on and
    requires the sanitizer to catch it.
 
    --drift-diff COUNT runs the adaptive re-planning differential (default
@@ -72,6 +66,30 @@
    Analysis.Resource envelope (zero E021). *)
 
 open Relational
+
+(* Run [f] under the given engine settings and restore the ambient ones
+   afterwards, whatever happens: a run under WDPT_ENGINE_DOMAINS, _MORSEL,
+   _CHECKED or _TSAN keeps its setting from one instance to the next. *)
+let with_engine ?domains ?min_rows ?morsel ?checked ?race ?fault f =
+  let module P = Engine.Parallel in
+  let d0 = P.domains () and m0 = P.min_rows () and g0 = P.morsel_rows () in
+  let c0 = Engine.checked_enabled () and r0 = P.race_check_enabled () in
+  let f0 = P.fault_injection_enabled () in
+  Option.iter P.set_domains domains;
+  Option.iter P.set_min_rows min_rows;
+  Option.iter P.set_morsel_rows morsel;
+  Option.iter Engine.set_checked checked;
+  Option.iter P.set_race_check race;
+  Option.iter P.set_fault_injection fault;
+  Fun.protect
+    ~finally:(fun () ->
+      P.set_domains d0;
+      P.set_min_rows m0;
+      P.set_morsel_rows g0;
+      Engine.set_checked c0;
+      P.set_race_check r0;
+      P.set_fault_injection f0)
+    f
 
 let random_instance seed =
   let st = Random.State.make [| seed |] in
@@ -201,95 +219,43 @@ let opt_diff_feasible p db =
   let adom = max 2 (Database.adom_size db) in
   float_of_int nvars *. log (float_of_int adom) <= log 1e6
 
-(* ---- parallel differential ---------------------------------------------- *)
-
-(* One instance of the --par-diff mode: identical answers with domain pools
-   of 1, 2 and 4 (at both semantics levels), and a deterministic
-   env-for-env enumeration order across two runs of the same parallel
-   configuration. *)
-let check_par_diff p db =
-  let failures = ref [] in
-  let fail name = failures := name :: !failures in
-  let with_domains n f =
-    let mr0 = Engine.Parallel.min_rows () in
-    Engine.Parallel.set_domains n;
-    (* threshold 1: even tiny draws cross the chunked path *)
-    Engine.Parallel.set_min_rows 1;
-    Fun.protect
-      ~finally:(fun () ->
-        Engine.Parallel.set_domains 1;
-        Engine.Parallel.set_min_rows mr0)
-      f
-  in
-  let q = Wdpt.Pattern_tree.q_full p in
-  let seq_wdpt = Wdpt.Semantics.eval db p in
-  let seq_cq = Cq.Eval.answers db q in
-  let seq_envs =
-    let plan = Engine.compile db (Cq.Query.body q) ~init:Mapping.empty in
-    let out = ref [] in
-    Engine.iter_envs plan (fun env -> out := Array.copy env :: !out);
-    List.rev !out
-  in
-  List.iter
-    (fun nd ->
-      let tag s = Printf.sprintf "%s@%d-domains" s nd in
-      with_domains nd (fun () ->
-          if not (Mapping.Set.equal (Wdpt.Semantics.eval db p) seq_wdpt) then
-            fail (tag "wdpt-eval");
-          if not (Mapping.Set.equal (Cq.Eval.answers db q) seq_cq) then
-            fail (tag "cq-eval");
-          let enum () =
-            let plan = Engine.compile db (Cq.Query.body q) ~init:Mapping.empty in
-            let out = ref [] in
-            Engine.iter_envs plan (fun env -> out := Array.copy env :: !out);
-            List.rev !out
-          in
-          let run1 = enum () and run2 = enum () in
-          if run1 <> run2 then fail (tag "order-nondeterministic");
-          if run1 <> seq_envs then fail (tag "order-vs-sequential")))
-    [ 2; 4 ];
-  !failures
-
 (* ---- race differential --------------------------------------------------- *)
 
-(* One instance of the --race-diff mode: a randomized pool size and min-rows
-   threshold (randomized chunking), the sanitizer on, answers cross-checked
-   against the sequential path. The sanitizer raising is itself a failure:
-   the genuine runtime must be race-free. *)
+(* One instance of the --race-diff mode: a randomized pool size, min-rows
+   threshold (randomized chunking) and sanitizer setting, answers
+   cross-checked against pool 1 — the WDPT and CQ answer sets, the plan's
+   count, and the Yannakakis answers of an acyclic query, whose semijoin
+   passes open regions too. With the sanitizer on, its raising is itself a
+   failure: the genuine runtime must be race-free. *)
 let check_race_diff st p db =
   let failures = ref [] in
   let fail name = failures := name :: !failures in
   let pick l = List.nth l (Random.State.int st (List.length l)) in
   let nd = pick [ 2; 3; 4 ] in
   let mr = pick [ 1; 2; 5 ] in
-  let with_sanitized f =
-    let mr0 = Engine.Parallel.min_rows () in
-    Engine.Parallel.set_domains nd;
-    Engine.Parallel.set_min_rows mr;
-    Engine.Parallel.set_race_check true;
-    Fun.protect
-      ~finally:(fun () ->
-        Engine.Parallel.set_domains 1;
-        Engine.Parallel.set_min_rows mr0;
-        Engine.Parallel.set_race_check false)
-      f
-  in
+  let race = pick [ false; true ] in
   let q = Wdpt.Pattern_tree.q_full p in
-  let seq_wdpt = Wdpt.Semantics.eval db p in
-  let seq_cq = Cq.Eval.answers db q in
-  let tag s = Printf.sprintf "%s@%d-domains-min-rows-%d" s nd mr in
+  let count () =
+    Engine.count_envs (Engine.compile db (Cq.Query.body q) ~init:Mapping.empty)
+  in
+  let run () =
+    ( Wdpt.Semantics.eval db p,
+      Cq.Eval.answers db q,
+      count (),
+      Cq.Yannakakis.answers db q )
+  in
+  let seq_wdpt, seq_cq, seq_count, seq_yan = with_engine ~domains:1 run in
+  let tag s =
+    Printf.sprintf "%s@%d-domains-min-rows-%d%s" s nd mr
+      (if race then "-sanitized" else "")
+  in
   (try
-     with_sanitized (fun () ->
-         if not (Mapping.Set.equal (Wdpt.Semantics.eval db p) seq_wdpt) then
-           fail (tag "wdpt-eval");
-         if not (Mapping.Set.equal (Cq.Eval.answers db q) seq_cq) then
-           fail (tag "cq-eval");
-         let plan = Engine.compile db (Cq.Query.body q) ~init:Mapping.empty in
-         if Engine.count_envs plan <> Mapping.Set.cardinal seq_cq then
-           ignore (Engine.count_envs plan)
-         (* counts can legitimately exceed the answer-set cardinality (CQ
-            answers project and deduplicate); the count run exists to push
-            the count reducer through the sanitizer *))
+     let wdpt, cq, n, yan = with_engine ~domains:nd ~min_rows:mr ~race run in
+     if not (Mapping.Set.equal wdpt seq_wdpt) then fail (tag "wdpt-eval");
+     if not (Mapping.Set.equal cq seq_cq) then fail (tag "cq-eval");
+     if n <> seq_count then fail (tag "count");
+     if not (Option.equal Mapping.Set.equal yan seq_yan) then
+       fail (tag "yannakakis")
    with Engine.Race_failure msg -> fail (tag ("race: " ^ msg)));
   !failures
 
@@ -304,18 +270,7 @@ let check_fault_injection () =
       [ Atom.make "E" [ Term.var "x"; Term.var "y" ] ]
       ~init:Mapping.empty
   in
-  let mr0 = Engine.Parallel.min_rows () in
-  Engine.Parallel.set_domains 4;
-  Engine.Parallel.set_min_rows 1;
-  Engine.Parallel.set_race_check true;
-  Engine.Parallel.set_fault_injection true;
-  Fun.protect
-    ~finally:(fun () ->
-      Engine.Parallel.set_fault_injection false;
-      Engine.Parallel.set_race_check false;
-      Engine.Parallel.set_domains 1;
-      Engine.Parallel.set_min_rows mr0)
-    (fun () ->
+  with_engine ~domains:4 ~min_rows:1 ~race:true ~fault:true (fun () ->
       try
         ignore (Engine.count_envs plan);
         false
@@ -401,9 +356,6 @@ let check_delta_diff st p db =
   !failures
 
 let delta_diff_main count seed0 =
-  (* under a pool (WDPT_ENGINE_DOMAINS) every scoped re-run crosses the
-     chunked path: regions are opt-in, so open them at any size *)
-  if Engine.Parallel.domains () > 1 then Engine.Parallel.set_min_rows 1;
   let bad = ref 0 and checked = ref 0 and skipped = ref 0 in
   let seed = ref seed0 in
   while !checked < count do
@@ -433,8 +385,8 @@ let delta_diff_main count seed0 =
 
 (* One instance of the --batch-audit-diff mode: the genuine batched layout
    audits clean (E017-E020) at pools 1 and 2, after running the plan (one
-   count, one full enumeration — the latter crosses the parallel buffering
-   and, when the random draw arms checked mode, the per-group replay) every
+   count — a region at pool 2 — and one full enumeration, which crosses the
+   per-group replay when the random draw arms checked mode) every
    measured high-water mark stays within the certified resource envelope
    (zero E021), and the answers at both semantics levels equal the naive
    oracles, computed once under the default configuration. The quadratic
@@ -461,18 +413,7 @@ let check_batch_audit_diff st p db =
         Printf.sprintf "%s@%d-domains-morsel-%d%s" s nd morsel
           (if checked then "-checked" else "")
       in
-      let mr0 = Engine.Parallel.min_rows () in
-      Engine.set_checked checked;
-      Engine.Parallel.set_domains nd;
-      Engine.Parallel.set_min_rows 1;
-      Engine.Parallel.set_morsel_rows morsel;
-      Fun.protect
-        ~finally:(fun () ->
-          Engine.set_checked false;
-          Engine.Parallel.set_domains 1;
-          Engine.Parallel.set_min_rows mr0;
-          Engine.Parallel.set_morsel_rows 1024)
-        (fun () ->
+      with_engine ~checked ~domains:nd ~min_rows:1 ~morsel (fun () ->
           let plan = Engine.compile db atoms ~init:Mapping.empty in
           (match Analysis.Batch_audit.audit plan with
           | [] -> ()
@@ -670,28 +611,6 @@ let race_diff_main count seed0 =
     stats.Engine.Parallel.rs_events stats.Engine.Parallel.rs_races;
   exit (if !bad = 0 then 0 else 1)
 
-let par_diff_main count seed0 =
-  let bad = ref 0 and checked = ref 0 and skipped = ref 0 in
-  let seed = ref seed0 in
-  while !checked < count do
-    incr seed;
-    let p, db = random_instance !seed in
-    if not (opt_diff_feasible p db) then incr skipped
-    else begin
-      incr checked;
-      match check_par_diff p db with
-      | [] -> ()
-      | failures ->
-          incr bad;
-          Printf.printf "seed %d FAILED: %s\n%!" !seed
-            (String.concat ", " failures)
-    end
-  done;
-  Printf.printf
-    "par-diff: %d instance(s) from seed %d (%d oversized skipped): %d failure(s)\n"
-    count seed0 !skipped !bad;
-  exit (if !bad = 0 then 0 else 1)
-
 let opt_diff_main count seed0 =
   let bad = ref 0 and checked = ref 0 and skipped = ref 0 in
   let seed = ref seed0 in
@@ -726,15 +645,6 @@ let () =
       if Array.length Sys.argv > 3 then int_of_string Sys.argv.(3) else 42
     in
     opt_diff_main count seed0
-  end;
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "--par-diff" then begin
-    let count =
-      if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2) else 400
-    in
-    let seed0 =
-      if Array.length Sys.argv > 3 then int_of_string Sys.argv.(3) else 42
-    in
-    par_diff_main count seed0
   end;
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "--delta-diff" then begin
     let count =
@@ -784,7 +694,6 @@ let () =
       "wdpt_fuzz: unknown mode %s\n\
        usage: wdpt_fuzz [SECONDS] [SEED]\n\
       \       wdpt_fuzz --opt-diff [COUNT] [SEED]\n\
-      \       wdpt_fuzz --par-diff [COUNT] [SEED]\n\
       \       wdpt_fuzz --race-diff [COUNT] [SEED]\n\
       \       wdpt_fuzz --batch-audit-diff [COUNT] [SEED]\n\
       \       wdpt_fuzz --drift-diff [COUNT] [SEED]\n\

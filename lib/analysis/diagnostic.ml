@@ -23,8 +23,6 @@ type code =
   | Reorder_violation
   | Cert_mismatch
   | Chunk_coverage
-  | Unsound_reducer
-  | Cancel_drops
   | Undeclared_write
   | Version_skew
   | Morsel_coverage
@@ -63,8 +61,6 @@ let code_id = function
   | Reorder_violation -> "E009"
   | Cert_mismatch -> "E010"
   | Chunk_coverage -> "E011"
-  | Unsound_reducer -> "E012"
-  | Cancel_drops -> "E013"
   | Undeclared_write -> "E014"
   | Version_skew -> "E015"
   | Morsel_coverage -> "E016"
@@ -103,8 +99,6 @@ let code_name = function
   | Reorder_violation -> "reorder-violates-dependency"
   | Cert_mismatch -> "certificate-plan-mismatch"
   | Chunk_coverage -> "chunk-coverage"
-  | Unsound_reducer -> "order-unsound-reducer"
-  | Cancel_drops -> "cancellation-drops-answers"
   | Undeclared_write -> "undeclared-shared-write"
   | Version_skew -> "cross-domain-version-skew"
   | Morsel_coverage -> "morsel-coverage"
@@ -130,8 +124,7 @@ let code_severity = function
   | Uninit_slot_read | Interner_range | Plan_arity_mismatch | Stale_plan -> Error
   | Dead_slot | Order_inversion -> Warning
   | Slot_renaming | Dropped_check | Reorder_violation | Cert_mismatch -> Error
-  | Chunk_coverage | Unsound_reducer | Cancel_drops | Undeclared_write
-  | Version_skew | Morsel_coverage ->
+  | Chunk_coverage | Undeclared_write | Version_skew | Morsel_coverage ->
       Error
   | Stage_read_before_bind | Column_aliasing | Position_cover | Filter_binds
   | Resource_envelope ->
@@ -182,8 +175,6 @@ type witness =
   | Reordered of { pass : string; position : int; atom : int; detail : string }
   | Cert of { pass : string; field : string; detail : string }
   | Coverage of { chunk : int; lo : int; hi : int; expected_lo : int; rows : int }
-  | Reducer_unsound of { primitive : string; merge : string }
-  | Cancellation of { primitive : string; merge : string }
   | Shared_write of {
       site : string;
       target : string;
@@ -391,12 +382,6 @@ let witness_json w =
           ("hi", Int hi);
           ("expected-lo", Int expected_lo);
           ("rows", Int rows) ]
-  | Reducer_unsound { primitive; merge } ->
-      kind "order-unsound-reducer"
-        [ ("primitive", Str primitive); ("merge", Str merge) ]
-  | Cancellation { primitive; merge } ->
-      kind "cancellation-drops-answers"
-        [ ("primitive", Str primitive); ("merge", Str merge) ]
   | Shared_write { site; target; declared; owner_only; kind = k } ->
       kind "undeclared-shared-write"
         [ ("site", Str site);

@@ -55,18 +55,15 @@
       out of range, non-injective maps, invented atoms or slots, changed
       pool or feasibility, or claimed scores that do not recompute (error).
 
-    The E011–E015 codes are findings of the concurrency auditor
+    The E011 and E014–E016 codes are findings of the concurrency auditor
     ({!Par_audit}) over the parallel execution plan
     ({!Engine.Inspect.par_view}):
 
     - [E011 chunk-coverage] — the chunk slices do not partition the
       top-level candidate range [0, rows) exactly: a gap, an overlap, a
       negative-width chunk, or a short/long tail (error);
-    - [E012 order-unsound-reducer] — a reducer for an order-sensitive
-      primitive whose merge is not chunk-order-preserving (error);
-    - [E013 cancellation-drops-answers] — a cancelling reducer reachable
-      from a primitive that needs every chunk's full answer set
-      (enumeration, count) (error);
+    - E012 and E013 are retired (they audited the parallel enumeration and
+      [sat] reducers, which no longer exist); the numbers are not reused;
     - [E014 undeclared-shared-write] — a write site targeting state outside
       the declared inventory, or a cross-chunk write targeting a non-atomic
       (chunk-local) location (error);
@@ -170,8 +167,6 @@ type code =
   | Reorder_violation  (** E009 *)
   | Cert_mismatch  (** E010 *)
   | Chunk_coverage  (** E011 *)
-  | Unsound_reducer  (** E012 *)
-  | Cancel_drops  (** E013 *)
   | Undeclared_write  (** E014 *)
   | Version_skew  (** E015 *)
   | Morsel_coverage  (** E016 *)
@@ -297,8 +292,6 @@ type witness =
               overlap *)
       rows : int;  (** the candidate range is [0, rows) *)
     }  (** E011 *)
-  | Reducer_unsound of { primitive : string; merge : string }  (** E012 *)
-  | Cancellation of { primitive : string; merge : string }  (** E013 *)
   | Shared_write of {
       site : string;
       target : string;

@@ -5,9 +5,9 @@
    corrupt a copy of the view and watch the right E-code come back — while
    the genuine view is re-derived from the same pure functions the runtime
    partitions with, so a clean audit certifies the decision an actual region
-   takes. Every check is O(plan): O(chunks) for coverage, O(reducers +
-   writes + inventory) for the reducer and shared-state disciplines,
-   O(domains) for snapshot skew. *)
+   takes. Every check is O(plan): O(chunks) for coverage, O(writes +
+   inventory) for the shared-state discipline, O(domains) for snapshot
+   skew. *)
 
 module I = Engine.Inspect
 
@@ -16,8 +16,8 @@ let d ?witness code message = Diagnostic.make ?witness code message
 (* E011: the chunk slices must partition [0, rows) exactly — each chunk
    starts where the previous one ended (gap/overlap otherwise), no chunk has
    negative width, and the last chunk ends at [rows]. A dropped candidate
-   row is a silently missing answer; a double-covered one is a duplicate
-   (and, for enumeration, an order violation). *)
+   row is a silently missing answer; a double-covered one is counted
+   twice. *)
 let check_coverage (v : I.par_view) acc =
   let rows = v.I.pv_rows in
   let acc = ref acc in
@@ -116,48 +116,6 @@ let check_morsels (v : I.par_view) acc =
     !acc
   end
 
-(* E012: an order-sensitive primitive (enumeration: sequential-identical
-   order is part of the contract) must merge chunk results in a
-   chunk-order-preserving way — chunks are contiguous slices of the
-   top-level candidate sequence, so chunk-order concatenation IS sequential
-   order, and anything else is not. *)
-let check_reducers_order (v : I.par_view) acc =
-  Array.fold_left
-    (fun acc (r : I.reducer_view) ->
-      if r.I.r_ordered && not r.I.r_order_preserving then
-        d
-          ~witness:
-            (Diagnostic.Reducer_unsound
-               { primitive = r.I.r_primitive; merge = r.I.r_merge })
-          Diagnostic.Unsound_reducer
-          (Printf.sprintf
-             "%s is order-sensitive but its merge (%s) does not preserve \
-              chunk order"
-             r.I.r_primitive r.I.r_merge)
-        :: acc
-      else acc)
-    acc v.I.pv_reducers
-
-(* E013: early cancellation is only sound for a primitive that needs just
-   one witness (sat). A total primitive — enumeration, count — reached by a
-   cancelling reducer drops the answers of the chunks it cancels. *)
-let check_cancellation (v : I.par_view) acc =
-  Array.fold_left
-    (fun acc (r : I.reducer_view) ->
-      if r.I.r_cancelling && r.I.r_total then
-        d
-          ~witness:
-            (Diagnostic.Cancellation
-               { primitive = r.I.r_primitive; merge = r.I.r_merge })
-          Diagnostic.Cancel_drops
-          (Printf.sprintf
-             "%s needs every chunk's full answer set but its reducer cancels \
-              peers early"
-             r.I.r_primitive)
-        :: acc
-      else acc)
-    acc v.I.pv_reducers
-
 let kind_string = function
   | I.Atomic_cell -> "atomic"
   | I.Chunk_local -> "chunk-local"
@@ -245,9 +203,7 @@ let audit_view (v : I.par_view) =
   (* E016 presumes E011-certified slices; skip it when coverage already
      failed so every corruption keeps exactly one primary finding. *)
   let acc = if coverage = [] then check_morsels v [] else coverage in
-  List.rev
-    (check_snapshots v
-       (check_writes v (check_cancellation v (check_reducers_order v acc))))
+  List.rev (check_snapshots v (check_writes v acc))
 
 let audit p = audit_view (Engine.Inspect.par p)
 
@@ -274,11 +230,7 @@ let par_json (v : I.par_view) =
           |> List.map (fun (r : I.reducer_view) ->
                  Json.Obj
                    [ ("primitive", Str r.I.r_primitive);
-                     ("merge", Str r.I.r_merge);
-                     ("ordered", Bool r.I.r_ordered);
-                     ("order-preserving", Bool r.I.r_order_preserving);
-                     ("total", Bool r.I.r_total);
-                     ("cancelling", Bool r.I.r_cancelling) ])) );
+                     ("merge", Str r.I.r_merge) ])) );
       ( "shared",
         List
           (Array.to_list v.I.pv_shared
@@ -373,10 +325,8 @@ let pp_par ppf (v : I.par_view) =
   Format.fprintf ppf "@,";
   Array.iter
     (fun (r : I.reducer_view) ->
-      Format.fprintf ppf "  reducer %s: merge %s%s%s@," r.I.r_primitive
-        r.I.r_merge
-        (if r.I.r_ordered then ", ordered" else "")
-        (if r.I.r_cancelling then ", cancelling" else ""))
+      Format.fprintf ppf "  reducer %s: merge %s@," r.I.r_primitive
+        r.I.r_merge)
     v.I.pv_reducers;
   Format.fprintf ppf "  shared:";
   Array.iter

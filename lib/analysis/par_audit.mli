@@ -1,19 +1,15 @@
 (** Static verification of the parallel execution plan
     ({!Engine.Inspect.par_view}).
 
-    The concurrency auditor checks the soundness conditions the
-    domain-parallel runtime relies on and reports violations as E-series
+    The concurrency auditor checks the soundness conditions a
+    {!Engine.count_envs} region relies on (enumeration and first-match open
+    no region; E012/E013, which audited their reducers, are retired) and reports violations as E-series
     {!Diagnostic}s, each with a machine-checkable witness:
 
     - [E011 chunk-coverage] — the chunk slices must partition the top-level
       candidate range [0, rows) exactly: no gap (a missing answer), no
-      overlap (a duplicate, and an order violation for enumeration), no
-      negative-width chunk, and a last chunk ending at [rows];
-    - [E012 order-unsound-reducer] — an order-sensitive primitive
-      (enumeration) whose merge is not chunk-order-preserving;
-    - [E013 cancellation-drops-answers] — a cancelling reducer reachable
-      from a primitive that needs every chunk's full answer set
-      (enumeration, count); only single-witness primitives (sat) may cancel;
+      overlap (a double count), no negative-width chunk, and a last chunk
+      ending at [rows];
     - [E014 undeclared-shared-write] — a write site targeting state outside
       the declared shared inventory, or a cross-chunk write targeting a
       non-atomic (chunk-local) location;
@@ -26,14 +22,15 @@
       Generalizes E011 and only runs once E011 certified the slices;
       vacuous for sequential regions.
 
-    All checks are O(plan): O(chunks) + O(reducers + writes + inventory) +
+    All checks are O(plan): O(chunks) + O(writes + inventory) +
     O(domains). The genuine view is re-derived from the same pure functions
     the runtime partitions with ({!Engine.Parallel.decision},
     {!Engine.Parallel.chunk_bounds}), so a clean audit certifies the
     decision an actual region takes — the static complement of the dynamic
     race sanitizer ([WDPT_ENGINE_TSAN]). *)
 
-(** Audit a view. Diagnostics come back in check order (E011 … E015). A view
+(** Audit a view. Diagnostics come back in check order (E011/E016, E014,
+    E015). A view
     produced by {!Engine.Inspect.par} on a freshly compiled plan audits
     clean at every pool size — unless fault injection is enabled, which the
     genuine view declares and E014 flags. *)

@@ -39,14 +39,12 @@ type t = {
   r_rows : int;
   r_group_rows : int;
   r_groups : int;
-  r_slices : int;
   r_nslots : int;
   r_stage_rows : int array;
   r_peak_rows : int;
   r_column_words : int;
   r_dense_words : int;
   r_replay_rows : int;
-  r_buffered_rows : int;
   r_peak_bytes : int;
   r_infeasible : bool;
   r_saturated : bool;
@@ -59,7 +57,6 @@ let analyze ?checked (v : I.view) (pv : I.par_view) (b : I.batch_view) =
   let nstages = Array.length b.I.b_stages in
   let nslots = Array.length v.I.i_slots in
   let rows = pv.I.pv_rows in
-  let slices = max 1 (min pv.I.pv_domains (Array.length pv.I.pv_chunks)) in
   (* per-stage sound candidate bounds along the fixed order: Dataflow's
      narrowing (and its provably-empty verdicts) must follow the order the
      pipeline executes, so re-run it on a view whose order is the stage
@@ -80,14 +77,12 @@ let analyze ?checked (v : I.view) (pv : I.par_view) (b : I.batch_view) =
       r_rows = rows;
       r_group_rows = 0;
       r_groups = b.I.b_groups;
-      r_slices = slices;
       r_nslots = nslots;
       r_stage_rows = stage_rows;
       r_peak_rows = 0;
       r_column_words = 0;
       r_dense_words = 0;
       r_replay_rows = 0;
-      r_buffered_rows = 0;
       r_peak_bytes = 0;
       r_infeasible = infeasible;
       r_saturated = false }
@@ -151,19 +146,11 @@ let analyze ?checked (v : I.view) (pv : I.par_view) (b : I.batch_view) =
           sat_add !dense_words (sat_mul 2 (sat_add (sat_mul 4 dc) 64))
       end
     done;
-    (* buffering: checked mode replays one group at a time; a parallel
-       enumeration retains every chunk's solutions until the chunk-order
-       replay *)
+    (* buffering: checked mode replays one group at a time *)
     let replay_rows = sat_mul g !expansion_product in
-    let buffered_rows = sat_mul rows !expansion_product in
-    let scratch_bytes =
-      sat_mul 8 (sat_mul slices (sat_add !column_words !dense_words))
-    in
+    let scratch_bytes = sat_mul 8 (sat_add !column_words !dense_words) in
     let buffered_bytes =
-      let row_words = nslots + 2 in
-      if slices > 1 then sat_mul 8 (sat_mul row_words buffered_rows)
-      else if checked then sat_mul 8 (sat_mul row_words replay_rows)
-      else 0
+      if checked then sat_mul 8 (sat_mul (nslots + 2) replay_rows) else 0
     in
     let peak_bytes = sat_add scratch_bytes buffered_bytes in
     let saturated =
@@ -174,14 +161,12 @@ let analyze ?checked (v : I.view) (pv : I.par_view) (b : I.batch_view) =
       r_rows = rows;
       r_group_rows = g;
       r_groups = b.I.b_groups;
-      r_slices = slices;
       r_nslots = nslots;
       r_stage_rows = stage_rows;
       r_peak_rows = !peak;
       r_column_words = !column_words;
       r_dense_words = !dense_words;
       r_replay_rows = replay_rows;
-      r_buffered_rows = buffered_rows;
       r_peak_bytes = peak_bytes;
       r_infeasible = infeasible;
       r_saturated = saturated }
@@ -199,7 +184,6 @@ let to_json t =
       ("rows", Int t.r_rows);
       ("group-rows", Int t.r_group_rows);
       ("groups", Int t.r_groups);
-      ("slices", Int t.r_slices);
       ("slots", Int t.r_nslots);
       ( "stage-rows",
         List (Array.to_list (Array.map (fun r -> Json.Int r) t.r_stage_rows))
@@ -208,7 +192,6 @@ let to_json t =
       ("column-words", Int t.r_column_words);
       ("dense-words", Int t.r_dense_words);
       ("replay-rows", Int t.r_replay_rows);
-      ("buffered-rows", Int t.r_buffered_rows);
       ("peak-bytes", Int t.r_peak_bytes);
       ("infeasible", Bool t.r_infeasible);
       ("saturated", Bool t.r_saturated) ]
@@ -235,16 +218,20 @@ let pp ppf t =
       (Array.length t.r_stage_rows)
       t.r_peak_rows
   else begin
-    Format.fprintf ppf "certified peak %a across %d slice(s)" pp_bytes
-      t.r_peak_bytes t.r_slices;
+    Format.fprintf ppf "certified peak %a" pp_bytes t.r_peak_bytes;
     Format.fprintf ppf
-      "@,  per slice: %d column word(s), %d dense probe-table word(s), peak \
+      "@,  scratch: %d column word(s), %d dense probe-table word(s), peak \
        level width %d row(s)"
       t.r_column_words t.r_dense_words t.r_peak_rows;
-    Format.fprintf ppf
-      "@,  buffering: <= %d row(s) per group/chunk, <= %d region-wide%s"
-      t.r_replay_rows t.r_buffered_rows
-      (if t.r_checked then " (checked-mode replay armed)" else "");
+    if t.r_checked then
+      Format.fprintf ppf
+        "@,  buffering: <= %d row(s) per group (checked-mode replay armed)"
+        t.r_replay_rows
+    else
+      Format.fprintf ppf
+        "@,  buffering: none (a checked-mode replay would hold <= %d row(s) \
+         per group)"
+        t.r_replay_rows;
     Format.fprintf ppf
       "@,  geometry: %d-row group(s), %d group(s) over %d candidate row(s)"
       t.r_group_rows t.r_groups t.r_rows

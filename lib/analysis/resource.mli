@@ -7,6 +7,11 @@
     along the batched pipeline's fixed stage order, not the plan's static
     order, so the per-stage bounds are sound for the order that actually
     executes — into a certified peak-bytes/peak-rows envelope per plan.
+    Enumeration runs on one domain at every pool size, so the envelope does
+    not depend on the pool: it is the scratch of one run plus, in checked
+    mode, one morsel group's replay buffer. A {!Engine.count_envs} region
+    runs up to [min domains chunks] slices at once, each within the
+    certified column words, and shares one dense-table build.
 
     Soundness contract, exercised by tests, [wdpt_fuzz --batch-audit-diff]
     and the RESOURCE bench experiment: after any run of the plan under the
@@ -29,7 +34,6 @@ type t = {
   r_rows : int;  (** top-level candidate rows *)
   r_group_rows : int;  (** morsel group width bound (min morsel rows) *)
   r_groups : int;  (** morsel groups over the top-level range *)
-  r_slices : int;  (** max concurrently live slices (min domains chunks) *)
   r_nslots : int;  (** environment width, for buffered-row byte costs *)
   r_stage_rows : int array;
       (** per fixed-order stage: sound candidate-row bound (0 = provably
@@ -39,17 +43,14 @@ type t = {
       (** certified columnar scratch words per slice (dominates
           {!Engine.batch_stats.bm_column_words}) *)
   r_dense_words : int;
-      (** certified dense probe-table words per slice (dominates
+      (** certified dense probe-table words per build (dominates
           {!Engine.batch_stats.bm_dense_words}) *)
   r_replay_rows : int;
-      (** certified buffered rows per group/chunk (dominates
+      (** certified buffered rows per checked-mode group (dominates
           {!Engine.batch_stats.bm_replay_rows}) *)
-  r_buffered_rows : int;
-      (** region-wide enumeration buffering: parallel chunks retain every
-          chunk's solutions until the chunk-order replay *)
   r_peak_bytes : int;
-      (** the admission number: slices * scratch bytes + buffered-row bytes
-          under the current configuration *)
+      (** the admission number: scratch bytes + checked-mode replay bytes;
+          the same at every pool size *)
   r_infeasible : bool;  (** some stage provably matches nothing *)
   r_saturated : bool;  (** some product hit {!cap} — treat as unbounded *)
 }

@@ -63,10 +63,9 @@ module Naive = struct
 end
 
 (* Compiled entry points (see Engine): same semantics, interned values and
-   slot environments in the hot loop. When WDPT_ENGINE_DOMAINS > 1 these
-   inherit the domain-parallel runtime (Engine.Parallel) transitively —
-   enumeration order and answer sets are identical to the sequential path,
-   so nothing at this level needs to know. *)
+   slot environments in the hot loop. Enumeration and first-match run on
+   the calling domain at every pool size (only counts and semijoins open
+   regions), so nothing at this level needs to know about the pool. *)
 
 let iter_homomorphisms = Engine.iter_homomorphisms
 let homomorphisms = Engine.homomorphisms

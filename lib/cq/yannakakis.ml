@@ -5,9 +5,10 @@ module Rel = Engine.Rel
 (* The join forest is evaluated over interned relations (Engine.Rel): rows
    are dense-int tuples, semijoins and joins are hash-based on projected key
    tuples. Mapping.t values appear only in the final conversion of the
-   combined answer relation. The semijoin passes go chunk-parallel when
-   WDPT_ENGINE_DOMAINS > 1 (Rel.semijoin partitions the probe side over the
-   domain pool against the shared read-only hash index, keeping row order). *)
+   combined answer relation. The semijoin passes go chunk-parallel under a
+   domain pool with a row threshold (Engine.Parallel.set_domains and
+   set_min_rows): Rel.semijoin partitions the probe side over the pool
+   against the shared read-only hash index, keeping row order. *)
 
 type node = {
   mutable rel : Rel.t;

@@ -939,9 +939,7 @@ let select_first p =
         fc_count = !best_cost }
   end
 
-let no_cancel () = false
-
-(* Commit one completed (uncancelled) enumeration's counters into the plan:
+(* Commit one completed enumeration's counters into the plan:
    the top-level atom gets its single probe context (one per run, never per
    chunk — parallel chunks slice ONE top-level candidate loop), the record
    is folded into the plan's accumulator, and under adaptation the evidence
@@ -1007,14 +1005,14 @@ let morsel_rows () = Atomic.get morsel_rows_flag
 (* High-water marks of the batched pipeline's memory consumers, in the same
    units the certified resource envelope (Analysis.Resource) is stated in.
    Each mark is the peak of one slice (column scratch), one build (dense
-   tables) or one group/chunk (replay buffering) — never a cross-domain
-   sum, so a per-slice envelope can be checked sound against it directly. The
-   counters are bumped once per slice / group, not per row: measurement
-   costs nothing on the hot path. *)
+   tables) or one checked-mode group (replay buffering) — never a
+   cross-domain sum, so a per-slice envelope can be checked sound against it
+   directly. The counters are bumped once per slice / group, not per row:
+   measurement costs nothing on the hot path. *)
 type batch_stats = {
   bm_column_words : int;  (* peak columnar scratch words of any one slice *)
   bm_dense_words : int;   (* peak dense probe-table words of any one build *)
-  bm_replay_rows : int;   (* peak buffered rows of any one group/chunk *)
+  bm_replay_rows : int;   (* peak buffered rows of any one checked group *)
 }
 
 let bm_column_words = Atomic.make 0
@@ -1182,7 +1180,7 @@ let dense_tables p fc ~rows =
 
 exception Batch_dead
 
-let iter_envs_batched_slice ?dense p fc ~lo ~hi ~cancel ~fb f =
+let iter_envs_batched_slice ?dense p fc ~lo ~hi ~fb f =
   if p.feasible && Array.length p.atoms > 0 && lo < hi then begin
     let fb_c = fb.fb_contexts
     and fb_p = fb.fb_probed
@@ -1751,7 +1749,7 @@ let iter_envs_batched_slice ?dense p fc ~lo ~hi ~cancel ~fb f =
       end
     in
     let glo = ref lo in
-    while !glo < hi && not (cancel ()) do
+    while !glo < hi do
       let ghi = min hi (!glo + group) in
       (try
          (* stage 0: survivor bitmask over the candidate vector, then the
@@ -1983,8 +1981,7 @@ let verify_solution p env =
 
 (* Scalar twin of the batched interpreter: the same fixed stage order, one
    environment at a time, restricted to candidates [lo, hi) of the
-   top-level choice [fc]; [cancel] is polled between top-level candidates
-   (a peer found a witness). It serves first-match ([sat],
+   top-level choice [fc]. It serves first-match ([sat],
    [first_homomorphism]), which usually stops within a handful of
    candidates and so must not materialize a morsel group first, and it is
    the twin checked-batched mode replays per morsel group and compares env
@@ -1994,12 +1991,11 @@ let verify_solution p env =
    With [check] it validates the static invariants on entry, every stored
    tuple's width, every probed index cell's count against its capacity and
    every reported solution against the stored relations, and the trail
-   and environment restoration on exit; a parallel chunked run therefore
-   performs the full set of checks per chunk. It commits no feedback
-   counters: a first-match run stops at a point that depends on the pool
-   size, and a checked replay would double-count the genuine run's
+   and environment restoration on exit. It commits no feedback counters: a
+   first-match run stops at a point that depends on where the first
+   witness sits, and a checked replay would double-count the genuine run's
    probes. *)
-let iter_envs_fixed_slice ~check p fc ~lo ~hi ~cancel f =
+let iter_envs_fixed_slice ~check p fc ~lo ~hi f =
   if check then sanitize_static p;
   if p.feasible && Array.length p.atoms > 0 then begin
     let env = Array.copy p.init_env in
@@ -2098,7 +2094,7 @@ let iter_envs_fixed_slice ~check p fc ~lo ~hi ~cancel f =
     let ap = p.atoms.(fc_atom) in
     let ops = ap.a_ops and tuples = ap.a_rel.Db.tuples in
     let i = ref lo in
-    while !i < hi && not (cancel ()) do
+    while !i < hi do
       let ti = if fc.fc_scan then !i else fc.fc_rows.(!i) in
       let mark = !sp in
       if match_tuple fc_atom ops tuples.(ti) then begin
@@ -2124,9 +2120,9 @@ let iter_envs_fixed_slice ~check p fc ~lo ~hi ~cancel f =
    batched solution, or any slot disagreement) is a Check_failure, raised
    before the caller sees any solution of the group. The slice accepts
    (and ignores) the counter record so it stays interchangeable with
-   [iter_envs_batched_slice] in [Parallel.slice_interp]; the replay runs
+   [iter_envs_batched_slice] in [Parallel.count]'s chunks; the replay runs
    the group twice over, so its counters are deliberately discarded. *)
-let iter_envs_batched_checked_slice ?dense p fc ~lo ~hi ~cancel ~fb:_ f =
+let iter_envs_batched_checked_slice ?dense p fc ~lo ~hi ~fb:_ f =
   sanitize_static p;
   if p.feasible && Array.length p.atoms > 0 then begin
     let group = morsel_rows () in
@@ -2135,16 +2131,14 @@ let iter_envs_batched_checked_slice ?dense p fc ~lo ~hi ~cancel ~fb:_ f =
     in
     let scratch = fb_create (Array.length p.atoms) in
     let glo = ref lo in
-    while !glo < hi && not (cancel ()) do
+    while !glo < hi do
       let ghi = min hi (!glo + group) in
       let buf = ref [] in
-      iter_envs_batched_slice ~dense p fc ~lo:!glo ~hi:ghi ~cancel:no_cancel
-        ~fb:scratch (fun env -> buf := Array.copy env :: !buf);
+      iter_envs_batched_slice ~dense p fc ~lo:!glo ~hi:ghi ~fb:scratch (fun env -> buf := Array.copy env :: !buf);
       let batched = Array.of_list (List.rev !buf) in
       note_max bm_replay_rows (Array.length batched);
       let k = ref 0 in
-      iter_envs_fixed_slice ~check:true p fc ~lo:!glo ~hi:ghi
-        ~cancel:no_cancel (fun env ->
+      iter_envs_fixed_slice ~check:true p fc ~lo:!glo ~hi:ghi (fun env ->
           if !k >= Array.length batched then
             check_fail
               "batched run dropped solution %d of the scalar fixed-order twin"
@@ -2180,30 +2174,49 @@ let run_seq p f slice =
       if Atomic.get checked then sanitize_static p;
       if p.feasible then f (Array.copy p.init_env)
 
-(* the sequential enumeration; the public [iter_envs] below additionally
-   partitions across domains when enabled *)
-let iter_envs_seq p f =
-  run_seq p f (fun fc ->
-      if Atomic.get checked then
-        iter_envs_batched_checked_slice p fc ~lo:0 ~hi:fc.fc_count
-          ~cancel:no_cancel ~fb:(fb_create 0) f
-      else begin
-        let fb = fb_create (Array.length p.atoms) in
-        iter_envs_batched_slice p fc ~lo:0 ~hi:fc.fc_count ~cancel:no_cancel
-          ~fb f;
-        fb_commit p fc fb
-      end)
+(* one enumeration over the whole top-level range of [fc], on the calling
+   domain: checked mode replays every morsel group against the scalar twin
+   (and commits no counters), otherwise the run's counters are committed *)
+let enum_slice p fc f =
+  if Atomic.get checked then
+    iter_envs_batched_checked_slice p fc ~lo:0 ~hi:fc.fc_count
+      ~fb:(fb_create 0) f
+  else begin
+    let fb = fb_create (Array.length p.atoms) in
+    iter_envs_batched_slice p fc ~lo:0 ~hi:fc.fc_count ~fb f;
+    fb_commit p fc fb
+  end
 
-(* the sequential first-match run: same order as [iter_envs_seq], one
-   environment at a time, so an exception raised by [f] exits at the first
-   witness *)
+(* Enumeration and first-match run on the calling domain at every pool
+   size. A parallel enumeration had to buffer each chunk's solutions for
+   the in-order replay, and a parallel first-match paid the region's spawn
+   for a search that usually stops within a few candidates; on a 2-core
+   x86 VM pool 2 lost to pool 1 on both at every measured size
+   (EXPERIMENTS.md, the pool-1 vs pool-2 curve), so only [count] and
+   [Rel.semijoin] open regions. *)
+let iter_envs p f = run_seq p f (fun fc -> enum_slice p fc f)
+
+(* the first-match run: same order as [iter_envs], one environment at a
+   time, so an exception raised by [f] exits at the first witness *)
 let iter_envs_first p f =
   run_seq p f (fun fc ->
       iter_envs_fixed_slice ~check:(Atomic.get checked) p fc ~lo:0
-        ~hi:fc.fc_count ~cancel:no_cancel f)
+        ~hi:fc.fc_count f)
+
+exception Hit
+
+(* First-match probes run on the fixed-order scalar runner: the batched
+   pipeline materializes a whole morsel group (and builds its probe tables)
+   before its first result, which is exactly wrong for a short-circuit that
+   usually stops within a handful of candidates. *)
+let sat p =
+  try
+    iter_envs_first p (fun _ -> raise Hit);
+    false
+  with Hit -> true
 
 (* ------------------------------------------------------------------ *)
-(* Domain-parallel enumeration                                          *)
+(* Domain-parallel regions: count and semijoin                          *)
 (* ------------------------------------------------------------------ *)
 
 module Parallel = struct
@@ -2220,14 +2233,13 @@ module Parallel = struct
   let domains () = Atomic.get domains_flag
 
   (* Regions are opt-in: a pool alone runs sequentially until a caller names
-     the fewest top-level candidate rows worth a region's cost (spawning and
-     joining the helper domains, buffering and merging their results, and
-     the stop-the-world minor collections a second domain adds). On a
-     2-core x86 VM pool 2 never beat pool 1 for enumeration or [sat], and
-     [count] won or lost by query shape rather than by row count
-     (EXPERIMENTS.md), so there is no measured default; [max_int] stands
-     for "no threshold set". Tests set it to 1 to exercise the parallel
-     path on small instances. *)
+     the fewest rows (top-level candidates of a count, input rows of a
+     semijoin) worth a region's cost (spawning and joining the helper
+     domains, merging their results, and the stop-the-world minor
+     collections a second domain adds). On a 2-core x86 VM [count] won or
+     lost by query shape rather than by row count (EXPERIMENTS.md), so there
+     is no measured default; [max_int] stands for "no threshold set". Tests
+     set it to 1 to exercise the parallel path on small instances. *)
   let min_rows_flag = Atomic.make max_int
   let set_min_rows n = Atomic.set min_rows_flag (max 1 n)
   let min_rows () = Atomic.get min_rows_flag
@@ -2288,42 +2300,40 @@ module Parallel = struct
   let set_race_check b = Atomic.set race_flag b
   let race_check_enabled () = Atomic.get race_flag
 
-  (* test-only seeded fault: each count/enum chunk additionally stores into
-     a peer chunk's cell (value-neutral), exactly the corrupted-reducer
-     shape the sanitizer must catch *)
+  (* test-only seeded fault: each region chunk additionally stores into a
+     peer chunk's cell (value-neutral), exactly the corrupted-reducer shape
+     the sanitizer must catch *)
   let fault_flag = Atomic.make false
   let set_fault_injection b = Atomic.set fault_flag b
   let fault_injection_enabled () = Atomic.get fault_flag
 
   (* the shared locations of a region, by role; [Chunk_cell i] stands for
-     chunk [i]'s slot of the per-chunk result array (buffer or count cell),
-     which only chunk [i] may write *)
+     chunk [i]'s slot of the per-chunk result array, which only chunk [i]
+     may write *)
   type shared_loc =
     | Next_counter
     | Error_slot
-    | Cancel_flag
     | Chunk_cell of int
     | Column_block of int
-        (* chunk [i]'s batched slot columns, logged as one whole-column
-           access per (location, kind) rather than per lane *)
+        (* chunk [i]'s working state (a count chunk's batched slot columns,
+           a semijoin chunk's kept rows), logged as one whole-block access
+           per (location, kind) rather than per lane *)
 
   let loc_atomic = function
-    | Next_counter | Error_slot | Cancel_flag -> true
+    | Next_counter | Error_slot -> true
     | Chunk_cell _ | Column_block _ -> false
 
   let loc_name = function
     | Next_counter -> "chunk-dispatch-counter"
     | Error_slot -> "error-slot"
-    | Cancel_flag -> "cancel-flag"
     | Chunk_cell i -> Printf.sprintf "chunk cell %d" i
     | Column_block i -> Printf.sprintf "batch columns of chunk %d" i
 
   (* One access record per (location, kind) a chunk performs: the logical
      clock of the first access plus a repetition count, so logging stays
-     O(distinct locations) even for locations polled once per candidate row
-     (the cancel flag is). Each chunk mutates only its own cell of
-     [tr_events]/[tr_clock] — the sanitizer introduces no shared writes of
-     its own. *)
+     O(distinct locations) however often a location is touched. Each chunk
+     mutates only its own cell of [tr_events]/[tr_clock] — the sanitizer
+     introduces no shared writes of its own. *)
   type access = {
     ac_loc : shared_loc;
     ac_write : bool;
@@ -2436,185 +2446,98 @@ module Parallel = struct
     List.iter Domain.join workers;
     match Atomic.get err with Some e -> raise e | None -> ()
 
-  (* Enter a region if profitable: [None] (callers run sequentially) when
-     the pool size is 1, the plan is trivial, the top-level candidate count
-     is below the row threshold, or a region is already running. On [Some]
-     the caller owns the region and must [leave] (via Fun.protect). *)
-  let enter p =
-    let nd = Atomic.get domains_flag in
-    if nd <= 1 || (not p.feasible) || Array.length p.atoms = 0 then None
-    else
-      match select_first p with
-      | None -> None
-      | Some fc ->
-          if fc.fc_count < Atomic.get min_rows_flag then None
-          else if not (Atomic.compare_and_set in_region false true) then None
-          else Some (nd, fc)
-
   let leave () = Atomic.set in_region false
 
-  (* the slice interpreter is chosen once per region from the checked flag
-     and shared by every worker: a concurrent [set_checked] cannot tear a
-     run into mixed chunks *)
-  let slice_interp () =
-    if Atomic.get checked then iter_envs_batched_checked_slice
-    else iter_envs_batched_slice
-
-  (* [iter p f]: every satisfying environment, in an order identical to the
-     sequential enumeration. Chunks buffer copies of their solutions; the
-     buffers are replayed on the calling domain in chunk order (chunks are
-     contiguous slices of the top-level candidate sequence, so chunk-order
-     concatenation IS sequential order). [f] runs outside the region and
-     may re-enter the engine. *)
-  let iter p f =
-    match enter p with
-    | None -> iter_envs_seq p f
-    | Some (nd, fc) ->
-        let interp = slice_interp () in
-        let dense = dense_tables p fc ~rows:fc.fc_count in
-        let checked_run = Atomic.get checked in
-        let nchunks = nchunks_for nd fc.fc_count in
-        let bounds = chunk_bounds fc.fc_count nchunks in
-        let buffers = Array.make nchunks [] in
-        (* chunk-local counter records: chunk [i] writes only [fbs.(i)]
-           (the Chunk_cell i owner-only discipline); the coordinator merges
-           them after the join, so the merged record equals the sequential
-           run's exactly — every counter is a per-candidate-row property *)
-        let fbs =
-          Array.init nchunks (fun _ -> fb_create (Array.length p.atoms))
-        in
-        let trace =
-          if Atomic.get race_flag then Some (make_trace nchunks) else None
-        in
-        let inject = Atomic.get fault_flag in
-        let log i loc ~write =
-          match trace with
-          | Some tr -> log_access tr i loc ~write
-          | None -> ()
-        in
-        Fun.protect ~finally:leave (fun () ->
-            run_chunks ?trace ~nd ~nchunks (fun i ->
-                let lo, hi = bounds.(i) in
-                let buf = ref [] in
-                log i (Column_block i) ~write:true;
-                interp ~dense p fc ~lo ~hi ~cancel:no_cancel ~fb:fbs.(i) (fun env ->
-                    buf := Array.copy env :: !buf);
-                log i (Chunk_cell i) ~write:true;
-                buffers.(i) <- List.rev !buf;
-                note_max bm_replay_rows (List.length buffers.(i));
-                if inject && nchunks > 1 then begin
-                  (* seeded fault: value-neutral store into a peer's cell *)
-                  let j = (i + 1) mod nchunks in
-                  log i (Chunk_cell j) ~write:true;
-                  buffers.(j) <- buffers.(j)
-                end);
-            Option.iter validate_trace trace);
-        if not checked_run then begin
-          let merged = fb_create (Array.length p.atoms) in
+  (* The one region driver, shared by [count] and [Rel.semijoin].
+     [region ~rows ~fb_atoms prepare] returns [None] — the caller runs
+     sequentially — when the pool size is 1, [rows] is under the row
+     threshold, or a region is already running. Otherwise it owns the
+     region: [prepare ()] runs once on the calling domain and returns the
+     chunk worker, which chunk [i] calls over its morsel [lo, hi) of
+     [0, rows) with its own counter record of [fb_atoms] atoms. The driver
+     logs each chunk's accesses under the sanitizer and validates them at
+     the join, applies the seeded fault, and merges the chunk-local counter
+     records, so the merged record equals a sequential run's exactly (every
+     counter is a per-candidate-row property). It returns the per-chunk
+     results in chunk order with the merged counters. *)
+  let region ~rows ~fb_atoms prepare =
+    let nd = Atomic.get domains_flag in
+    if
+      nd <= 1
+      || rows < Atomic.get min_rows_flag
+      || not (Atomic.compare_and_set in_region false true)
+    then None
+    else
+      Fun.protect ~finally:leave (fun () ->
+          let work = prepare () in
+          let nchunks = nchunks_for nd rows in
+          let bounds = chunk_bounds rows nchunks in
+          (* chunk [i] writes only [cells.(i)] and [fbs.(i)] (the
+             Chunk_cell i owner-only discipline) *)
+          let cells = Array.make nchunks None in
+          let fbs = Array.init nchunks (fun _ -> fb_create fb_atoms) in
+          let trace =
+            if Atomic.get race_flag then Some (make_trace nchunks) else None
+          in
+          let inject = Atomic.get fault_flag in
+          let log i loc ~write =
+            match trace with
+            | Some tr -> log_access tr i loc ~write
+            | None -> ()
+          in
+          run_chunks ?trace ~nd ~nchunks (fun i ->
+              let lo, hi = bounds.(i) in
+              log i (Column_block i) ~write:true;
+              let r = work ~lo ~hi fbs.(i) in
+              log i (Chunk_cell i) ~write:true;
+              cells.(i) <- Some r;
+              if inject && nchunks > 1 then begin
+                (* seeded fault: value-neutral store into a peer's cell *)
+                let j = (i + 1) mod nchunks in
+                log i (Chunk_cell j) ~write:true;
+                cells.(j) <- cells.(j)
+              end);
+          Option.iter validate_trace trace;
+          let merged = fb_create fb_atoms in
           Array.iter (fb_add merged) fbs;
-          fb_commit p fc merged
-        end;
-        Array.iter (List.iter f) buffers
+          Some (Array.map Option.get cells, merged))
 
-  (* [count p]: per-chunk counts, summed. *)
+  (* [count p]: per-chunk counts, summed. The region builds the dense probe
+     tables once and every chunk reads them. *)
   let count p =
-    match enter p with
-    | None ->
-        let n = ref 0 in
-        iter_envs_seq p (fun _ -> incr n);
-        !n
-    | Some (nd, fc) ->
-        let interp = slice_interp () in
-        let dense = dense_tables p fc ~rows:fc.fc_count in
+    let n = ref 0 in
+    run_seq p
+      (fun _ -> incr n)
+      (fun fc ->
         let checked_run = Atomic.get checked in
-        let nchunks = nchunks_for nd fc.fc_count in
-        let bounds = chunk_bounds fc.fc_count nchunks in
-        let counts = Array.make nchunks 0 in
-        let fbs =
-          Array.init nchunks (fun _ -> fb_create (Array.length p.atoms))
+        let prepare () =
+          (* the slice interpreter is chosen once per region and shared by
+             every worker: a concurrent [set_checked] cannot tear a run into
+             mixed chunks *)
+          let interp =
+            if checked_run then iter_envs_batched_checked_slice
+            else iter_envs_batched_slice
+          in
+          let dense = dense_tables p fc ~rows:fc.fc_count in
+          fun ~lo ~hi fb ->
+            let k = ref 0 in
+            interp ~dense p fc ~lo ~hi ~fb (fun _ -> incr k);
+            !k
         in
-        let trace =
-          if Atomic.get race_flag then Some (make_trace nchunks) else None
-        in
-        let inject = Atomic.get fault_flag in
-        let log i loc ~write =
-          match trace with
-          | Some tr -> log_access tr i loc ~write
-          | None -> ()
-        in
-        Fun.protect ~finally:leave (fun () ->
-            run_chunks ?trace ~nd ~nchunks (fun i ->
-                let lo, hi = bounds.(i) in
-                let n = ref 0 in
-                log i (Column_block i) ~write:true;
-                interp ~dense p fc ~lo ~hi ~cancel:no_cancel ~fb:fbs.(i) (fun _ ->
-                    incr n);
-                log i (Chunk_cell i) ~write:true;
-                counts.(i) <- !n;
-                if inject && nchunks > 1 then begin
-                  (* seeded fault: value-neutral store into a peer's cell *)
-                  let j = (i + 1) mod nchunks in
-                  log i (Chunk_cell j) ~write:true;
-                  counts.(j) <- counts.(j)
-                end);
-            Option.iter validate_trace trace);
-        if not checked_run then begin
-          let merged = fb_create (Array.length p.atoms) in
-          Array.iter (fb_add merged) fbs;
-          fb_commit p fc merged
-        end;
-        Array.fold_left ( + ) 0 counts
+        match
+          region ~rows:fc.fc_count ~fb_atoms:(Array.length p.atoms) prepare
+        with
+        | None -> enum_slice p fc (fun _ -> incr n)
+        | Some (counts, fb) ->
+            if not checked_run then fb_commit p fc fb;
+            n := Array.fold_left ( + ) 0 counts);
+    !n
 
-  exception Hit
-
-  (* [sat p]: the first witness on any domain raises the shared atomic flag;
-     peers poll it between top-level candidates and stop early.
-
-     First-match probes run on the fixed-order scalar runner: the batched
-     pipeline materializes a whole morsel group (and builds its probe
-     tables) before its first result, which is exactly wrong for a
-     short-circuit that usually stops within a handful of candidates. *)
-  let sat p =
-    match enter p with
-    | None -> (
-        try
-          iter_envs_first p (fun _ -> raise Hit);
-          false
-        with Hit -> true)
-    | Some (nd, fc) ->
-        (* read once per region, like [slice_interp] *)
-        let check = Atomic.get checked in
-        let nchunks = nchunks_for nd fc.fc_count in
-        let bounds = chunk_bounds fc.fc_count nchunks in
-        let found = Atomic.make false in
-        let trace =
-          if Atomic.get race_flag then Some (make_trace nchunks) else None
-        in
-        let log i loc ~write =
-          match trace with
-          | Some tr -> log_access tr i loc ~write
-          | None -> ()
-        in
-        Fun.protect ~finally:leave (fun () ->
-            run_chunks ?trace ~nd ~nchunks (fun i ->
-                let cancel () =
-                  log i Cancel_flag ~write:false;
-                  Atomic.get found
-                in
-                if not (cancel ()) then begin
-                  let lo, hi = bounds.(i) in
-                  try
-                    iter_envs_fixed_slice ~check p fc ~lo ~hi ~cancel
-                      (fun _ -> raise Hit)
-                  with Hit ->
-                    log i Cancel_flag ~write:true;
-                    Atomic.set found true
-                end);
-            Option.iter validate_trace trace);
-        Atomic.get found
-
-  (* the partitioning decision for a plan under the current configuration,
-     as plain data for Analysis.Cost / the explain CLI *)
+  (* the count-region partitioning decision for a plan under the current
+     configuration, as plain data for Analysis.Cost / the explain CLI.
+     Regions serve [count] (and [Rel.semijoin], over its input rows);
+     enumeration and first-match run sequentially at every pool size, so a
+     chunked decision names the count region only. *)
   type decision = {
     d_domains : int;  (* configured pool size *)
     d_atom : int option;  (* top-level atom (plan index), if any *)
@@ -2627,56 +2550,43 @@ module Parallel = struct
   let decision p =
     let nd = Atomic.get domains_flag in
     let mr = Atomic.get min_rows_flag in
+    let sequential atom rows reason =
+      { d_domains = nd;
+        d_atom = atom;
+        d_rows = rows;
+        d_chunks = 1;
+        d_chunk_rows = rows;
+        d_reason = "sequential: " ^ reason }
+    in
     match select_first p with
     | None ->
-        { d_domains = nd;
-          d_atom = None;
-          d_rows = 0;
-          d_chunks = 1;
-          d_chunk_rows = 0;
-          d_reason =
-            (if not p.feasible then "sequential: infeasible plan"
-             else "sequential: no atoms") }
+        sequential None 0
+          (if not p.feasible then "infeasible plan" else "no atoms")
     | Some fc ->
         let atom = Some p.order.(fc.fc_pos) in
-        if nd <= 1 then
-          { d_domains = nd;
-            d_atom = atom;
-            d_rows = fc.fc_count;
-            d_chunks = 1;
-            d_chunk_rows = fc.fc_count;
-            d_reason = "sequential: pool size 1" }
-        else if fc.fc_count < mr then
-          { d_domains = nd;
-            d_atom = atom;
-            d_rows = fc.fc_count;
-            d_chunks = 1;
-            d_chunk_rows = fc.fc_count;
-            d_reason =
-              (if mr = max_int then
-                 "sequential: no row threshold set (regions are opt-in)"
-               else
-                 Printf.sprintf
-                   "sequential: %d candidate row(s) under the %d-row threshold"
-                   fc.fc_count mr) }
+        let rows = fc.fc_count in
+        if nd <= 1 then sequential atom rows "pool size 1"
+        else if rows < mr then
+          sequential atom rows
+            (if mr = max_int then "no row threshold set (regions are opt-in)"
+             else
+               Printf.sprintf "%d candidate row(s) under the %d-row threshold"
+                 rows mr)
         else
-          let nchunks = nchunks_for nd fc.fc_count in
+          let nchunks = nchunks_for nd rows in
           { d_domains = nd;
             d_atom = atom;
-            d_rows = fc.fc_count;
+            d_rows = rows;
             d_chunks = nchunks;
-            d_chunk_rows = (fc.fc_count + nchunks - 1) / nchunks;
+            d_chunk_rows = (rows + nchunks - 1) / nchunks;
             d_reason =
               Printf.sprintf
-                "parallel: %d morsel(s) of up to %d row(s) on %d domain(s)"
-                nchunks
-                (chunk_size_for nd fc.fc_count)
-                nd }
+                "count region: %d morsel(s) of up to %d row(s) on %d \
+                 domain(s); enumeration and first-match run sequentially"
+                nchunks (chunk_size_for nd rows) nd }
 end
 
-let iter_envs = Parallel.iter
 let count_envs = Parallel.count
-let sat = Parallel.sat
 
 (* ------------------------------------------------------------------ *)
 (* Plan inspection                                                      *)
@@ -2749,7 +2659,7 @@ module Inspect = struct
 
   type feedback_view = {
     f_atoms : feedback_atom array;
-    f_runs : int;            (* completed (uncancelled) enumerations *)
+    f_runs : int;            (* completed enumerations *)
     f_top : int option;      (* the top-level atom select_first would choose *)
     f_threshold : float;     (* drift threshold in force, log10 decades *)
     f_min_probed : int;      (* evidence floor in force *)
@@ -2809,14 +2719,7 @@ module Inspect = struct
 
   type write_view = { w_site : string; w_target : string; w_owner_only : bool }
 
-  type reducer_view = {
-    r_primitive : string;
-    r_merge : string;
-    r_ordered : bool;
-    r_order_preserving : bool;
-    r_total : bool;
-    r_cancelling : bool;
-  }
+  type reducer_view = { r_primitive : string; r_merge : string }
 
   type par_view = {
     pv_domains : int;
@@ -2840,32 +2743,13 @@ module Inspect = struct
   let par (p : t) =
     let d = Parallel.decision p in
     let chunks = Parallel.chunk_bounds d.Parallel.d_rows d.Parallel.d_chunks in
-    let reducers =
-      [| { r_primitive = "enum";
-           r_merge = "chunk-order-concat";
-           r_ordered = true;
-           r_order_preserving = true;
-           r_total = true;
-           r_cancelling = false };
-         { r_primitive = "count";
-           r_merge = "sum";
-           r_ordered = false;
-           r_order_preserving = false;
-           r_total = true;
-           r_cancelling = false };
-         { r_primitive = "sat";
-           r_merge = "first-witness";
-           r_ordered = false;
-           r_order_preserving = false;
-           r_total = false;
-           r_cancelling = true } |]
-    in
+    (* the plan's one region primitive: enumeration and first-match run
+       sequentially *)
+    let reducers = [| { r_primitive = "count"; r_merge = "sum" } |] in
     let shared =
       [| { s_name = "chunk-dispatch-counter"; s_kind = Atomic_cell };
          { s_name = "error-slot"; s_kind = Atomic_cell };
-         { s_name = "cancel-flag"; s_kind = Atomic_cell };
          { s_name = "region-guard"; s_kind = Atomic_cell };
-         { s_name = "chunk-buffers"; s_kind = Chunk_local };
          { s_name = "chunk-counts"; s_kind = Chunk_local };
          { s_name = "feedback-cells"; s_kind = Chunk_local };
          (* the batched interpreter's columnar state is chunk-local: each
@@ -2877,13 +2761,9 @@ module Inspect = struct
           w_target = "chunk-dispatch-counter";
           w_owner_only = false };
         { w_site = "first-failure"; w_target = "error-slot"; w_owner_only = false };
-        { w_site = "sat-witness"; w_target = "cancel-flag"; w_owner_only = false };
         { w_site = "region-enter-leave";
           w_target = "region-guard";
           w_owner_only = false };
-        { w_site = "enum-solution-buffer";
-          w_target = "chunk-buffers";
-          w_owner_only = true };
         { w_site = "count-accumulate";
           w_target = "chunk-counts";
           w_owner_only = true };
@@ -3134,7 +3014,7 @@ let stream_projections db atoms ~init ~onto ~offset ~limit f =
     let probe = Array.make nk 0 in
     let skipped = ref 0 and emitted = ref 0 in
     (try
-       iter_envs_seq p (fun env ->
+       iter_envs p (fun env ->
            for i = 0 to nk - 1 do
              probe.(i) <- env.(hslots.(i))
            done;
@@ -3245,31 +3125,22 @@ module Rel = struct
         if not (Tuple.Tbl.mem keys k) then Tuple.Tbl.add keys k ())
       s.rows;
     let keep t = Tuple.Tbl.mem keys (key_of pr t) in
-    let nd = Parallel.domains () in
+    (* chunk-parallel filter: [keys] is only read inside the region, so
+       sharing the table across domains is safe; per-chunk results are
+       concatenated in chunk order to keep the row order deterministic *)
+    let filter_chunks () =
+      let arr = Array.of_list r.rows in
+      fun ~lo ~hi _ ->
+        let out = ref [] in
+        for j = hi - 1 downto lo do
+          if keep arr.(j) then out := arr.(j) :: !out
+        done;
+        !out
+    in
     let rows =
-      if
-        nd > 1
-        && r.count >= Parallel.min_rows ()
-        && Atomic.compare_and_set Parallel.in_region false true
-      then
-        (* chunk-parallel filter: [keys] is only read inside the region, so
-           sharing the table across domains is safe; per-chunk results are
-           concatenated in chunk order to keep the row order deterministic *)
-        Fun.protect ~finally:Parallel.leave (fun () ->
-            let arr = Array.of_list r.rows in
-            let count = Array.length arr in
-            let nchunks = Parallel.nchunks_for nd count in
-            let bounds = Parallel.chunk_bounds count nchunks in
-            let parts = Array.make nchunks [] in
-            Parallel.run_chunks ~nd ~nchunks (fun i ->
-                let lo, hi = bounds.(i) in
-                let out = ref [] in
-                for j = hi - 1 downto lo do
-                  if keep arr.(j) then out := arr.(j) :: !out
-                done;
-                parts.(i) <- !out);
-            List.concat (Array.to_list parts))
-      else List.filter keep r.rows
+      match Parallel.region ~rows:r.count ~fb_atoms:0 filter_chunks with
+      | Some (parts, _) -> List.concat (Array.to_list parts)
+      | None -> List.filter keep r.rows
     in
     { r with rows; count = List.length rows }
 

@@ -15,11 +15,11 @@
     assignment) are additionally cached per atom list, so re-evaluating one
     body under many [~init] bindings compiles once.
 
-    Enumeration can run domain-parallel (see {!Parallel}): the top-level
+    Counting can run domain-parallel (see {!Parallel}): the top-level
     candidate row range is partitioned into contiguous chunks drained by a
-    pool of OCaml 5 domains, and per-primitive reducers merge chunk results
-    in chunk order — which reproduces the sequential enumeration order
-    exactly, so output is deterministic regardless of scheduling.
+    pool of OCaml 5 domains and the chunk counts are summed; {!Rel.semijoin}
+    filters its input rows the same way. Enumeration and first-match run
+    on the calling domain at every pool size.
 
     [Mapping.t] appears only at the boundaries: [~init] is interned at
     compile time and solutions are read back out of the slot environment. *)
@@ -168,8 +168,8 @@ val cached_swap : t -> swap_cert option
 
 (** {2 Batched (vectorized) execution}
 
-    Every enumeration ({!iter_envs}, {!count_envs}, the projections and
-    their parallel chunks) executes each compiled instruction over a vector
+    Every enumeration ({!iter_envs}, {!count_envs} and its parallel chunks,
+    the projections) executes each compiled instruction over a vector
     of candidate environments at once: the environment vector is columnar
     (one flat [int array] per stage-bound slot, batch-row indexed), checks
     narrow a survivor bitmask in place, and index probes sort/group the
@@ -177,9 +177,8 @@ val cached_swap : t -> swap_cert option
     pipeline runs the atoms in a fixed order — the pre-computed top-level
     choice, then the static order — which makes slot boundness uniform
     across a batch; enumeration order is the depth-first order of that
-    fixed-order recursion, identical at every pool size (chunk-order
-    replay), and validated env-for-env against a scalar fixed-order twin
-    in checked mode. Top-level candidates are processed in groups of
+    fixed-order recursion, identical at every pool size, and validated
+    env-for-env against a scalar fixed-order twin in checked mode. Top-level candidates are processed in groups of
     {!Parallel.morsel_rows} rows, bounding the columnar footprint.
 
     First-match ({!sat}, {!first_homomorphism}) runs on that scalar
@@ -205,7 +204,7 @@ type batch_stats = {
           sequential run, one per parallel region, shared by its chunks *)
   bm_replay_rows : int;
       (** peak buffered environment rows of any one checked-mode morsel
-          group or parallel enumeration chunk *)
+          group *)
 }
 
 val batch_stats : unit -> batch_stats
@@ -225,21 +224,19 @@ val value_of : t -> int -> Value.t
 (** [iter_envs p f] calls [f env] for every satisfying slot assignment. The
     environment is borrowed: it is mutated (or dropped) after [f] returns, so
     callers must copy whatever they keep. Raising inside [f] aborts the
-    enumeration. Under a parallel configuration ({!Parallel.set_domains})
-    chunks buffer their solutions and [f] is applied on the calling domain
-    in chunk order, so the order of calls is identical to the sequential
-    enumeration and [f] itself never runs concurrently. *)
+    enumeration. Runs on the calling domain at every pool size
+    ({!Parallel.set_domains}) and opens no region, so the order of calls is
+    fixed and [f] never runs concurrently. *)
 val iter_envs : t -> (int array -> unit) -> unit
 
-(** [count_envs p] is the number of satisfying slot assignments. Parallel
-    reducer: per-chunk counts, summed. *)
+(** [count_envs p] is the number of satisfying slot assignments. With a
+    pool and a row threshold it opens a region (see {!Parallel}): per-chunk
+    counts, summed. *)
 val count_envs : t -> int
 
 (** [sat p]: some satisfying assignment exists. Runs on the scalar
-    fixed-order runner, tuple at a time, and commits no feedback counters.
-    Parallel reducer: the first witness on any domain raises a shared
-    atomic cancellation flag; peers poll it between top-level candidates
-    and stop early. *)
+    fixed-order runner, tuple at a time, on the calling domain at every
+    pool size, and commits no feedback counters. *)
 val sat : t -> bool
 
 (** [mapping_of_env p env] converts a satisfying environment back to a
@@ -285,34 +282,38 @@ val stream_projections :
   (Mapping.t -> unit) ->
   int
 
-(** {2 Domain-parallel enumeration}
+(** {2 Domain-parallel regions}
 
-    The matching loop's top level iterates the candidate rows of one
+    Regions serve two primitives, both through one region driver:
+    {!count_envs}, whose top level iterates the candidate rows of one
     statically chosen atom — a pure function of the plan, replicated outside
     the loop — so the row range partitions into contiguous chunks that
-    domains drain from a shared atomic counter. Per-primitive reducers merge
-    in chunk order (= sequential order). Checked mode composes: every chunk
-    runs the checked replay (or, for [sat], the checked fixed-order runner)
-    with the full per-run validation.
-    A region falls back to sequential when the pool size is 1, the top-level
-    candidate count is under {!Parallel.min_rows} (always, until a threshold
-    is set), or a region is already
-    running (nested engine calls from an enumeration callback). *)
+    domains drain from a shared atomic counter and whose counts are summed;
+    and {!Rel.semijoin}, which filters its input rows chunk by chunk and
+    concatenates the kept rows in chunk order. Checked mode composes: every
+    count chunk runs the checked replay with the full per-run validation.
+    Enumeration ({!iter_envs}, the projections) and first-match ({!sat},
+    {!first_homomorphism}) open no region: they run on the calling domain
+    at every pool size.
+    A region falls back to sequential when the pool size is 1, the row
+    count is under {!Parallel.min_rows} (always, until a threshold is set),
+    or a region is already running (nested engine calls from an
+    enumeration callback). *)
 module Parallel : sig
-  (** Set the domain pool size (clamped to [1..64]). 1 = sequential.
-      Initialized from [WDPT_ENGINE_DOMAINS]. *)
+  (** Set the domain pool size for count and semijoin regions (clamped to
+      [1..64]). 1 = sequential. Initialized from [WDPT_ENGINE_DOMAINS].
+      Enumeration and first-match ignore it. *)
   val set_domains : int -> unit
 
   val domains : unit -> int
 
-  (** Minimum top-level candidate rows before a region pays its dispatch
-      cost: spawning and joining the helper domains, buffering and merging
-      their results. Regions are opt-in: until this is set, {!min_rows} is
-      [max_int] and a pool of any size runs sequentially. On a 2-core VM
-      pool 2 never beat pool 1 for enumeration or [sat], and [count] won or
-      lost by query shape rather than by row count, so no default was
-      measurable. Tests set 1 to exercise the parallel path on small
-      instances. *)
+  (** Minimum rows (top-level candidates of a count, input rows of a
+      semijoin) before a region pays its dispatch cost: spawning and joining
+      the helper domains and merging their results. Regions are opt-in:
+      until this is set, {!min_rows} is [max_int] and a pool of any size
+      runs sequentially. On a 2-core VM [count] won or lost by query shape
+      rather than by row count, so no default was measurable. Tests set 1
+      to exercise the parallel path on small instances. *)
   val set_min_rows : int -> unit
 
   (** The current threshold; [max_int] when none was set. *)
@@ -347,8 +348,8 @@ module Parallel : sig
 
       When enabled — [WDPT_ENGINE_TSAN=1] in the environment, or
       {!set_race_check} — every parallel region logs its shared-location
-      accesses (dispatch counter, error slot, cancel flag, per-chunk result
-      cells) into per-chunk event buffers with per-chunk logical clocks, and
+      accesses (dispatch counter, error slot, per-chunk working state and
+      result cells) into per-chunk event buffers with per-chunk logical clocks, and
       validates after the join that no two unordered conflicting accesses
       occurred: chunks have no happens-before edges between each other (only
       fork and join), so any two accesses to the same non-atomic location
@@ -368,23 +369,26 @@ module Parallel : sig
   val race_stats : unit -> race_stats
   val reset_race_stats : unit -> unit
 
-  (** Test-only seeded fault: while enabled, each parallel count/enum chunk
-      additionally performs a value-neutral store into a peer chunk's result
+  (** Test-only seeded fault: while enabled, each region chunk (count or
+      semijoin) additionally performs a value-neutral store into a peer chunk's result
       cell — a deliberately corrupted reducer the sanitizer must catch (and
       {!Inspect.par} declares, so [Analysis.Par_audit] E014 flags it too). *)
   val set_fault_injection : bool -> unit
 
   val fault_injection_enabled : unit -> bool
 
-  (** The partitioning decision for a plan under the current configuration,
-      as plain data (reported by [explain] and {!Analysis.Cost}). *)
+  (** The {!count_envs} partitioning decision for a plan under the current
+      configuration, as plain data (reported by [explain] and
+      {!Analysis.Cost}). A chunked decision's reason names the count region
+      and says that enumeration and first-match run sequentially; it never
+      describes an enumeration as parallel. *)
   type decision = {
     d_domains : int;  (** configured pool size *)
     d_atom : int option;  (** top-level atom (plan index), if any *)
     d_rows : int;  (** top-level candidate rows *)
     d_chunks : int;  (** 1 = sequential *)
     d_chunk_rows : int;  (** estimated rows per chunk *)
-    d_reason : string;  (** why parallel / why sequential *)
+    d_reason : string;  (** why a count region / why sequential *)
   }
 
   val decision : t -> decision
@@ -477,7 +481,7 @@ module Inspect : sig
 
   type feedback_view = {
     f_atoms : feedback_atom array;  (** empty when infeasible/atomless *)
-    f_runs : int;  (** completed (uncancelled) enumerations folded in *)
+    f_runs : int;  (** completed enumerations folded in *)
     f_top : int option;
         (** the top-level atom the first dynamic selection would choose *)
     f_threshold : float;  (** {!Engine.drift_threshold} in force *)
@@ -494,11 +498,12 @@ module Inspect : sig
 
   (** {2 The parallel execution plan}
 
-      Plain-data view of the partitioning decision a parallel region would
-      take for this plan under the current configuration, re-derived from
-      the same pure functions the runtime uses ({!Parallel.decision},
+      Plain-data view of the partitioning decision a {!count_envs} region
+      would take for this plan under the current configuration, re-derived
+      from the same pure functions the runtime uses ({!Parallel.decision},
       {!Parallel.nchunks_for}, {!Parallel.chunk_bounds}) — what
-      [Analysis.Par_audit] verifies (E011–E015). *)
+      [Analysis.Par_audit] verifies (E011, E014–E016). Enumeration and
+      first-match open no region. *)
 
   (** How a declared shared location is protected: a hardware-ordered atomic
       cell, or chunk-local state only its owning chunk may write. *)
@@ -512,18 +517,11 @@ module Inspect : sig
       targets, and whether only the owning chunk performs it. *)
   type write_view = { w_site : string; w_target : string; w_owner_only : bool }
 
-  (** One per-primitive reducer: how chunk results merge. [r_ordered]
-      primitives have order-sensitive observable output, so their merge must
-      be chunk-order-preserving (E012); [r_total] primitives need every
-      chunk's full answer set, so they must not cancel peers (E013). *)
+  (** The region's reducer: how chunk results merge. The plan's one region
+      primitive is [count], merged by [sum]. *)
   type reducer_view = {
-    r_primitive : string;  (** ["enum"] / ["count"] / ["sat"] *)
-    r_merge : string;
-        (** ["chunk-order-concat"] / ["sum"] / ["first-witness"] *)
-    r_ordered : bool;
-    r_order_preserving : bool;
-    r_total : bool;
-    r_cancelling : bool;
+    r_primitive : string;  (** ["count"] *)
+    r_merge : string;  (** ["sum"] *)
   }
 
   type par_view = {

@@ -14,7 +14,8 @@ let deterministic_fresh (name, cases) =
 let () =
   (* parallel regions are opt-in: when the suite runs under a pool
      (WDPT_ENGINE_DOMAINS), open them at any size so that every
-     engine-backed test crosses the chunked multi-domain path *)
+     engine-backed count and semijoin crosses the chunked multi-domain
+     path *)
   if Engine.Parallel.domains () > 1 then Engine.Parallel.set_min_rows 1;
   Alcotest.run "wdpt"
     (List.map deterministic_fresh

@@ -258,9 +258,9 @@ let json_keys = function
 let batch_keys = [ "morsel-rows"; "groups"; "columns"; "stages" ]
 
 let resource_keys =
-  [ "checked"; "rows"; "group-rows"; "groups"; "slices"; "slots";
-    "stage-rows"; "peak-rows"; "column-words"; "dense-words"; "replay-rows";
-    "buffered-rows"; "peak-bytes"; "infeasible"; "saturated" ]
+  [ "checked"; "rows"; "group-rows"; "groups"; "slots"; "stage-rows";
+    "peak-rows"; "column-words"; "dense-words"; "replay-rows"; "peak-bytes";
+    "infeasible"; "saturated" ]
 
 let test_schema_stable () =
   let plan = compile_plan () in

@@ -352,9 +352,9 @@ let test_adapt_cache () =
 (* ---- schema stability ---------------------------------------------------- *)
 
 let test_schema () =
-  check_int "analysis JSON schema version" 2 Analysis.Json.schema_version;
+  check_int "analysis JSON schema version" 3 Analysis.Json.schema_version;
   (match D.report_json [] with
-  | Analysis.Json.Obj (("schema", Analysis.Json.Int 2) :: ("version", Analysis.Json.Int 1) :: _) -> ()
+  | Analysis.Json.Obj (("schema", Analysis.Json.Int 3) :: ("version", Analysis.Json.Int 1) :: _) -> ()
   | _ -> Alcotest.fail "diagnostic reports must lead with the schema version");
   (* the feedback view JSON is keyed for the explain --drift consumer *)
   with_config ~adapt:false () (fun () ->

@@ -1,10 +1,11 @@
 (* The domain-parallel runtime and incremental compiled databases: unit
-   tests for the partitioning decision, the per-primitive reducers, the
-   in-place extension of the compiled form and its E006 audit verdicts, plus
-   the qcheck properties pinning parallel runs to the sequential path —
-   set-equal answers at every pool size, deterministic (and
-   sequential-identical) enumeration order, checked-mode env-for-env parity,
-   and incremental extension indistinguishable from a rebuild. *)
+   tests for the partitioning decision, the count and semijoin regions (and
+   the absence of regions for enumeration and first-match), the in-place
+   extension of the compiled form and its E006 audit verdicts, plus the
+   qcheck properties pinning every pool size to the sequential path —
+   set-equal answers, sequential-identical enumeration order, checked-mode
+   env-for-env parity, and incremental extension indistinguishable from a
+   rebuild. *)
 
 open Relational
 open Helpers
@@ -13,17 +14,19 @@ module D = Analysis.Diagnostic
 
 (* every test restores the ambient engine configuration, whatever happens
    (the suite may itself run under WDPT_ENGINE_DOMAINS / _CHECKED) *)
-let with_engine ?domains ?min_rows ?checked f =
+let with_engine ?domains ?min_rows ?checked ?race f =
   let d0 = P.domains () and m0 = P.min_rows () in
-  let c0 = Engine.checked_enabled () in
+  let c0 = Engine.checked_enabled () and r0 = P.race_check_enabled () in
   Option.iter P.set_domains domains;
   Option.iter P.set_min_rows min_rows;
   Option.iter Engine.set_checked checked;
+  Option.iter P.set_race_check race;
   Fun.protect
     ~finally:(fun () ->
       P.set_domains d0;
       P.set_min_rows m0;
-      Engine.set_checked c0)
+      Engine.set_checked c0;
+      P.set_race_check r0)
     f
 
 let chain_db n =
@@ -35,6 +38,14 @@ let envs_of plan =
   let out = ref [] in
   Engine.iter_envs plan (fun env -> out := Array.copy env :: !out);
   List.rev !out
+
+(* the rows of E(x, y) whose y has an outgoing edge, via Rel.semijoin *)
+let semijoin_rows db =
+  let r = Engine.Rel.of_atom db (e "x" "y") in
+  let s = Engine.Rel.of_atom db (e "y" "z") in
+  Engine.Rel.to_mappings db (Engine.Rel.semijoin r s)
+
+let regions () = (P.race_stats ()).P.rs_regions
 
 (* ---- partitioning decision --------------------------------------------- *)
 
@@ -52,7 +63,15 @@ let test_decision () =
       check_bool "chunked" true (d.P.d_chunks > 1);
       check_bool "chunks cover the rows" true
         (d.P.d_chunks * d.P.d_chunk_rows >= d.P.d_rows);
-      check_bool "names the top-level atom" true (d.P.d_atom <> None));
+      check_bool "names the top-level atom" true (d.P.d_atom <> None);
+      (* the chunked decision is the count region's; it never calls an
+         enumeration parallel *)
+      check_bool "reason names the count region" true
+        (String.starts_with ~prefix:"count region:" d.P.d_reason);
+      check_bool "reason: enumeration stays sequential" true
+        (String.ends_with
+           ~suffix:"enumeration and first-match run sequentially"
+           d.P.d_reason));
   with_engine ~domains:4 ~min_rows:1_000_000 (fun () ->
       let d = P.decision plan in
       check_int "under the threshold: sequential" 1 d.P.d_chunks)
@@ -63,7 +82,7 @@ let test_reducers () =
   let db = chain_db 40 in
   let plan = Engine.compile db chain_atoms ~init:Mapping.empty in
   let seq_count = with_engine ~domains:1 (fun () -> Engine.count_envs plan) in
-  let seq_envs = with_engine ~domains:1 (fun () -> envs_of plan) in
+  let seq_rows = with_engine ~domains:1 (fun () -> semijoin_rows db) in
   check_bool "instance is non-trivial" true (seq_count > 10);
   List.iter
     (fun nd ->
@@ -72,14 +91,11 @@ let test_reducers () =
             (Printf.sprintf "count at %d domains" nd)
             seq_count (Engine.count_envs plan);
           check_bool
-            (Printf.sprintf "sat at %d domains" nd)
-            true (Engine.sat plan);
-          check_bool
-            (Printf.sprintf "enumeration order at %d domains" nd)
+            (Printf.sprintf "semijoin row order at %d domains" nd)
             true
-            (envs_of plan = seq_envs)))
+            (semijoin_rows db = seq_rows)))
     [ 2; 4 ];
-  (* an unsatisfiable plan stays unsatisfiable in parallel *)
+  (* an unsatisfiable plan stays unsatisfiable under a pool *)
   let dead =
     Engine.compile db [ e "x" "y"; atom "U" [ v "x" ] ] ~init:Mapping.empty
   in
@@ -87,8 +103,8 @@ let test_reducers () =
       check_bool "no witness" false (Engine.sat dead);
       check_int "empty count" 0 (Engine.count_envs dead))
 
-(* a worker callback that re-enters the engine must not deadlock or nest
-   domain pools: the nested call takes the sequential path *)
+(* an enumeration callback that re-enters the engine runs its counts (and
+   their regions) to completion: nothing deadlocks or nests domain pools *)
 let test_reentrancy () =
   let db = chain_db 20 in
   let plan = Engine.compile db [ e "x" "y" ] ~init:Mapping.empty in
@@ -97,6 +113,33 @@ let test_reentrancy () =
       Engine.iter_envs plan (fun _ ->
           if Engine.count_envs plan <= 0 then nested_ok := false);
       check_bool "nested evaluation inside a callback" true !nested_ok)
+
+(* enumeration and first-match open no region at any pool size or
+   threshold: with the sanitizer armed, every validated region would bump
+   the region counter *)
+let test_sequential_primitives () =
+  let db = chain_db 40 in
+  let plan = Engine.compile db chain_atoms ~init:Mapping.empty in
+  let seq_envs = with_engine ~domains:1 (fun () -> envs_of plan) in
+  let seq_first =
+    with_engine ~domains:1 (fun () ->
+        Engine.first_homomorphism db chain_atoms ~init:Mapping.empty)
+  in
+  List.iter
+    (fun nd ->
+      with_engine ~domains:nd ~min_rows:1 ~race:true (fun () ->
+          let r0 = regions () in
+          let name s = Printf.sprintf "%s at pool %d" s nd in
+          check_bool (name "enumeration order") true (envs_of plan = seq_envs);
+          check_bool (name "sat") true (Engine.sat plan);
+          check_bool (name "first homomorphism") true
+            (Engine.first_homomorphism db chain_atoms ~init:Mapping.empty
+            = seq_first);
+          check_int (name "no region opened") r0 (regions ());
+          (* the count over the same plan does open one *)
+          ignore (Engine.count_envs plan);
+          check_int (name "count opens a region") (r0 + 1) (regions ())))
+    [ 2; 4 ]
 
 (* ---- region lifecycle --------------------------------------------------- *)
 
@@ -107,15 +150,13 @@ let test_many_regions () =
   let db = chain_db 40 in
   let plan = Engine.compile db chain_atoms ~init:Mapping.empty in
   let seq_count = with_engine ~domains:1 (fun () -> Engine.count_envs plan) in
-  let seq_envs = with_engine ~domains:1 (fun () -> envs_of plan) in
+  let seq_rows = with_engine ~domains:1 (fun () -> semijoin_rows db) in
   with_engine ~domains:2 ~min_rows:1 (fun () ->
       check_bool "plan opens a region" true ((P.decision plan).P.d_chunks > 1);
       for i = 1 to 500 do
         let ok =
-          match i mod 3 with
-          | 0 -> Engine.count_envs plan = seq_count
-          | 1 -> envs_of plan = seq_envs
-          | _ -> Engine.sat plan
+          if i mod 2 = 0 then Engine.count_envs plan = seq_count
+          else semijoin_rows db = seq_rows
         in
         if not ok then Alcotest.failf "region %d disagrees with sequential" i
       done)
@@ -123,15 +164,19 @@ let test_many_regions () =
 let test_resize_between_regions () =
   let db = chain_db 40 in
   let plan = Engine.compile db chain_atoms ~init:Mapping.empty in
-  let seq_envs = with_engine ~domains:1 (fun () -> envs_of plan) in
+  let seq_count = with_engine ~domains:1 (fun () -> Engine.count_envs plan) in
+  let seq_rows = with_engine ~domains:1 (fun () -> semijoin_rows db) in
   with_engine ~min_rows:1 (fun () ->
       List.iter
         (fun nd ->
           P.set_domains nd;
+          check_int
+            (Printf.sprintf "count at pool %d" nd)
+            seq_count (Engine.count_envs plan);
           check_bool
-            (Printf.sprintf "answers at pool %d" nd)
+            (Printf.sprintf "semijoin at pool %d" nd)
             true
-            (envs_of plan = seq_envs))
+            (semijoin_rows db = seq_rows))
         [ 3; 2; 1; 3 ])
 
 (* checked mode rejects a detached plan inside every chunk, so helpers
@@ -152,9 +197,9 @@ let test_worker_exception () =
   with_engine ~domains:2 ~min_rows:1 (fun () ->
       check_int "next region runs" seq (Engine.count_envs fresh))
 
-(* a region over at least 128 top-level rows builds the dense probe tables
-   once and every chunk reads them: answers, order and checked-mode replay
-   must match the sequential run that builds its own *)
+(* a count region over at least 128 top-level rows builds the dense probe
+   tables once and every chunk reads them: the count, with and without the
+   checked-mode replay, must match the sequential run that builds its own *)
 let test_shared_dense () =
   let db = chain_db 600 in
   let plan = Engine.compile db chain_atoms ~init:Mapping.empty in
@@ -167,7 +212,6 @@ let test_shared_dense () =
           Engine.reset_batch_stats ();
           let name = Printf.sprintf "pool %d, checked %b" nd checked in
           check_bool (name ^ ": chunked") true ((P.decision plan).P.d_chunks > 1);
-          check_bool (name ^ ": enumeration") true (envs_of plan = seq_envs);
           check_int (name ^ ": count") (List.length seq_envs)
             (Engine.count_envs plan);
           check_bool (name ^ ": dense tables built") true
@@ -326,4 +370,6 @@ let suite =
     prop_parallel_wdpt_agree;
     prop_parallel_order_deterministic;
     prop_checked_parallel_parity;
-    prop_incremental_equals_rebuild ]
+    prop_incremental_equals_rebuild;
+    Alcotest.test_case "enumeration and first-match open no region" `Quick
+      test_sequential_primitives ]
