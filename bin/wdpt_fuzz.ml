@@ -50,9 +50,12 @@
    against full re-evaluation at both semantics levels, replaying the
    emitted change events through the E030 check, auditing the view
    invariants (E028/E029) and the dirty-range derivation (E027) — all
-   expected clean. Deletions make up a quarter of the operations by
+   expected clean. The full re-evaluation runs on Database.copy of the
+   database, so its compiled store is built from scratch while the view's
+   is synced in place. Deletions make up a quarter of the operations by
    default; WDPT_DELTA_FUZZ_DELETES=1 doubles that to half, so the
-   tombstone/compaction paths see delete-heavy streams.
+   tombstone/compaction paths see delete-heavy streams. From the second
+   batch on, one insertion in four re-adds a fact an earlier batch removed.
 
    --batch-audit-diff COUNT runs the batch-pipeline differential (default
    300): on COUNT random instances, with randomized morsel size and checked
@@ -309,23 +312,34 @@ let check_delta_diff st p db =
   let nodes = max 4 (Database.adom_size db) in
   (* delete probability: 1/4 by default, 1/2 under WDPT_DELTA_FUZZ_DELETES *)
   let del_weight = if delta_fuzz_deletes then 2 else 1 in
+  (* facts removed by earlier batches: from the second batch on, one
+     insertion in four re-adds one of them instead of a fresh edge, so the
+     compiled store appends a fact it compacted away in an earlier sync *)
+  let removed = ref [] and removed_now = ref [] in
   for batch = 1 to 6 do
     let tag s = Printf.sprintf "%s-batch-%d" s batch in
     let before_eval = Wdpt.Standing.answers standing in
     let before_max = Wdpt.Standing.maximal_answers standing in
     let v0 = Wdpt.Standing.version standing in
+    removed := !removed_now @ !removed;
+    removed_now := [];
     for _op = 1 to 1 + Random.State.int st 4 do
       if Random.State.int st 4 < del_weight then (
         match Database.facts db with
         | [] -> ()
         | live ->
-            Database.remove db
-              (List.nth live (Random.State.int st (List.length live))))
+            let f = List.nth live (Random.State.int st (List.length live)) in
+            Database.remove db f;
+            removed_now := f :: !removed_now)
       else
-        Database.add db
-          (Fact.make "E"
-             [ Value.int (Random.State.int st nodes);
-               Value.int (Random.State.int st nodes) ])
+        match !removed with
+        | _ :: _ as l when Random.State.int st 4 = 0 ->
+            Database.add db (List.nth l (Random.State.int st (List.length l)))
+        | _ ->
+            Database.add db
+              (Fact.make "E"
+                 [ Value.int (Random.State.int st nodes);
+                   Value.int (Random.State.int st nodes) ])
     done;
     let b = Engine.Delta.batch db ~since:v0 in
     (match
@@ -335,8 +349,11 @@ let check_delta_diff st p db =
     | [] -> ()
     | ds -> fail (tag ("ranges-" ^ codes ds)));
     let events = Wdpt.Standing.refresh standing in
-    let after_eval = Wdpt.Semantics.eval db p in
-    let after_max = Wdpt.Semantics.eval_max db p in
+    (* the oracle evaluates on a copy, whose compiled store is built from
+       scratch: a defect of the in-place store cannot reach both sides *)
+    let fresh = Database.copy db in
+    let after_eval = Wdpt.Semantics.eval fresh p in
+    let after_max = Wdpt.Semantics.eval_max fresh p in
     if not (Mapping.Set.equal (Wdpt.Standing.answers standing) after_eval)
     then fail (tag "eval-vs-full");
     if

@@ -7,7 +7,9 @@ open Relational
    (Wdpt.Standing.view) and refresh event streams — so tests can corrupt
    the inputs and prove each code fires. Costs are O(batch × atoms) for
    E027 and O(view) for E028/E029 (frontier checks are quadratic within a
-   comparability group, which is part of the view's own invariant). *)
+   comparability group, which is part of the view's own invariant; the
+   materialised answer sets are compared with the group unions in
+   O(view · log view)). *)
 
 let str pp v = Format.asprintf "%a" pp v
 let mstr = str Mapping.pp
@@ -218,6 +220,40 @@ let audit_view p (v : Wdpt.Standing.view) =
                  Mapping.pp a Mapping.pp gk))
         answer_list)
     v.v_groups;
+  (* E029 / E028: the materialised p(D) and p_m(D) are exactly the unions of
+     the group answers and of the group frontiers *)
+  let union members =
+    List.fold_left
+      (fun acc g -> List.fold_left (fun acc a -> Mapping.Set.add a acc) acc (members g))
+      Mapping.Set.empty v.v_groups
+  in
+  let materialised stored derived mismatch =
+    let stored = Mapping.Set.of_list stored in
+    Mapping.Set.iter (mismatch "materialised-extra") (Mapping.Set.diff stored derived);
+    Mapping.Set.iter (mismatch "materialised-missing") (Mapping.Set.diff derived stored)
+  in
+  materialised v.v_answers
+    (union (fun (_, answers, _) -> List.map fst answers))
+    (fun detail a ->
+      report
+        ~witness:(Diagnostic.Support_of
+            { group = ""; answer = mstr a; stored = 0; derived = 0; detail })
+        Diagnostic.Support_mismatch
+        (Format.asprintf
+           "the materialised answer set and the union of the group answers \
+            disagree on %a (%s)"
+           Mapping.pp a detail));
+  materialised v.v_maximal
+    (union (fun (_, _, frontier) -> frontier))
+    (fun detail a ->
+      report
+        ~witness:(Diagnostic.Frontier_of
+            { group = ""; answer = mstr a; against = ""; detail })
+        Diagnostic.Frontier_nonmaximal
+        (Format.asprintf
+           "the materialised maximal answer set and the union of the group \
+            frontiers disagree on %a (%s)"
+           Mapping.pp a detail));
   List.rev !found
 
 let audit t = audit_view (Wdpt.Standing.query t) (Wdpt.Standing.view t)

@@ -3,8 +3,10 @@
     Verifies the incremental-evaluation machinery from the outside, on plain
     data: that derived dirty ranges cover every probe position a batch
     touches (E027), that a standing-query view's subsumption frontiers are
-    exactly the ⊑-maximal answers of their groups (E028) and its support
-    counts recompute from the stored homomorphisms (E029), and that a
+    exactly the ⊑-maximal answers of their groups and its materialised
+    p_m(D) is their union (E028), that its support counts recompute from
+    the stored homomorphisms and its materialised p(D) is the union of the
+    group answers (E029), and that a
     refresh's event stream replays the pre-batch answer sets onto full
     re-evaluation at both semantics levels (E030). All checks are
     O(batch × atoms) or O(view) — never O(database). *)
@@ -24,7 +26,9 @@ val audit_ranges :
 
 (** [audit_view p v]: E028 + E029 over a standing-query view for query [p]:
     rootkey filing, support counts against the stored homomorphisms (both
-    directions), and frontier maximality per group. *)
+    directions) and the materialised p(D) against the union of the group
+    answers (E029); frontier maximality per group and the materialised
+    p_m(D) against the union of the group frontiers (E028). *)
 val audit_view : Wdpt.Pattern_tree.t -> Wdpt.Standing.view -> Diagnostic.t list
 
 (** [audit t] = [audit_view (Standing.query t) (Standing.view t)]. *)

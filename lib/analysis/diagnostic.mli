@@ -255,7 +255,9 @@ type witness =
     }  (** E005 *)
   | Stale of { compiled : int; live : int }
       (** E006 (error form): the plan's compiled store is detached — the live
-          database moved past it and the store was not caught up *)
+          database moved past it and the store was not caught up — or a
+          removal the store synced after compile replaced the relation
+          record one of the plan's atoms reads *)
   | Extended of { compiled : int; store : int; live : int }
       (** E006 (note form): the plan was compiled at [compiled] but its store
           was incrementally extended to [store] = [live]; existing rows are

@@ -232,10 +232,13 @@ let check_order (v : I.view) acc =
 
 (* E006: three-way version discipline. A store that fell behind the live
    database is detached — the plan enumerates against missing facts (error).
-   A store ahead of the plan's compile stamp but level with the live database
-   was incrementally extended in place: existing rows are untouched and
-   candidate sets only grow, so the plan stays sound — reported as a warning
-   (its cached static order may no longer be cost-optimal). *)
+   So is a plan with an atom whose relation record a removal synced after
+   compile replaced by a compacted copy: the plan still reads the
+   pre-removal rows (error). A store ahead of the plan's compile stamp but
+   level with the live database otherwise only had insertions appended in
+   place: existing rows are untouched and candidate sets only grow, so the
+   plan stays sound — reported as a warning (its cached static order may no
+   longer be cost-optimal). *)
 let check_version (v : I.view) acc =
   if v.i_store_version < v.i_live_version then
     d
@@ -247,23 +250,37 @@ let check_version (v : I.view) acc =
          "plan compiled against database version %d; the database is at version %d"
          v.i_store_version v.i_live_version)
     :: acc
-  else if v.i_compiled_version < v.i_store_version then
-    { (d
-         ~witness:
-           (Diagnostic.Extended
-              { compiled = v.i_compiled_version;
-                store = v.i_store_version;
-                live = v.i_live_version })
-         Diagnostic.Stale_plan
-         (Printf.sprintf
-            "plan compiled at database version %d; its store was incrementally \
-             extended to version %d"
-            v.i_compiled_version v.i_store_version))
-      with
-      severity = Diagnostic.Warning
-    }
-    :: acc
-  else acc
+  else
+    match Array.find_opt (fun (av : I.atom_view) -> not av.a_current) v.i_atoms with
+    | Some av ->
+        d
+          ~witness:
+            (Diagnostic.Stale
+               { compiled = v.i_compiled_version; live = v.i_live_version })
+          Diagnostic.Stale_plan
+          (Printf.sprintf
+             "plan compiled at database version %d; atom %d (%s) reads rows \
+              that a removal synced by version %d compacted away"
+             v.i_compiled_version av.I.a_index av.I.a_rel v.i_store_version)
+        :: acc
+    | None ->
+        if v.i_compiled_version < v.i_store_version then
+          { (d
+               ~witness:
+                 (Diagnostic.Extended
+                    { compiled = v.i_compiled_version;
+                      store = v.i_store_version;
+                      live = v.i_live_version })
+               Diagnostic.Stale_plan
+               (Printf.sprintf
+                  "plan compiled at database version %d; its store was \
+                   incrementally extended to version %d"
+                  v.i_compiled_version v.i_store_version))
+            with
+            severity = Diagnostic.Warning
+          }
+          :: acc
+        else acc
 
 let audit_view (v : I.view) =
   let acc = check_version v [] in

@@ -50,7 +50,7 @@ module Db = struct
   type plan_store += No_plans
 
   (* learned calibrations are cached separately from plan cores: unlike
-     cores they are NOT discarded on [extend] — each entry carries the
+     cores they are NOT discarded on [sync] — each entry carries the
      stats epoch it was learned at and is lazily evicted when looked up
      under a newer epoch (the E024 discipline) *)
   type adapt_store = ..
@@ -59,16 +59,17 @@ module Db = struct
   type t = {
     pool : Value.t Interner.t;
     rels : (string * int, rel) Hashtbl.t;  (* keyed by (name, arity) *)
-    mutable db_version : int;
-    mutable db_deletions : int;
-        (* the Database.deletions epoch the store was last synced at; the
-           store only knows how to ingest insertions, so of_database rebuilds
-           instead of extending when the epoch moved *)
+    mutable db_version : int;  (* the Database.version the store is synced at *)
     mutable plans : plan_store;
     mutable adapts : adapt_store;
   }
 
   let find_rel c name arity = Hashtbl.find_opt c.rels (name, arity)
+
+  (* [r] is the record the store reads for its relation: false once a
+     synced removal replaced it by a compacted copy *)
+  let holds c r =
+    match find_rel c r.name r.arity with Some r' -> r' == r | None -> false
 
   let cell_push cell row =
     let cap = Array.length cell.rows in
@@ -120,55 +121,162 @@ module Db = struct
               (if hi < lo then (v, v) else (min lo v, max hi v))))
       t
 
-  (* Catch the compiled form up to the live database: intern and append
-     exactly the facts added since [c.db_version] (the insertion log), in
-     place. The interner pool only grows, so every previously issued value
-     id — including ids folded into cached plans — stays valid. Plan cores
-     are discarded: row counts and distinct counts changed, so cached static
-     orders could violate the selectivity invariant (E005). *)
-  let extend c db =
+  (* The row of a stored fact: scan the smallest index cell of its values.
+     The store holds every live fact exactly once, so the row exists. *)
+  let find_row c r f =
+    let missing () = invalid_arg "Engine.Db.sync: removed fact not in the store" in
+    let id i =
+      match Interner.find c.pool (Fact.arg f i) with
+      | Some id -> id
+      | None -> missing ()
+    in
+    let t = Array.init r.arity id in
+    let cell pos =
+      match Hashtbl.find_opt r.index.(pos) t.(pos) with
+      | Some cell -> cell
+      | None -> missing ()
+    in
+    if r.arity = 0 then 0
+    else begin
+      let best = ref (cell 0) in
+      for pos = 1 to r.arity - 1 do
+        let c = cell pos in
+        if c.count < !best.count then best := c
+      done;
+      let { count; rows } = !best in
+      let rec scan i =
+        if i = count then missing ()
+        else if Tuple.equal r.tuples.(rows.(i)) t then rows.(i)
+        else scan (i + 1)
+      in
+      scan 0
+    end
+
+  (* A copy of [r] without the rows marked in [dead]: survivors keep their
+     relative order and are renumbered densely, so the [0 .. nrows-1]
+     live-prefix invariant holds. Every array of the copy is fresh — index
+     tables, cells and row arrays included — so a slice still running over
+     [r] reads it unchanged. Distinct counts and ranges are recomputed from
+     the surviving cells. *)
+  let compact_rel r dead =
+    let renum = Array.make r.nrows (-1) in
+    let live = ref 0 in
+    for i = 0 to r.nrows - 1 do
+      if not dead.(i) then begin
+        renum.(i) <- !live;
+        incr live
+      end
+    done;
+    let tuples = Array.make (Array.length r.tuples) [||] in
+    for i = 0 to r.nrows - 1 do
+      if renum.(i) >= 0 then tuples.(renum.(i)) <- r.tuples.(i)
+    done;
+    let dcounts = Array.make r.arity 0 and ranges = Array.make r.arity (0, -1) in
+    let index =
+      Array.mapi
+        (fun pos tbl ->
+          let tbl' = Hashtbl.create (Hashtbl.length tbl) in
+          let lo = ref max_int and hi = ref (-1) in
+          Hashtbl.iter
+            (fun v cell ->
+              let rows = Array.make cell.count 0 and n = ref 0 in
+              for j = 0 to cell.count - 1 do
+                let row = renum.(cell.rows.(j)) in
+                if row >= 0 then begin
+                  rows.(!n) <- row;
+                  incr n
+                end
+              done;
+              if !n > 0 then begin
+                lo := min !lo v;
+                hi := max !hi v;
+                Hashtbl.add tbl' v { count = !n; rows }
+              end)
+            tbl;
+          dcounts.(pos) <- Hashtbl.length tbl';
+          if !hi >= 0 then ranges.(pos) <- (!lo, !hi);
+          tbl')
+        r.index
+    in
+    { r with tuples; nrows = !live; index; dcounts; ranges }
+
+  (* Drop the net-removed facts: each touched relation is replaced by its
+     compacted copy (or dropped once empty, as a fresh store would not have
+     it); relations no removal touches are left as they are. *)
+  let remove_facts c facts =
+    let dead = Hashtbl.create 8 in
+    List.iter
+      (fun f ->
+        let key = (Fact.rel f, Fact.arity f) in
+        match Hashtbl.find_opt c.rels key with
+        | None -> invalid_arg "Engine.Db.sync: removed fact not in the store"
+        | Some r ->
+            let mask =
+              match Hashtbl.find_opt dead key with
+              | Some (_, mask) -> mask
+              | None ->
+                  let mask = Array.make r.nrows false in
+                  Hashtbl.add dead key (r, mask);
+                  mask
+            in
+            mask.(find_row c r f) <- true)
+      facts;
+    Hashtbl.iter
+      (fun key (r, mask) ->
+        let r' = compact_rel r mask in
+        if r'.nrows = 0 then Hashtbl.remove c.rels key
+        else Hashtbl.replace c.rels key r')
+      dead
+
+  (* Catch the compiled form up to the live database in place: net the log
+     window since [c.db_version] (Database.net_changes), drop the
+     net-removed rows, then append the net-added facts. The interner pool
+     only grows, so every previously issued value id — including ids folded
+     into cached plans — stays valid. Plan cores are discarded: row counts
+     and distinct counts changed, so cached static orders could violate the
+     selectivity invariant (E005), and cores compiled before a removal point
+     at relation records the store no longer holds. *)
+  let sync c db =
     let live = Database.version db in
     if c.db_version < live then begin
-      List.iter (push_fact c) (Database.facts_since db c.db_version);
+      let added, removed = Database.net_changes db c.db_version in
+      if removed <> [] then remove_facts c removed;
+      List.iter (push_fact c) added;
       c.db_version <- live;
       c.plans <- No_plans
     end
 
-  (* Building from scratch IS extending an empty form with the full insertion
-     log, so an incrementally maintained compiled database and a rebuilt one
-     are identical structure-for-structure (same tuple order, same cell
-     order) — the determinism the parallel partitioner and the incremental
-     tests rely on. *)
+  (* Building from scratch is syncing an empty store from version 0, which
+     appends the live facts in order of first insertion. A store kept in
+     sync in place holds the same live facts with the same counts; its rows
+     differ from a fresh build's only in order: surviving rows keep their
+     relative order, and a fact removed in one window and re-added in a
+     later one is appended at the end, where a fresh build puts it back at
+     its first-insertion position. *)
   let build db =
     let c =
       { pool = Interner.create ~capacity:256 ();
         rels = Hashtbl.create 16;
         db_version = 0;
-        (* facts_since 0 replays the net-live facts, so a fresh build is
-           already reconciled with every past deletion *)
-        db_deletions = Database.deletions db;
         plans = No_plans;
         adapts = No_adapts }
     in
-    extend c db;
+    sync c db;
     c
 
   type Database.cache += Compiled of t
 
   (* Compiling is linear in the database and cached on the database itself;
-     after Database.add the cached form catches up via [extend] — O(new
-     facts), not O(data) — so hot-path re-planning after inserts stops
-     paying full recompilation. *)
+     after Database.add / Database.remove the cached form catches up via
+     [sync] — O(new facts) for insertions, O(touched relations) for
+     deletions — so re-planning after a batch never pays full
+     recompilation. *)
   let of_database db =
     match Database.get_cache db with
-    | Some (Compiled c) when c.db_deletions = Database.deletions db ->
-        extend c db;
+    | Some (Compiled c) ->
+        sync c db;
         c
     | _ ->
-        (* either no cached form, or a deletion landed since the cached form
-           was synced: the extend path cannot un-append, so rebuild. Stale
-           plans still holding the old store then legitimately trip the E006
-           version-triple (their store is behind the live database). *)
         let c = build db in
         Database.set_cache db (Compiled c);
         c
@@ -812,7 +920,7 @@ let replan (p : t) =
       end
 
 (* the stats-epoch-keyed calibration cache, living on the compiled database
-   beside the plan cores but with a different lifetime: Db.extend discards
+   beside the plan cores but with a different lifetime: Db.sync discards
    cores eagerly but leaves these entries to be epoch-evicted at lookup *)
 type adapt_entry = {
   ad_epoch : int;          (* store version the calibration was costed at *)
@@ -1870,9 +1978,10 @@ let sanitize_static p =
   let nenv = Array.length p.init_env in
   let pool = Interner.size p.cdb.Db.pool in
   (* three-way version discipline: the compiled store may legitimately be
-     ahead of the plan (it was incrementally extended — existing rows are
-     untouched, the plan's candidate sets only grow), but a store that fell
-     behind the live database is detached and unsafe. *)
+     ahead of the plan (insertions were appended in place — existing rows
+     are untouched, the plan's candidate sets only grow), but a store that
+     fell behind the live database is detached and unsafe, and so is an
+     atom whose relation a synced removal replaced by a compacted copy. *)
   if p.cdb.Db.db_version < Database.version p.src_db then
     check_fail
       "detached compiled database: store at version %d, database is at %d"
@@ -1883,6 +1992,11 @@ let sanitize_static p =
   Array.iteri
     (fun ai ap ->
       let r = ap.a_rel in
+      if not (Db.holds p.cdb r) then
+        check_fail
+          "atom %d (%s): relation record replaced by a removal synced after \
+           compile (plan at version %d, store at %d)"
+          ai r.Db.name p.compiled_at p.cdb.Db.db_version;
       if Array.length ap.a_ops <> r.Db.arity || Array.length r.Db.index <> r.Db.arity
       then
         check_fail "atom %d (%s): %d instruction(s), %d index(es), arity %d" ai
@@ -2604,6 +2718,7 @@ module Inspect = struct
     a_ranges : (int * int) array;
     a_ops : op array;
     a_calib : float;  (* feedback calibration, log10; 0. on fresh plans *)
+    a_current : bool;  (* the store still holds this relation record *)
   }
 
   type view = {
@@ -2632,7 +2747,8 @@ module Inspect = struct
             a_dcounts = Array.copy ap.a_rel.Db.dcounts;
             a_ranges = Array.copy ap.a_rel.Db.ranges;
             a_ops = Array.copy ap.a_ops;
-            a_calib = calib_of p i })
+            a_calib = calib_of p i;
+            a_current = Db.holds p.cdb ap.a_rel })
         p.atoms
     in
     { i_feasible = p.feasible;
@@ -3247,44 +3363,8 @@ module Delta = struct
   }
 
   let batch db ~since =
-    let v = Database.version db in
-    if since >= v then
-      { from_version = since; to_version = v; added = []; removed = [] }
-    else begin
-      (* Net effect per fact from the stamped log window: entries for a fact
-         strictly alternate Add/Remove starting from its state at [since]
-         (Database.add only logs when absent, remove only when live), so the
-         first entry tells the state at [since] and the last the state now. *)
-      let entries = Database.changes_since db since in
-      let first : (Fact.t, Database.change) Hashtbl.t = Hashtbl.create 32 in
-      let last : (Fact.t, Database.change) Hashtbl.t = Hashtbl.create 32 in
-      let order = ref [] in
-      List.iter
-        (fun e ->
-          let f = match e with Database.Add f | Database.Remove f -> f in
-          if not (Hashtbl.mem first f) then begin
-            Hashtbl.add first f e;
-            order := f :: !order
-          end;
-          Hashtbl.replace last f e)
-        entries;
-      let order = List.rev !order in
-      let net keep =
-        List.filter
-          (fun f -> keep (Hashtbl.find first f) (Hashtbl.find last f))
-          order
-      in
-      let added =
-        net (fun a b ->
-            match (a, b) with Database.Add _, Database.Add _ -> true | _ -> false)
-      and removed =
-        net (fun a b ->
-            match (a, b) with
-            | Database.Remove _, Database.Remove _ -> true
-            | _ -> false)
-      in
-      { from_version = since; to_version = v; added; removed }
-    end
+    let added, removed = Database.net_changes db since in
+    { from_version = since; to_version = Database.version db; added; removed }
 
   let is_empty b = b.added = [] && b.removed = []
 

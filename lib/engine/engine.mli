@@ -6,14 +6,17 @@
     instructions — and then matched by a tight backtracking loop that ranks
     candidate atoms from stored index counts instead of materialized lists.
     The compiled form of a database is cached on the database itself and
-    maintained incrementally: [Database.add] appends to the insertion log,
-    and the next compile catches the cached form up in place (interned
-    tuples and counted index cells are growable arrays with live prefixes)
-    instead of rebuilding — extending from version [v] replays exactly
-    [Database.facts_since db v], so the extended form is structurally
-    identical to a fresh rebuild. Plan cores (instruction selection, slot
-    assignment) are additionally cached per atom list, so re-evaluating one
-    body under many [~init] bindings compiles once.
+    kept in sync in place: the next compile after [Database.add] /
+    [Database.remove] nets the log window since the store's version
+    ([Database.net_changes]), compacts the net-removed rows out of the
+    relations they touch (fresh arrays, so a running enumeration keeps its
+    snapshot) and appends the net-added facts (interned tuples and counted
+    index cells are growable arrays with live prefixes). The synced store
+    holds exactly the live facts, with exact row and distinct counts; its
+    row order is first insertion, except that a fact removed in one window
+    and re-added in a later one sits at the end. Plan cores (instruction
+    selection, slot assignment) are additionally cached per atom list, so
+    re-evaluating one body under many [~init] bindings compiles once.
 
     Counting can run domain-parallel (see {!Parallel}): the top-level
     candidate row range is partitioned into contiguous chunks drained by a
@@ -440,6 +443,10 @@ module Inspect : sig
     a_calib : float;
         (** feedback calibration applied to this atom's selectivity score
             (log10 decades); [0.] on fresh or non-adapted plans *)
+    a_current : bool;
+        (** the store still reads the relation record this atom was compiled
+            against; [false] once a removal synced after compile replaced it
+            by a compacted copy (the plan then reads a stale snapshot) *)
   }
 
   type view = {
@@ -455,7 +462,8 @@ module Inspect : sig
     i_store_version : int;
         (** version of the compiled store backing the plan: equal to
             [i_compiled_version] when untouched since compilation, ahead of
-            it when the store was incrementally extended by later inserts *)
+            it when the store synced later changes in place (see
+            [a_current] for whether a removal replaced an atom's relation) *)
     i_live_version : int;  (** database version at inspection time *)
   }
 
@@ -653,8 +661,9 @@ module Delta : sig
     removed : Fact.t list;
   }
 
-  (** [batch db ~since] nets the log window since version [since]. For
-      [since >= version db] the batch is empty. O(window). *)
+  (** [batch db ~since] nets the log window since version [since]
+      ([Database.net_changes]). For [since >= version db] the batch is
+      empty. O(window). *)
   val batch : Database.t -> since:int -> batch
 
   val is_empty : batch -> bool

@@ -42,7 +42,7 @@ type t = {
   mutable version : int;
   mutable log : change list;
       (* reverse modification order; length = version. The log is what lets a
-         derived structure catch up incrementally: [facts_since] /
+         derived structure catch up incrementally: [net_changes] /
          [changes_since] slice it. *)
   mutable deletions : int;           (* deletion epoch: bumped per remove *)
   mutable dead : Fact.Set.t;
@@ -102,8 +102,7 @@ let add db f =
     db.version <- db.version + 1;
     db.log <- Add f :: db.log;
     (* the cache survives: derived structures compare their stored version
-       (and deletion epoch) against [version] and catch up via [facts_since]
-       (or rebuild) *)
+       against [version] and catch up via [net_changes] *)
     if Fact.Set.mem f db.dead then begin
       (* Resurrection: the fact is still physically present in every cell it
          belongs to, so restoring the live counts is all that is needed. *)
@@ -202,38 +201,43 @@ let changes_entries db v =
 
 let changes_since db v = changes_entries db v
 
-let facts_since db v =
-  if v >= db.version then []
-  else if db.deletions = 0 then
-    (* pure-add history: the window is all Add entries *)
-    List.filter_map (function Add f -> Some f | Remove _ -> None)
-      (changes_entries db v)
+(* Net effect of the window after version [v]: per fact, window entries
+   strictly alternate Add/Remove starting from its state at [v] (add only
+   logs when the fact is absent, remove only when live), so the first entry
+   tells the state at [v] and the last the state now. A fact is net-added iff
+   both are [Add], net-removed iff both are [Remove]. Both lists are in order
+   of first appearance in the window. *)
+let net_changes db v =
+  if v >= db.version then ([], [])
   else begin
-    (* Net-new facts of the window: per fact, window entries strictly
-       alternate Add/Remove starting from its state at version [v] (add only
-       logs when the fact is absent, remove only when live). So a fact is
-       net-new iff its first window entry is [Add] (absent at [v]) and its
-       last is [Add] (live now). Emitted in order of first addition. *)
     let entries = changes_entries db v in
-    let first : (Fact.t, change) Hashtbl.t = Hashtbl.create 32 in
-    let last : (Fact.t, change) Hashtbl.t = Hashtbl.create 32 in
-    let order = ref [] in
-    List.iter
-      (fun e ->
-        let f = match e with Add f | Remove f -> f in
-        if not (Hashtbl.mem first f) then begin
-          Hashtbl.add first f e;
-          order := f :: !order
-        end;
-        Hashtbl.replace last f e)
-      entries;
-    List.filter
-      (fun f ->
-        match (Hashtbl.find first f, Hashtbl.find last f) with
-        | Add _, Add _ -> true
-        | _ -> false)
-      (List.rev !order)
+    if List.for_all (function Add _ -> true | Remove _ -> false) entries then
+      (* insert-only window: every entry is a distinct net-added fact *)
+      (List.map (function Add f | Remove f -> f) entries, [])
+    else begin
+      (* fact -> (first entry is Add, last entry is Add) *)
+      let seen : (Fact.t, bool * bool ref) Hashtbl.t = Hashtbl.create 32 in
+      let order = ref [] in
+      List.iter
+        (fun e ->
+          let f, is_add = match e with Add f -> (f, true) | Remove f -> (f, false) in
+          match Hashtbl.find_opt seen f with
+          | Some (_, last) -> last := is_add
+          | None ->
+              Hashtbl.add seen f (is_add, ref is_add);
+              order := f :: !order)
+        entries;
+      List.fold_left
+        (fun (added, removed) f ->
+          match Hashtbl.find seen f with
+          | true, { contents = true } -> (f :: added, removed)
+          | false, { contents = false } -> (added, f :: removed)
+          | _ -> (added, removed))
+        ([], []) !order
+    end
   end
+
+let facts_since db v = fst (net_changes db v)
 
 let get_cache db = db.cache
 let set_cache db c = db.cache <- Some c

@@ -63,9 +63,9 @@ val schema : t -> Schema.t
 val version : t -> int
 
 (** Monotone deletion epoch: bumped on every successful {!remove}, never by
-    {!add} or {!compact}. A derived structure that only knows how to ingest
-    insertions (the compiled engine form) stamps this alongside {!version}
-    and rebuilds instead of extending when the epoch moved. *)
+    {!add} or {!compact}. Tells whether any deletion happened since a
+    reading was taken; derived structures catch up through {!net_changes},
+    which sees insertions and deletions alike. *)
 val deletions : t -> int
 
 (** One entry of the modification log: the stamped insertion log and deletion
@@ -82,24 +82,29 @@ type change =
     last entry alone. Returns [[]] when [v >= version db]. O(version - v). *)
 val changes_since : t -> int -> change list
 
-(** [facts_since db v] lists the *net-new* facts since version [v]: facts
-    that are live now but were not at [v], in order of first insertion.
-    [facts_since db 0] replays the whole live database. When no deletion
-    touched the window this is exactly the slice of the insertion log, and
-    the catch-up feed for incrementally maintained derived structures: a
-    structure stamped with version [v] extends itself with exactly these
-    facts instead of rebuilding (sound as long as the {!deletions} epoch did
-    not move — net removals are invisible to this function; use
-    {!changes_since} to see them). Returns [[]] when [v >= version db],
+(** [net_changes db v] nets the log window after version [v] into
+    [(added, removed)]: the facts live now but not at [v], and the facts
+    live at [v] but not now, each in order of first appearance in the
+    window. Facts added and removed again inside the window (or removed and
+    re-added) appear in neither list. This is the one netting function of
+    the log: {!facts_since}, [Engine.Delta.batch] and the compiled engine
+    store's sync all read it. Returns [([], [])] when [v >= version db],
     including versions *ahead* of the current one (a caller holding a stamp
     from a different database simply gets no catch-up feed, never garbage).
-    O(version - v). *)
+    O(version - v); an insert-only window is read off without hashing. *)
+val net_changes : t -> int -> Fact.t list * Fact.t list
+
+(** [facts_since db v] = [fst (net_changes db v)]: the *net-new* facts since
+    version [v], in order of first insertion. [facts_since db 0] replays the
+    whole live database. When no deletion touched the window this is exactly
+    the slice of the insertion log. Net removals are invisible to this
+    function; use {!net_changes} or {!changes_since} to see them. *)
 val facts_since : t -> int -> Fact.t list
 
-(** One cache slot for a derived structure. The slot survives {!add} — the
-    structure is expected to compare its stored version against {!version}
-    and catch up via {!facts_since} (the compiled engine form does exactly
-    this). Extend [cache] with your constructor. *)
+(** One cache slot for a derived structure. The slot survives {!add} and
+    {!remove} — the structure is expected to compare its stored version
+    against {!version} and catch up via {!net_changes} (the compiled engine
+    form does exactly this). Extend [cache] with your constructor. *)
 type cache = ..
 
 val get_cache : t -> cache option

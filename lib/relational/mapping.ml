@@ -93,34 +93,39 @@ let maximal_set s =
   (* h ⊏ h' puts every binding of h into h', so any strict subsumer of h sits
      in the posting list of each of h's bindings and scanning the shortest
      one is enough. The elements of a set are distinct, so a subsumer of
-     strictly larger domain is a strict one. *)
-  let postings = Binding_tbl.create 256 in
-  Set.iter
-    (fun h ->
-      let entry = (cardinal h, h) in
-      M.iter
-        (fun x v ->
-          match Binding_tbl.find_opt postings (x, v) with
-          | Some p ->
-              p.len <- p.len + 1;
-              p.members <- entry :: p.members
-          | None -> Binding_tbl.add postings (x, v) { len = 1; members = [ entry ] })
-        h)
-    s;
-  let subsumed h =
-    if M.is_empty h then Binding_tbl.length postings > 0
-    else
-      let n = cardinal h in
-      let shortest =
-        M.fold
-          (fun x v best ->
-            let p = Binding_tbl.find postings (x, v) in
-            if p.len < best.len then p else best)
-          h
-          { len = max_int; members = [] }
-      in
-      List.exists (fun (n', h') -> n' > n && subsumes h h') shortest.members
-  in
-  Set.filter (fun h -> not (subsumed h)) s
+     strictly larger domain is a strict one. A set of at most one mapping is
+     its own maximal set (the common case of a small comparability group,
+     which would otherwise pay for the posting table). *)
+  if Set.is_empty s || Set.min_elt s == Set.max_elt s then s
+  else begin
+    let postings = Binding_tbl.create (min 256 (4 * Set.cardinal s)) in
+    Set.iter
+      (fun h ->
+        let entry = (cardinal h, h) in
+        M.iter
+          (fun x v ->
+            match Binding_tbl.find_opt postings (x, v) with
+            | Some p ->
+                p.len <- p.len + 1;
+                p.members <- entry :: p.members
+            | None -> Binding_tbl.add postings (x, v) { len = 1; members = [ entry ] })
+          h)
+      s;
+    let subsumed h =
+      if M.is_empty h then Binding_tbl.length postings > 0
+      else
+        let n = cardinal h in
+        let shortest =
+          M.fold
+            (fun x v best ->
+              let p = Binding_tbl.find postings (x, v) in
+              if p.len < best.len then p else best)
+            h
+            { len = max_int; members = [] }
+        in
+        List.exists (fun (n', h') -> n' > n && subsumes h h') shortest.members
+    in
+    Set.filter (fun h -> not (subsumed h)) s
+  end
 
 let maximal_elements hs = Set.elements (maximal_set (Set.of_list hs))

@@ -51,6 +51,17 @@ let of_answers l =
    groups are comparability classes, typically tiny next to the view. *)
 let apply t ~add ~remove =
   if add = [] && remove = [] then (t, [])
+  else if is_empty t && remove = [] then begin
+    (* a fresh group: every answer is new, and on the frontier iff maximal *)
+    let t = of_answers add in
+    let events =
+      MMap.fold
+        (fun a _ acc ->
+          Added { answer = a; maximal = Mapping.Set.mem a t.frontier } :: acc)
+        t.support []
+    in
+    (t, List.rev events)
+  end
   else begin
     let support =
       List.fold_left

@@ -65,6 +65,9 @@ type t = {
   mutable version : int;
   mutable homs : Mapping.Set.t MMap.t;   (* rootkey -> maximal homs *)
   mutable groups : Frontier.t MMap.t;    (* root-free-key -> answer frontier *)
+  mutable answers : Mapping.Set.t;       (* p(D): the union of the group answers *)
+  mutable maximal : Mapping.Set.t;       (* p_m(D): the union of the group frontiers *)
+  mutable off : int;                     (* |p(D) \ p_m(D)| *)
   mutable stats : stats;
 }
 
@@ -85,6 +88,33 @@ let build_paths p =
       let pivots = List.length (Pattern_tree.atoms p n) in
       (atoms, List.length atoms - pivots, pivots))
 
+(* Keep p(D) and p_m(D) in step with one group's frontier events. Groups
+   are disjoint (an answer's root-free-key is its restriction to the root's
+   free variables), so the group events are exactly the changes of the two
+   unions. While every answer is maximal, p_m(D) is p(D) and the two fields
+   share one tree, so a view whose answers are all maximal stores the set
+   once and updates it once per event. *)
+let note_events t evs =
+  List.iter
+    (fun ev ->
+      (match ev with
+      | Added { answer; _ } -> t.answers <- Mapping.Set.add answer t.answers
+      | Removed { answer; _ } -> t.answers <- Mapping.Set.remove answer t.answers
+      | Promoted _ | Demoted _ -> ());
+      (match ev with
+      | Added { maximal = false; _ } | Demoted _ -> t.off <- t.off + 1
+      | Removed { was_maximal = false; _ } | Promoted _ -> t.off <- t.off - 1
+      | Added _ | Removed _ -> ());
+      if t.off = 0 then t.maximal <- t.answers
+      else
+        match ev with
+        | Added { answer; maximal = true } | Promoted answer ->
+            t.maximal <- Mapping.Set.add answer t.maximal
+        | Removed { answer; was_maximal = true } | Demoted answer ->
+            t.maximal <- Mapping.Set.remove answer t.maximal
+        | Added _ | Removed _ -> ())
+    evs
+
 let register db p =
   let root_vars = String_set.elements (Pattern_tree.node_vars p (Pattern_tree.root p)) in
   let free = Pattern_tree.free_set p in
@@ -101,6 +131,9 @@ let register db p =
       version = Database.version db;
       homs = MMap.empty;
       groups = MMap.empty;
+      answers = Mapping.Set.empty;
+      maximal = Mapping.Set.empty;
+      off = 0;
       stats =
         { refreshes = 0;
           last_batch_added = 0;
@@ -124,20 +157,15 @@ let register db p =
         MMap.update gk
           (fun prev ->
             let g = Option.value ~default:Frontier.empty prev in
-            Some (fst (Frontier.apply g ~add:projs ~remove:[])))
+            let g, evs = Frontier.apply g ~add:projs ~remove:[] in
+            note_events t evs;
+            Some g)
           t.groups)
     t.homs;
   t
 
-let answers t =
-  MMap.fold
-    (fun _ g acc -> Mapping.Set.union (Frontier.answers g) acc)
-    t.groups Mapping.Set.empty
-
-let maximal_answers t =
-  MMap.fold
-    (fun _ g acc -> Mapping.Set.union (Frontier.maximal g) acc)
-    t.groups Mapping.Set.empty
+let answers t = t.answers
+let maximal_answers t = t.maximal
 
 (* -- refresh ----------------------------------------------------------- *)
 
@@ -237,6 +265,7 @@ let refresh t =
             Option.value ~default:Frontier.empty (MMap.find_opt gk t.groups)
           in
           let g', evs = Frontier.apply g ~add:adds ~remove:removes in
+          note_events t evs;
           t.groups <-
             (if Frontier.is_empty g' then MMap.remove gk t.groups
              else MMap.add gk g' t.groups);
@@ -260,6 +289,8 @@ type view = {
   v_version : int;
   v_rootkeys : (Mapping.t * Mapping.t list) list;
   v_groups : (Mapping.t * (Mapping.t * int) list * Mapping.t list) list;
+  v_answers : Mapping.t list;
+  v_maximal : Mapping.t list;
 }
 
 let view t =
@@ -274,4 +305,6 @@ let view t =
               (fun a -> (a, Frontier.support g a))
               (Mapping.Set.elements (Frontier.answers g)),
             Mapping.Set.elements (Frontier.maximal g) ))
-        (MMap.bindings t.groups) }
+        (MMap.bindings t.groups);
+    v_answers = Mapping.Set.elements t.answers;
+    v_maximal = Mapping.Set.elements t.maximal }

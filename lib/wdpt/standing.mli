@@ -16,11 +16,21 @@
     [Promoted] transitions of the maximal-answer frontier that full
     re-evaluation would silently absorb.
 
-    Cost per refresh is O(probe hits + dirty partitions re-run + touched
-    frontier groups), not O(database); the differential guarantee (events
-    applied to the old answer sets reproduce full re-evaluation at both
-    semantics levels) is fuzz-tested by [wdpt_fuzz --delta-diff] and
-    audited by [Analysis.Delta_audit]. *)
+    The view also materialises p(D) and p_m(D) as two sets, kept in step
+    with the events of every frontier update (groups are disjoint, so the
+    group events are exactly the changes of the unions); {!answers} and
+    {!maximal_answers} return them in O(1).
+
+    Cost per refresh is O(window + deletion scan + probe hits + dirty
+    partitions re-run + touched frontier groups · log |p(D)|), not
+    O(database): the deletion scan is O(stored homs × atoms) and runs only
+    when the window removed facts, and the compiled engine store absorbs
+    the window in place (appends for insertions, a compaction of the
+    touched relations for removals) instead of being rebuilt. The
+    differential guarantee (events applied to the old answer sets reproduce
+    full re-evaluation at both semantics levels) is fuzz-tested by
+    [wdpt_fuzz --delta-diff] against a freshly built copy of the database,
+    and audited by [Analysis.Delta_audit]. *)
 
 open Relational
 
@@ -46,10 +56,14 @@ val register : Database.t -> Pattern_tree.t -> t
     nothing). *)
 val refresh : t -> event list
 
-(** Current p(D): the maintained eval-level answer set. *)
+(** Current p(D): the maintained eval-level answer set, the union of the
+    group answers. Materialised: each refresh updates it from its own
+    events, so reading it is O(1). *)
 val answers : t -> Mapping.Set.t
 
-(** Current p_m(D): the union of the group frontiers. *)
+(** Current p_m(D): the union of the group frontiers. Materialised like
+    {!answers} (the two share one tree while every answer is maximal);
+    O(1). *)
 val maximal_answers : t -> Mapping.Set.t
 
 val query : t -> Pattern_tree.t
@@ -82,6 +96,10 @@ type view = {
       (** rootkey -> stored maximal homomorphisms, both sorted *)
   v_groups : (Mapping.t * (Mapping.t * int) list * Mapping.t list) list;
       (** root-free-key -> (answer, support) list -> frontier *)
+  v_answers : Mapping.t list;
+      (** the materialised p(D) ({!answers}), sorted *)
+  v_maximal : Mapping.t list;
+      (** the materialised p_m(D) ({!maximal_answers}), sorted *)
 }
 
 val view : t -> view

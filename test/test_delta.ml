@@ -154,21 +154,25 @@ let test_delta_batch_netting () =
   let b' = Engine.Delta.batch db ~since:(Database.version db + 5) in
   check_bool "future-version batch is empty" true (Engine.Delta.is_empty b')
 
-(* ---- engine rebuild discipline after deletes -------------------------- *)
+(* ---- engine store sync after deletes ----------------------------------- *)
 
 let q_xy = Cq.Query.make ~head:[ "x"; "y" ] ~body:[ atom "E" [ v "x"; v "y" ] ]
 
-let test_engine_rebuild_after_delete () =
+let test_engine_sync_after_delete () =
   let db = Database.of_list [ e2 1 2; e2 2 3 ] in
   ignore (Cq.Eval.answers db q_xy);
   check_bool "compiled form cached" true (Database.get_cache db <> None);
+  let cached = Option.get (Database.get_cache db) in
   Database.remove db (e2 2 3);
   let a = Cq.Eval.answers db q_xy in
   check_int "no ghost rows after delete" 1 (Mapping.Set.cardinal a);
-  (* incremental extension still works on the rebuilt form *)
+  (* the delete was absorbed in place: no rebuild, the same compiled form *)
+  check_bool "compiled form synced in place" true
+    (Option.get (Database.get_cache db) == cached);
+  (* incremental extension still works on the synced form *)
   Database.add db (e2 5 6);
   let a = Cq.Eval.answers db q_xy in
-  check_int "extend after rebuild" 2 (Mapping.Set.cardinal a);
+  check_int "extend after in-place delete" 2 (Mapping.Set.cardinal a);
   (* clear_cache after deletes: rebuild from scratch replays live facts *)
   Database.remove db (e2 1 2);
   Database.clear_cache db;
@@ -179,7 +183,7 @@ let test_engine_rebuild_after_delete () =
 let test_version_triple_after_delete () =
   (* E006 interaction: a plan compiled before a delete is stale (its store
      version is behind the live version) and the auditor says so; a plan
-     compiled after the rebuild is clean. *)
+     compiled after the in-place sync is clean. *)
   let db = Database.of_list [ e2 1 2; e2 2 3 ] in
   let p0 = Engine.compile db [ atom "E" [ v "x"; v "y" ] ] ~init:Mapping.empty in
   Database.remove db (e2 2 3);
@@ -191,6 +195,15 @@ let test_version_triple_after_delete () =
   check_bool "old plan trips E006 after a delete" true
     (List.exists (fun d -> d.Analysis.Diagnostic.severity = Analysis.Diagnostic.Error) stale);
   let p1 = Engine.compile db [ atom "E" [ v "x"; v "y" ] ] ~init:Mapping.empty in
+  (* once the store has synced the delete, the old plan still reads the
+     relation's pre-delete rows: an error, not the "extended" warning *)
+  let stale0 =
+    List.filter
+      (fun d -> d.Analysis.Diagnostic.code = Analysis.Diagnostic.Stale_plan)
+      (Analysis.Plan_audit.audit p0)
+  in
+  check_bool "old plan still trips E006 after the store synced" true
+    (List.exists (fun d -> d.Analysis.Diagnostic.severity = Analysis.Diagnostic.Error) stale0);
   let stale1 =
     List.filter
       (fun d ->
@@ -470,7 +483,22 @@ let test_audit_view_corruptions () =
   in
   let ds = Analysis.Delta_audit.audit_view tree_p corrupted in
   check_bool "misfiled hom trips E029" true
-    (code_count Analysis.Diagnostic.Support_mismatch ds > 0)
+    (code_count Analysis.Diagnostic.Support_mismatch ds > 0);
+  (* E029: the materialised p(D) loses an answer the groups still hold *)
+  let corrupted =
+    { view with Wdpt.Standing.v_answers = List.tl view.Wdpt.Standing.v_answers }
+  in
+  let ds = Analysis.Delta_audit.audit_view tree_p corrupted in
+  check_bool "materialised answers missing one trip E029" true
+    (code_count Analysis.Diagnostic.Support_mismatch ds > 0);
+  (* E028: the materialised p_m(D) lists an answer on no group frontier *)
+  let corrupted =
+    { view with
+      Wdpt.Standing.v_maximal = mapping [ ("x", 99) ] :: view.Wdpt.Standing.v_maximal }
+  in
+  let ds = Analysis.Delta_audit.audit_view tree_p corrupted in
+  check_bool "materialised maximal answers with an extra trip E028" true
+    (code_count Analysis.Diagnostic.Frontier_nonmaximal ds > 0)
 
 let test_audit_events () =
   let db = Database.of_list [ e2 1 2 ] in
@@ -516,14 +544,15 @@ let test_qcheck_standing_diff () =
       let* dbseed = int_range 0 10000 in
       let* steps =
         list_size (int_range 1 12)
-          (pair (int_range 0 5) (pair (int_range 0 5) (int_range 0 5)))
+          (pair (int_range 0 6) (pair (int_range 0 5) (int_range 0 5)))
       in
       return (dbseed, steps))
   in
   let arb = QCheck.make gen in
   (* same convention as wdpt_fuzz --delta-diff: under the env flag the
-     stream turns delete-heavy (4/6 deletes instead of 3/6), so a CI leg
-     can lean on tombstones and removal-induced promotions suite-wide *)
+     stream turns delete-heavy (4 in 7 steps delete instead of 3 in 7), so
+     a CI leg can lean on tombstones and removal-induced promotions
+     suite-wide *)
   let delete_heavy =
     match Sys.getenv_opt "WDPT_DELTA_FUZZ_DELETES" with
     | Some ("1" | "true" | "yes") -> true
@@ -538,22 +567,34 @@ let test_qcheck_standing_diff () =
             [ Wdpt.Pattern_tree.Node ([ atom "E" [ v "y"; v "z" ] ], []) ]))
     in
     let st = Wdpt.Standing.register db p in
+    (* facts an earlier step removed; kind 6 re-adds one, so the compiled
+       store appends a fact it compacted away before *)
+    let removed = ref [] in
     List.for_all
       (fun (kind, (a, b)) ->
-        let is_add = if delete_heavy then kind < 2 else kind mod 2 = 0 in
-        (if is_add then Database.add db (e2 a b)
-         else Database.remove db (e2 a b));
+        (if kind = 6 then (
+           match !removed with
+           | [] -> ()
+           | l -> Database.add db (List.nth l ((a + b) mod List.length l)))
+         else
+           let is_add = if delete_heavy then kind < 2 else kind mod 2 = 0 in
+           if is_add then Database.add db (e2 a b)
+           else if Database.mem db (e2 a b) then begin
+             Database.remove db (e2 a b);
+             removed := e2 a b :: !removed
+           end);
         let before_eval = Wdpt.Standing.answers st
         and before_max = Wdpt.Standing.maximal_answers st in
         let events = Wdpt.Standing.refresh st in
-        Mapping.Set.equal (Wdpt.Standing.answers st) (Wdpt.Semantics.eval db p)
-        && Mapping.Set.equal
-             (Wdpt.Standing.maximal_answers st)
-             (Wdpt.Semantics.eval_max db p)
-        && Analysis.Delta_audit.check_events ~before_eval ~before_max
-             ~after_eval:(Wdpt.Standing.answers st)
-             ~after_max:(Wdpt.Standing.maximal_answers st)
-             events
+        (* the oracle runs on a copy, whose compiled store is built from
+           scratch rather than synced in place *)
+        let fresh = Database.copy db in
+        let after_eval = Wdpt.Semantics.eval fresh p
+        and after_max = Wdpt.Semantics.eval_max fresh p in
+        Mapping.Set.equal (Wdpt.Standing.answers st) after_eval
+        && Mapping.Set.equal (Wdpt.Standing.maximal_answers st) after_max
+        && Analysis.Delta_audit.check_events ~before_eval ~before_max ~after_eval
+             ~after_max events
            = []
         && Analysis.Delta_audit.audit st = [])
       steps
@@ -571,7 +612,7 @@ let suite =
     Alcotest.test_case "facts_since nets deletions" `Quick test_facts_since_nets_deletions;
     Alcotest.test_case "changes_since log shape" `Quick test_changes_since;
     Alcotest.test_case "Delta.batch netting" `Quick test_delta_batch_netting;
-    Alcotest.test_case "engine rebuilds after delete" `Quick test_engine_rebuild_after_delete;
+    Alcotest.test_case "engine syncs deletes in place" `Quick test_engine_sync_after_delete;
     Alcotest.test_case "E006 version triple after delete" `Quick test_version_triple_after_delete;
     Alcotest.test_case "stream_eval: tree-shaped paging" `Quick test_stream_eval_tree;
     Alcotest.test_case "standing: inserts" `Quick test_standing_insert_extends;

@@ -338,6 +338,120 @@ let test_paging_boundaries () =
     (Mapping.Set.equal (Mapping.Set.of_list streamed)
        (Mapping.Set.of_list (sorted_page 0 2 @ sorted_page 2 2)))
 
+(* ---- deletions synced in place ------------------------------------------ *)
+
+let envs_of db body =
+  let p = Engine.compile db body ~init:Mapping.empty in
+  let acc = ref [] in
+  Engine.iter_envs p (fun env -> acc := Engine.mapping_of_env p env :: !acc);
+  (List.rev !acc, Engine.count_envs (Engine.compile db body ~init:Mapping.empty))
+
+(* Random add / remove / re-add streams with compiles interleaved: each
+   compile syncs the cached store in place, and its answers must equal those
+   of a fresh copy, whose store is built from scratch. Step kinds: 0 add an
+   edge, 1 add a unary fact, 2 remove a live fact, 3 re-add a removed fact,
+   4 compile and compare. *)
+let prop_in_place_sync =
+  let step =
+    QCheck.Gen.(pair (int_range 0 4) (pair (int_range 0 5) (int_range 0 5)))
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (q, db, _) ->
+        Format.asprintf "%a@.%a" Cq.Query.pp q Database.pp db)
+      QCheck.Gen.(
+        triple gen_cq gen_db (list_size (int_range 1 30) step))
+  in
+  qtest ~count:200 "in-place store sync = fresh copy" arb (fun (q, db, steps) ->
+      let body = Cq.Query.body q in
+      let same () =
+        let envs, n = envs_of db body in
+        let envs', n' = envs_of (Database.copy db) body in
+        n = n'
+        && n = List.length envs
+        && Mapping.Set.equal (Mapping.Set.of_list envs) (Mapping.Set.of_list envs')
+      in
+      ignore (envs_of db body);
+      let cached = Database.get_cache db in
+      let removed = ref [] in
+      let ok =
+        List.for_all
+          (fun (kind, (a, b)) ->
+            match kind with
+            | 0 -> Database.add db (Fact.make "E" [ Value.int a; Value.int b ]); true
+            | 1 -> Database.add db (Fact.make "U" [ Value.int a ]); true
+            | 2 ->
+                (match Database.facts db with
+                | [] -> ()
+                | live ->
+                    let f = List.nth live (((a * 6) + b) mod List.length live) in
+                    Database.remove db f;
+                    removed := f :: !removed);
+                true
+            | 3 ->
+                (match !removed with
+                | [] -> ()
+                | l -> Database.add db (List.nth l ((a + b) mod List.length l)));
+                true
+            | _ -> same ())
+          steps
+      in
+      ok && same ()
+      && (* every window was absorbed by the one cached store *)
+      Database.get_cache db == cached)
+
+(* Removing facts and compiling inside an enumeration's callback syncs the
+   store under the running enumeration: the outer run must keep reading the
+   rows it started with, and yield exactly what it yields undisturbed.
+   Checked mode re-audits the plan per morsel group and rejects the outer
+   run instead, since its store moved underneath it. *)
+let test_remove_inside_enumeration () =
+  let edges = List.init 40 (fun i -> (i mod 9, (i * 7) mod 11)) in
+  let body = [ e "x" "y"; e "y" "z" ] in
+  let disturbed_run () =
+    let db = db_of_edges edges in
+    let undisturbed, _ = envs_of db body in
+    let p = Engine.compile db body ~init:Mapping.empty in
+    let seen = ref [] and fired = ref false in
+    Engine.iter_envs p (fun env ->
+        seen := Engine.mapping_of_env p env :: !seen;
+        if not !fired then begin
+          fired := true;
+          List.iteri
+            (fun i (a, b) ->
+              if i mod 3 = 0 then
+                Database.remove db (Fact.make "E" [ Value.int a; Value.int b ]))
+            edges;
+          let inner, n = envs_of db body in
+          check_bool "inner run sees the removals" true
+            (Mapping.Set.equal (Mapping.Set.of_list inner)
+               (Mapping.Set.of_list
+                  (Cq.Eval.Naive.homomorphisms db body ~init:Mapping.empty)));
+          check_int "inner count" (List.length inner) n
+        end);
+    (undisturbed, List.rev !seen)
+  in
+  let saved_morsel = Engine.Parallel.morsel_rows ()
+  and saved_checked = Engine.checked_enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.Parallel.set_morsel_rows saved_morsel;
+      Engine.set_checked saved_checked)
+    (fun () ->
+      (* small morsels: the callback fires before later morsels are read *)
+      Engine.Parallel.set_morsel_rows 2;
+      Engine.set_checked false;
+      let undisturbed, seen = disturbed_run () in
+      check_bool "enumeration spans several morsels" true
+        (List.length undisturbed > 8);
+      check_bool "outer enumeration yields exactly the undisturbed run" true
+        (List.equal Mapping.equal undisturbed seen);
+      Engine.set_checked true;
+      check_bool "checked mode rejects the moved store" true
+        (match disturbed_run () with
+        | _ -> false
+        | exception Engine.Check_failure _ -> true))
+
 let suite =
   [ Alcotest.test_case "interner" `Quick test_interner;
     Alcotest.test_case "paging boundaries" `Quick test_paging_boundaries;
@@ -354,4 +468,7 @@ let suite =
     prop_eval_tractable_agrees;
     Alcotest.test_case "maximal_set edge cases" `Quick test_maximal_set_cases;
     prop_maximal_elements;
-    prop_maximal_set ]
+    prop_maximal_set;
+    prop_in_place_sync;
+    Alcotest.test_case "removal synced mid-enumeration" `Quick
+      test_remove_inside_enumeration ]
