@@ -867,204 +867,6 @@ let opt_pipeline () =
   Engine.set_optimize was_opt
 
 (* ---------------------------------------------------------------- *)
-(* PAR: domain-parallel runtime; incremental vs full recompilation    *)
-(* ---------------------------------------------------------------- *)
-
-let par_runtime () =
-  section "PAR"
-    "Domain-parallel count and semijoin regions (pools of 1/2/4/8) and incremental compiled databases";
-  Format.printf
-    "a count's top-level candidate range, or a semijoin's input rows, is@.";
-  Format.printf
-    "chunked across a Domain pool; results are cross-checked against the@.";
-  Format.printf
-    "1-domain run. Enumeration and sat run sequentially at every pool size,@.";
-  Format.printf
-    "so they have no pool column. Speedup is bounded by the machine's cores.@.";
-  let d0 = Engine.Parallel.domains () and m0 = Engine.Parallel.min_rows () in
-  let with_pool nd f =
-    Engine.Parallel.set_domains nd;
-    Engine.Parallel.set_min_rows 1;
-    Fun.protect
-      ~finally:(fun () ->
-        Engine.Parallel.set_domains d0;
-        Engine.Parallel.set_min_rows m0)
-      f
-  in
-  let curve ~chain ~tag sizes pools =
-    let body = Cq.Query.body (Workload.Gen_cq.chain chain) in
-    print_row "  chain-%d CQ@." chain;
-    print_row "  %8s  %4s  %12s  %9s@." "|D|" "nd" "count(ms)" "agree";
-    List.iter
-      (fun size ->
-        let db =
-          Workload.Gen_db.random_graph_db ~seed:23 ~nodes:(size / 4) ~edges:size
-        in
-        let p = Engine.compile db body ~init:Mapping.empty in
-        let reference = with_pool 1 (fun () -> Engine.count_envs p) in
-        List.iter
-          (fun nd ->
-            with_pool nd (fun () ->
-                let c = ref 0 in
-                let t_count = time_it (fun () -> c := Engine.count_envs p) in
-                let agree = !c = reference in
-                if not agree then failwith "PAR: parallel count disagrees";
-                print_row "  %8d  %4d  %12.2f  %9b@." size nd (t_count *. 1000.)
-                  agree;
-                record "PAR" (Printf.sprintf "count %s|D|=%d nd=%d" tag size nd) t_count))
-          pools)
-      sizes
-  in
-  curve ~chain:4 ~tag:"" (if !smoke then [ 200; 800 ] else [ 800; 1600; 3200 ])
-    [ 1; 2; 4; 8 ];
-  (* long top-level ranges on a cheap query: the sizes a row threshold
-     would have to be chosen from *)
-  let chain2 = if !smoke then [ 800 ] else [ 12800; 51200; 204800 ] in
-  if not !smoke then curve ~chain:2 ~tag:"chain-2 " chain2 [ 1; 2 ];
-  (* semijoin regions: Yannakakis over the acyclic chain-2 query, whose
-     full reducer runs one semijoin per join-forest edge in each direction
-     (every one a region under the 1-row threshold); the answers are
-     compared with the 1-domain run *)
-  print_row "  Yannakakis answers (semijoin regions), chain-2 CQ@.";
-  print_row "  %8s  %4s  %12s  %9s  %9s@." "|D|" "nd" "answers(ms)" "regions"
-    "agree";
-  let q2 = Workload.Gen_cq.chain 2 in
-  List.iter
-    (fun size ->
-      let db =
-        Workload.Gen_db.random_graph_db ~seed:23 ~nodes:(size / 4) ~edges:size
-      in
-      let reference = with_pool 1 (fun () -> Cq.Yannakakis.answers db q2) in
-      List.iter
-        (fun nd ->
-          with_pool nd (fun () ->
-              let a = ref None in
-              let t = time_it (fun () -> a := Cq.Yannakakis.answers db q2) in
-              let agree = Option.equal Mapping.Set.equal !a reference in
-              if not agree then failwith "PAR: parallel semijoin disagrees";
-              (* the sanitizer counts the regions it validates: one untimed
-                 sanitized run counts the semijoin regions *)
-              let r0 = (Engine.Parallel.race_stats ()).Engine.Parallel.rs_regions in
-              let race0 = Engine.Parallel.race_check_enabled () in
-              Engine.Parallel.set_race_check true;
-              Fun.protect
-                ~finally:(fun () -> Engine.Parallel.set_race_check race0)
-                (fun () -> ignore (Cq.Yannakakis.answers db q2));
-              let regions =
-                (Engine.Parallel.race_stats ()).Engine.Parallel.rs_regions - r0
-              in
-              print_row "  %8d  %4d  %12.2f  %9d  %9b@." size nd (t *. 1000.)
-                regions agree;
-              record "PAR"
-                (Printf.sprintf "semijoin chain-2 |D|=%d nd=%d" size nd)
-                t))
-        [ 1; 2 ])
-    chain2;
-  (* incremental maintenance: with a warm compiled form, Database.add appends
-     into the interned tuples and counted index cells in place; the baseline
-     drops the cache so the next query recompiles from scratch. Acceptance:
-     the in-place extension beats full recompilation by >= 5x. *)
-  print_row "  incremental Database.add + re-query vs clear_cache + re-query:@.";
-  print_row "  %8s  %16s  %14s  %9s@." "|D|" "incremental(ms)" "rebuild(ms)" "ratio";
-  (* the probe is selective (constant-bound first position) so the re-query
-     itself is O(matching rows), not O(data): the timed difference is the
-     maintenance cost — an O(1) in-place append vs an O(data) recompile *)
-  let q1 =
-    Cq.Query.make ~head:[ "y" ]
-      ~body:[ Atom.make "E" [ Term.const (Value.int 0); Term.var "y" ] ]
-  in
-  let worst = ref infinity in
-  List.iter
-    (fun size ->
-      let fresh_fact i =
-        Fact.make "E" [ Value.int (1_000_000 + i); Value.int (2_000_000 + i) ]
-      in
-      let db =
-        Workload.Gen_db.random_graph_db ~seed:29 ~nodes:(size / 4) ~edges:size
-      in
-      ignore (Cq.Eval.answers db q1);
-      let i = ref 0 in
-      let t_inc =
-        time_it (fun () ->
-            Database.add db (fresh_fact !i);
-            incr i;
-            ignore (Cq.Eval.answers db q1))
-      in
-      let t_full =
-        time_it (fun () ->
-            Database.add db (fresh_fact !i);
-            incr i;
-            Database.clear_cache db;
-            ignore (Cq.Eval.answers db q1))
-      in
-      let ratio = t_full /. t_inc in
-      if size >= 800 then worst := Float.min !worst ratio;
-      print_row "  %8d  %16.4f  %14.4f  %8.1fx@." size (t_inc *. 1000.)
-        (t_full *. 1000.) ratio;
-      record "PAR" (Printf.sprintf "incremental |D|=%d" size) t_inc;
-      record "PAR" (Printf.sprintf "rebuild |D|=%d" size) t_full)
-    (if !smoke then [ 200; 800 ] else [ 800; 3200; 12800 ]);
-  print_row
-    "  worst incremental advantage at |D| >= 800: %.1fx  (acceptance: >= 5x)@."
-    !worst
-
-(* ---------------------------------------------------------------- *)
-(* RACE: data-race sanitizer overhead on the parallel primitives      *)
-(* ---------------------------------------------------------------- *)
-
-let race_sanitizer () =
-  section "RACE"
-    "Race sanitizer (WDPT_ENGINE_TSAN) overhead on parallel count, answers cross-checked";
-  Format.printf
-    "per-chunk access logs with logical clocks, vector-clock validation at@.";
-  Format.printf
-    "the join; logging is O(distinct shared locations) per chunk, so the@.";
-  Format.printf
-    "overhead must stay a flat factor as |D| grows.@.";
-  let d0 = Engine.Parallel.domains () and m0 = Engine.Parallel.min_rows () in
-  let r0 = Engine.Parallel.race_check_enabled () in
-  let with_pool nd race f =
-    Engine.Parallel.set_domains nd;
-    Engine.Parallel.set_min_rows 1;
-    Engine.Parallel.set_race_check race;
-    Fun.protect
-      ~finally:(fun () ->
-        Engine.Parallel.set_domains d0;
-        Engine.Parallel.set_min_rows m0;
-        Engine.Parallel.set_race_check r0)
-      f
-  in
-  let body = Cq.Query.body (Workload.Gen_cq.chain 4) in
-  print_row "  %8s  %6s  %12s  %12s  %9s  %7s@." "|D|" "prim" "plain(ms)"
-    "tsan(ms)" "overhead" "agree";
-  List.iter
-    (fun size ->
-      let db =
-        Workload.Gen_db.random_graph_db ~seed:31 ~nodes:(size / 4) ~edges:size
-      in
-      let p = Engine.compile db body ~init:Mapping.empty in
-      let reference = with_pool 1 false (fun () -> Engine.count_envs p) in
-      let row prim f =
-        let plain = ref 0 and tsan = ref 0 in
-        let t_plain = with_pool 2 false (fun () -> time_it (fun () -> plain := f ())) in
-        let t_tsan = with_pool 2 true (fun () -> time_it (fun () -> tsan := f ())) in
-        let agree = !plain = reference && !tsan = reference in
-        if not agree then failwith ("RACE: " ^ prim ^ " disagrees");
-        print_row "  %8d  %6s  %12.2f  %12.2f  %8.2fx  %7b@." size prim
-          (t_plain *. 1000.) (t_tsan *. 1000.) (t_tsan /. t_plain) agree;
-        record "RACE" (Printf.sprintf "%s |D|=%d plain" prim size) t_plain;
-        record "RACE" (Printf.sprintf "%s |D|=%d tsan" prim size) t_tsan
-      in
-      row "count" (fun () -> Engine.count_envs p))
-    (if !smoke then [ 200; 800 ] else [ 800; 1600; 3200 ]);
-  let s = Engine.Parallel.race_stats () in
-  print_row
-    "  sanitizer totals: %d region(s) validated, %d access record(s), %d race(s)  (acceptance: 0 races)@."
-    s.Engine.Parallel.rs_regions s.Engine.Parallel.rs_events
-    s.Engine.Parallel.rs_races;
-  if s.Engine.Parallel.rs_races > 0 then failwith "RACE: sanitizer reported races"
-
-(* ---------------------------------------------------------------- *)
 (* DRIFT: adaptive re-optimization pays off on skewed data            *)
 (* ---------------------------------------------------------------- *)
 
@@ -1288,6 +1090,56 @@ let delta_maintenance () =
   if !speedup_at_largest < 10. then
     failwith "DELTA: refresh is not 10x faster than full re-evaluation"
 
+(* incremental maintenance of the compiled store, part of the DELTA
+   experiment: with a warm compiled form, Database.add appends into the
+   interned tuples and counted index cells in place; the baseline drops the
+   cache so the next query recompiles from scratch. Acceptance: the in-place
+   extension beats full recompilation by >= 5x. *)
+let store_extension () =
+  print_row "  incremental Database.add + re-query vs clear_cache + re-query:@.";
+  print_row "  %8s  %16s  %14s  %9s@." "|D|" "incremental(ms)" "rebuild(ms)" "ratio";
+  (* the probe is selective (constant-bound first position) so the re-query
+     itself is O(matching rows), not O(data): the timed difference is the
+     maintenance cost — an O(1) in-place append vs an O(data) recompile *)
+  let q1 =
+    Cq.Query.make ~head:[ "y" ]
+      ~body:[ Atom.make "E" [ Term.const (Value.int 0); Term.var "y" ] ]
+  in
+  let worst = ref infinity in
+  List.iter
+    (fun size ->
+      let fresh_fact i =
+        Fact.make "E" [ Value.int (1_000_000 + i); Value.int (2_000_000 + i) ]
+      in
+      let db =
+        Workload.Gen_db.random_graph_db ~seed:29 ~nodes:(size / 4) ~edges:size
+      in
+      ignore (Cq.Eval.answers db q1);
+      let i = ref 0 in
+      let t_inc =
+        time_it (fun () ->
+            Database.add db (fresh_fact !i);
+            incr i;
+            ignore (Cq.Eval.answers db q1))
+      in
+      let t_full =
+        time_it (fun () ->
+            Database.add db (fresh_fact !i);
+            incr i;
+            Database.clear_cache db;
+            ignore (Cq.Eval.answers db q1))
+      in
+      let ratio = t_full /. t_inc in
+      if size >= 800 then worst := Float.min !worst ratio;
+      print_row "  %8d  %16.4f  %14.4f  %8.1fx@." size (t_inc *. 1000.)
+        (t_full *. 1000.) ratio;
+      record "DELTA" (Printf.sprintf "incremental |D|=%d" size) t_inc;
+      record "DELTA" (Printf.sprintf "rebuild |D|=%d" size) t_full)
+    (if !smoke then [ 200; 800 ] else [ 800; 3200; 12800 ]);
+  print_row
+    "  worst incremental advantage at |D| >= 800: %.1fx  (acceptance: >= 5x)@."
+    !worst
+
 (* ---------------------------------------------------------------- *)
 (* Bechamel micro-benchmarks: one Test.make per table/figure          *)
 (* ---------------------------------------------------------------- *)
@@ -1344,36 +1196,34 @@ let bechamel_suite () =
         results)
     tests
 
-let usage = "bench [--json OUT] [--smoke] [--only ID] [--domains N] [--min-rows N]"
+let usage = "bench [--json OUT] [--smoke] [--only ID] [--morsel-rows N]"
 
 let () =
   let args =
     [ ("--json", Arg.String (fun s -> json_out := Some s),
        "OUT  write per-experiment median timings as JSON");
       ("--smoke", Arg.Set smoke,
-       "  quick subset (t1a + engine + resource + opt + par + race + drift + delta, reduced sizes) for CI");
+       "  quick subset (t1a + engine + resource + opt + drift + delta, reduced sizes) for CI");
       ("--only", Arg.String (fun s -> only := Some s),
-       "ID  run a single experiment (t1a t1b t1pf t1hw t1pm t1sub t2mem t2app fig2 cor2 prop2 engine audit resource opt par race drift delta bechamel)");
+       "ID  run a single experiment (t1a t1b t1pf t1hw t1pm t1sub t2mem t2app fig2 cor2 prop2 engine audit resource opt drift delta bechamel)");
       ("--morsel-rows", Arg.Int (fun n ->
-           if n < 1 then raise (Arg.Bad "--morsel-rows: morsel size must be >= 1");
-           Engine.Parallel.set_morsel_rows n),
-       "N  ambient morsel group size for experiments that do not sweep it (>= 1)");
-      ("--domains", Arg.Int (fun n ->
-           if n < 1 || n > 64 then raise (Arg.Bad "--domains: pool size must be within 1..64");
-           Engine.Parallel.set_domains n),
-       "N  ambient domain pool size for experiments that do not set their own (1..64)");
-      ("--min-rows", Arg.Int (fun n ->
-           if n < 1 then raise (Arg.Bad "--min-rows: threshold must be >= 1");
-           Engine.Parallel.set_min_rows n),
-       "N  ambient parallel-region row threshold (>= 1)") ]
+           if n < 1 || n > Engine.morsel_cap then
+             raise
+               (Arg.Bad
+                  (Printf.sprintf
+                     "--morsel-rows: morsel size must be within 1..%d"
+                     Engine.morsel_cap));
+           Engine.set_morsel_rows n),
+       "N  ambient morsel group size for experiments that do not sweep it \
+        (1..2^20)") ]
   in
   Arg.parse args (fun s -> raise (Arg.Bad ("unexpected argument " ^ s))) usage;
   (* an unknown --only must fail loudly (a typo silently running nothing
      looks like a passing benchmark), listing what is available *)
   let experiments =
     [ "t1a"; "t1b"; "t1pf"; "t1hw"; "t1pm"; "t1sub"; "t2mem"; "t2app"; "fig2";
-      "cor2"; "prop2"; "engine"; "audit"; "resource"; "opt"; "par";
-      "race"; "drift"; "delta"; "bechamel" ]
+      "cor2"; "prop2"; "engine"; "audit"; "resource"; "opt"; "drift";
+      "delta"; "bechamel" ]
   in
   (match !only with
   | Some s when not (List.mem s experiments) ->
@@ -1386,8 +1236,7 @@ let () =
   let want name =
     if !smoke then
       name = "t1a" || name = "engine" || name = "resource"
-      || name = "opt" || name = "par" || name = "race" || name = "drift"
-      || name = "delta"
+      || name = "opt" || name = "drift" || name = "delta"
     else match !only with None -> true | Some s -> s = name
   in
   if want "t1a" then t1_eval_tractable ();
@@ -1405,10 +1254,11 @@ let () =
   if want "audit" then audit_overhead ();
   if want "resource" then resource_envelope ();
   if want "opt" then opt_pipeline ();
-  if want "par" then par_runtime ();
-  if want "race" then race_sanitizer ();
   if want "drift" then drift_adaptive ();
-  if want "delta" then delta_maintenance ();
+  if want "delta" then begin
+    delta_maintenance ();
+    store_extension ()
+  end;
   if want "bechamel" then bechamel_suite ();
   (match !json_out with
   | Some path -> write_json path

@@ -71,34 +71,27 @@ let or_die = function
       prerr_endline e;
       exit 1
 
-(* --domains / --min-rows: validated against the same bounds
-   Engine.Parallel.set_domains / set_min_rows clamp to (an out-of-bounds
-   value is an error here, not a silent clamp), then applied for the
-   duration of the command. Unset flags leave the ambient configuration
-   (WDPT_ENGINE_DOMAINS, default threshold) alone. *)
-let domains_arg =
-  let doc =
-    "Domain pool size for parallel counting and semijoin regions (1-64; 1 \
-     = sequential). Enumeration and first-match always run sequentially. \
-     Overrides WDPT_ENGINE_DOMAINS. Regions also need --min-rows."
-  in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
-
-let min_rows_arg =
-  let doc =
-    "Minimum rows (top-level candidates of a count, input rows of a \
-     semijoin) before a parallel region is worth spawning (>= 1). Regions are opt-in: without this option every pool \
-     size runs sequentially."
-  in
-  Arg.(value & opt (some int) None & info [ "min-rows" ] ~docv:"N" ~doc)
-
+(* --morsel-rows is validated against the bounds Engine.set_morsel_rows
+   clamps to (an out-of-bounds value is an error here, not a silent clamp),
+   then applied for the duration of the command. Unset, the ambient size
+   (WDPT_ENGINE_MORSEL, default 1024) stays. *)
 let morsel_rows_arg =
   let doc =
-    "Morsel size: rows per parallel chunk and per batch group of the \
-     vectorized interpreter (>= 1; default 1024). Overrides \
-     WDPT_ENGINE_MORSEL."
+    Printf.sprintf
+      "Morsel size: rows per batch group of the vectorized interpreter \
+       (1-%d; default 1024). Overrides WDPT_ENGINE_MORSEL."
+      Engine.morsel_cap
   in
   Arg.(value & opt (some int) None & info [ "morsel-rows" ] ~docv:"N" ~doc)
+
+let apply_morsel_rows = function
+  | Some n when n < 1 || n > Engine.morsel_cap ->
+      or_die
+        (Error
+           (Printf.sprintf "--morsel-rows %d: morsel size must be within 1..%d"
+              n Engine.morsel_cap))
+  | Some n -> Engine.set_morsel_rows n
+  | None -> ()
 
 let max_mem_arg =
   let doc =
@@ -115,9 +108,9 @@ let exit_admission_reject = 3
 
 (* The gate certifies the full-tree plan: the widest CQ the evaluation
    compiles (per-node plans are plans of sub-bodies, so its envelope
-   dominates theirs under the same configuration). Evaluation runs on one
-   domain at every pool size, so there is nothing to fall back to: over
-   budget is a rejection. *)
+   dominates theirs under the same configuration). Evaluation runs
+   sequentially, so there is nothing to fall back to: over budget is a
+   rejection. *)
 let admission_gate ~budget db q =
   match budget with
   | None -> ()
@@ -135,29 +128,10 @@ let admission_gate ~budget db q =
         exit exit_admission_reject
       end
 
-let apply_engine_config domains min_rows morsel_rows =
-  (match domains with
-  | Some n when n < 1 || n > 64 ->
-      or_die
-        (Error (Printf.sprintf "--domains %d: pool size must be within 1..64" n))
-  | Some n -> Engine.Parallel.set_domains n
-  | None -> ());
-  (match min_rows with
-  | Some n when n < 1 ->
-      or_die (Error (Printf.sprintf "--min-rows %d: threshold must be >= 1" n))
-  | Some n -> Engine.Parallel.set_min_rows n
-  | None -> ());
-  match morsel_rows with
-  | Some n when n < 1 ->
-      or_die
-        (Error (Printf.sprintf "--morsel-rows %d: morsel size must be >= 1" n))
-  | Some n -> Engine.Parallel.set_morsel_rows n
-  | None -> ()
-
 let eval_cmd =
-  let run query data maximal relational limit offset domains min_rows
-      morsel_rows max_mem adapt =
-    apply_engine_config domains min_rows morsel_rows;
+  let run query data maximal relational limit offset morsel_rows max_mem
+      adapt =
+    apply_morsel_rows morsel_rows;
     if adapt then Engine.set_adapt true;
     let p = or_die (load_tree ~relational query) in
     let db = or_die (load_db ~relational data) in
@@ -245,8 +219,7 @@ let eval_cmd =
     (Cmd.info "eval"
        ~doc:"Evaluate a well-designed query ({AND,OPT}-SPARQL, or pattern-tree syntax with -r).")
     Term.(const run $ query_arg $ data_arg $ maximal $ relational_arg $ limit
-          $ offset $ domains_arg $ min_rows_arg $ morsel_rows_arg
-          $ max_mem_arg $ adapt)
+          $ offset $ morsel_rows_arg $ max_mem_arg $ adapt)
 
 (* shared by watch, lint and explain; the lint -j flag stays as an alias *)
 let format_arg =
@@ -577,43 +550,9 @@ let lint_cmd =
              clean (hints only), 1 = warnings, 2 = errors.")
     Term.(const run $ query_arg $ json_arg $ format_arg $ relational_arg)
 
-(* With the sanitizer on, explain exercises it for real: one parallel count
-   over the plan under the current pool configuration, reporting the stats
-   delta. With it off (or a sequential decision) there is nothing to
-   observe, and the report says so. *)
-let race_report plan =
-  if not (Engine.Parallel.race_check_enabled ()) then None
-  else begin
-    let before = Engine.Parallel.race_stats () in
-    let verdict =
-      try
-        ignore (Engine.count_envs plan);
-        "clean"
-      with Engine.Race_failure _ -> "race"
-    in
-    let after = Engine.Parallel.race_stats () in
-    Some
-      ( after.Engine.Parallel.rs_regions - before.Engine.Parallel.rs_regions,
-        after.Engine.Parallel.rs_events - before.Engine.Parallel.rs_events,
-        after.Engine.Parallel.rs_races - before.Engine.Parallel.rs_races,
-        verdict )
-  end
-
-let race_json report =
-  match report with
-  | None -> Analysis.Json.Obj [ ("enabled", Analysis.Json.Bool false) ]
-  | Some (regions, events, races, verdict) ->
-      Analysis.Json.Obj
-        [ ("enabled", Analysis.Json.Bool true);
-          ("regions", Int regions);
-          ("events", Int events);
-          ("races", Int races);
-          ("verdict", Str verdict) ]
-
 let explain_cmd =
-  let run query data format relational opt domains min_rows morsel_rows
-      max_mem adapt drift =
-    apply_engine_config domains min_rows morsel_rows;
+  let run query data format relational opt morsel_rows max_mem adapt drift =
+    apply_morsel_rows morsel_rows;
     if adapt then Engine.set_adapt true;
     let lint_ds = lint_source ~relational query in
     let fatal =
@@ -651,11 +590,9 @@ let explain_cmd =
     let equiv_ds =
       match equiv with None -> [] | Some r -> Analysis.Equiv.diagnostics r
     in
-    let pview = Engine.Inspect.par plan in
     let bview = Engine.Inspect.batch plan in
-    let par_ds = Analysis.Par_audit.audit_view pview in
     let batch_ds = Analysis.Batch_audit.audit_view view bview in
-    let resource = Analysis.Resource.analyze view pview bview in
+    let resource = Analysis.Resource.analyze view bview in
     let admitted =
       Option.map
         (fun budget -> Analysis.Resource.admits resource ~budget)
@@ -692,7 +629,7 @@ let explain_cmd =
       | Some (_, fds, swap) ->
           fds @ (match swap with Some (_, sds) -> sds | None -> [])
     in
-    let ds = lint_ds @ audit_ds @ equiv_ds @ par_ds @ batch_ds @ feedback_ds in
+    let ds = lint_ds @ audit_ds @ equiv_ds @ batch_ds @ feedback_ds in
     let exit_code =
       match admitted with
       | Some false -> exit_admission_reject
@@ -714,8 +651,6 @@ let explain_cmd =
         | _ -> [])
     in
     let cost = Analysis.Cost.analyze db atoms ~free:(Wdpt.Pattern_tree.free p) in
-    let partition = Engine.Parallel.decision plan in
-    let race = race_report plan in
     let feedback_json =
       match feedback with
       | None -> Analysis.Json.Obj [ ("enabled", Analysis.Json.Bool false) ]
@@ -767,12 +702,9 @@ let explain_cmd =
                 ("audit", Analysis.Diagnostic.report_json ds) ]
              @ opt_fields
              @ [ ("cost", Analysis.Cost.to_json cost);
-                 ("parallel", Analysis.Cost.parallel_json partition);
-                 ("par_audit", Analysis.Par_audit.par_json pview);
-                 ("batch", Analysis.Par_audit.batch_json bview);
+                 ("batch", Analysis.Batch_audit.batch_json bview);
                  ("batch_audit", Analysis.Diagnostic.report_json batch_ds);
                  ("resource", resource_json);
-                 ("race", race_json race);
                  ("feedback", feedback_json);
                  ("tree", tree_json);
                  ("exit-code", Analysis.Json.Int exit_code) ]))
@@ -792,9 +724,7 @@ let explain_cmd =
             Format.printf "@[<v>dataflow:@,%a@]@." Analysis.Dataflow.pp df
         | None -> ());
         Format.printf "@[<v>cost:@,%a@]@." Analysis.Cost.pp cost;
-        Format.printf "@[<v>%a@]@." Analysis.Cost.pp_parallel partition;
-        Format.printf "@[<v>par-audit:@,%a@]@." Analysis.Par_audit.pp_par pview;
-        Format.printf "@[<v>%a@]@." Analysis.Par_audit.pp_batch bview;
+        Format.printf "@[<v>%a@]@." Analysis.Batch_audit.pp_batch bview;
         (if batch_ds = [] then Format.printf "batch-audit: clean@."
          else begin
            Format.printf "batch-audit:@.";
@@ -808,12 +738,6 @@ let explain_cmd =
               (if ok then "admit" else "reject (exit 3)")
               resource.Analysis.Resource.r_peak_bytes budget
         | _ -> ());
-        (match race with
-        | None -> Format.printf "race sanitizer: off@."
-        | Some (regions, events, races, verdict) ->
-            Format.printf
-              "race sanitizer: on — %d region(s), %d event(s), %d race(s): %s@."
-              regions events races verdict);
         (match feedback with
         | None -> ()
         | Some (fview, fds, swap) ->
@@ -879,11 +803,9 @@ let explain_cmd =
              verdict (E-series diagnostics over the IR) and width-based cost \
              bounds. With $(b,--opt), also the optimization pass trail with \
              per-pass translation-validation verdicts and the dataflow \
-             summary. Also audits the parallel execution plan (E011-E016), \
-             reports the batched-execution decision (stage pipeline, \
-             columnar layout, morsel geometry) and, when WDPT_ENGINE_TSAN=1, \
-             runs the data-race sanitizer over one parallel count. Also \
-             audits the batched layout (E017-E020) and certifies a resource \
+             summary. Also reports the batched-execution decision (stage \
+             pipeline, columnar layout, morsel geometry), audits the \
+             batched layout (E017-E020) and certifies a resource \
              envelope for admission control ($(b,--max-mem)). With \
              $(b,--drift), collects runtime cardinality feedback and audits \
              it (E022-E026); with $(b,--adapt) a confirmed drift re-plans \
@@ -891,8 +813,7 @@ let explain_cmd =
              match $(b,lint): 0 = clean, 1 = warnings, 2 = errors; 3 = \
              rejected by $(b,--max-mem).")
     Term.(const run $ query_arg $ data_opt $ format_arg $ relational_arg
-          $ opt_arg $ domains_arg $ min_rows_arg $ morsel_rows_arg
-          $ max_mem_arg $ adapt_arg $ drift_arg)
+          $ opt_arg $ morsel_rows_arg $ max_mem_arg $ adapt_arg $ drift_arg)
 
 let check_cmd =
   let run query relational =

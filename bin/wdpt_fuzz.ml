@@ -5,7 +5,6 @@
 
    Usage: wdpt_fuzz [SECONDS] [SEED]
           wdpt_fuzz --opt-diff [COUNT] [SEED]
-          wdpt_fuzz --race-diff [COUNT] [SEED]
           wdpt_fuzz --batch-audit-diff [COUNT] [SEED]
           wdpt_fuzz --drift-diff [COUNT] [SEED]
           wdpt_fuzz --delta-diff [COUNT] [SEED]
@@ -20,17 +19,6 @@
    translation-validates every optimized plan's certificate trail
    (Analysis.Equiv, zero E007-E010 expected). Count-based rather than
    time-based so a pinned seed always covers the same instances.
-
-   --race-diff COUNT runs the race differential (default 300): on COUNT
-   random instances it draws a random pool size, chunking threshold and
-   data-race sanitizer setting (when on, every parallel region logs its
-   shared-location accesses and validates them vector-clock-style after the
-   join), and cross-checks the answers under that configuration against
-   pool 1 — the WDPT and CQ answer sets, the plan's count (a count region)
-   and, for acyclic queries, the Yannakakis answers (semijoin regions).
-   Zero Race_failure and identical answers expected. A final
-   fault-injection check flips the test-only corrupted reducer on and
-   requires the sanitizer to catch it.
 
    --drift-diff COUNT runs the adaptive re-planning differential (default
    300): on COUNT random instances it evaluates with adaptation off and
@@ -59,9 +47,9 @@
 
    --batch-audit-diff COUNT runs the batch-pipeline differential (default
    300): on COUNT random instances, with randomized morsel size and checked
-   mode, at domain pools of 1 and 2, the genuine batched layout must audit
-   clean (zero E017-E020), the answer sets must equal the naive oracles at
-   both semantics levels (Cq.Eval.Naive, engine-free, for the full-tree CQ;
+   mode, the genuine batched layout must audit clean (zero E017-E020), the
+   answer sets must equal the naive oracles at both semantics levels
+   (Cq.Eval.Naive, engine-free, for the full-tree CQ;
    Wdpt.Semantics.eval_naive — every subtree's homomorphisms, then the
    subsumption-maximal ones — for the WDPT, within the brute-force budget),
    and after a count plus a full enumeration of the plan every measured
@@ -71,27 +59,16 @@
 open Relational
 
 (* Run [f] under the given engine settings and restore the ambient ones
-   afterwards, whatever happens: a run under WDPT_ENGINE_DOMAINS, _MORSEL,
-   _CHECKED or _TSAN keeps its setting from one instance to the next. *)
-let with_engine ?domains ?min_rows ?morsel ?checked ?race ?fault f =
-  let module P = Engine.Parallel in
-  let d0 = P.domains () and m0 = P.min_rows () and g0 = P.morsel_rows () in
-  let c0 = Engine.checked_enabled () and r0 = P.race_check_enabled () in
-  let f0 = P.fault_injection_enabled () in
-  Option.iter P.set_domains domains;
-  Option.iter P.set_min_rows min_rows;
-  Option.iter P.set_morsel_rows morsel;
+   afterwards, whatever happens: a run under WDPT_ENGINE_MORSEL or
+   _CHECKED keeps its setting from one instance to the next. *)
+let with_engine ?morsel ?checked f =
+  let g0 = Engine.morsel_rows () and c0 = Engine.checked_enabled () in
+  Option.iter Engine.set_morsel_rows morsel;
   Option.iter Engine.set_checked checked;
-  Option.iter P.set_race_check race;
-  Option.iter P.set_fault_injection fault;
   Fun.protect
     ~finally:(fun () ->
-      P.set_domains d0;
-      P.set_min_rows m0;
-      P.set_morsel_rows g0;
-      Engine.set_checked c0;
-      P.set_race_check r0;
-      P.set_fault_injection f0)
+      Engine.set_morsel_rows g0;
+      Engine.set_checked c0)
     f
 
 let random_instance seed =
@@ -222,63 +199,6 @@ let opt_diff_feasible p db =
   let adom = max 2 (Database.adom_size db) in
   float_of_int nvars *. log (float_of_int adom) <= log 1e6
 
-(* ---- race differential --------------------------------------------------- *)
-
-(* One instance of the --race-diff mode: a randomized pool size, min-rows
-   threshold (randomized chunking) and sanitizer setting, answers
-   cross-checked against pool 1 — the WDPT and CQ answer sets, the plan's
-   count, and the Yannakakis answers of an acyclic query, whose semijoin
-   passes open regions too. With the sanitizer on, its raising is itself a
-   failure: the genuine runtime must be race-free. *)
-let check_race_diff st p db =
-  let failures = ref [] in
-  let fail name = failures := name :: !failures in
-  let pick l = List.nth l (Random.State.int st (List.length l)) in
-  let nd = pick [ 2; 3; 4 ] in
-  let mr = pick [ 1; 2; 5 ] in
-  let race = pick [ false; true ] in
-  let q = Wdpt.Pattern_tree.q_full p in
-  let count () =
-    Engine.count_envs (Engine.compile db (Cq.Query.body q) ~init:Mapping.empty)
-  in
-  let run () =
-    ( Wdpt.Semantics.eval db p,
-      Cq.Eval.answers db q,
-      count (),
-      Cq.Yannakakis.answers db q )
-  in
-  let seq_wdpt, seq_cq, seq_count, seq_yan = with_engine ~domains:1 run in
-  let tag s =
-    Printf.sprintf "%s@%d-domains-min-rows-%d%s" s nd mr
-      (if race then "-sanitized" else "")
-  in
-  (try
-     let wdpt, cq, n, yan = with_engine ~domains:nd ~min_rows:mr ~race run in
-     if not (Mapping.Set.equal wdpt seq_wdpt) then fail (tag "wdpt-eval");
-     if not (Mapping.Set.equal cq seq_cq) then fail (tag "cq-eval");
-     if n <> seq_count then fail (tag "count");
-     if not (Option.equal Mapping.Set.equal yan seq_yan) then
-       fail (tag "yannakakis")
-   with Engine.Race_failure msg -> fail (tag ("race: " ^ msg)));
-  !failures
-
-(* the seeded corrupted reducer must be caught: build one instance big
-   enough to chunk, flip fault injection on, and require Race_failure *)
-let check_fault_injection () =
-  let db =
-    Workload.Gen_db.random_graph_db ~seed:7 ~nodes:30 ~edges:60
-  in
-  let plan =
-    Engine.compile db
-      [ Atom.make "E" [ Term.var "x"; Term.var "y" ] ]
-      ~init:Mapping.empty
-  in
-  with_engine ~domains:4 ~min_rows:1 ~race:true ~fault:true (fun () ->
-      try
-        ignore (Engine.count_envs plan);
-        false
-      with Engine.Race_failure _ -> true)
-
 (* ---- incremental-maintenance differential -------------------------------- *)
 
 (* One instance of the --delta-diff mode; see the header comment. The
@@ -401,16 +321,16 @@ let delta_diff_main count seed0 =
 (* ---- batch-audit differential ------------------------------------------- *)
 
 (* One instance of the --batch-audit-diff mode: the genuine batched layout
-   audits clean (E017-E020) at pools 1 and 2, after running the plan (one
-   count — a region at pool 2 — and one full enumeration, which crosses the
-   per-group replay when the random draw arms checked mode) every
-   measured high-water mark stays within the certified resource envelope
-   (zero E021), and the answers at both semantics levels equal the naive
-   oracles, computed once under the default configuration. The quadratic
-   brute-force WDPT oracle is kept to the budget the time-based fuzzer
-   gives it; beyond that the WDPT answers are compared against the
-   procedural evaluator under the default configuration. The morsel size is
-   randomized so group boundaries land inside small draws. *)
+   audits clean (E017-E020), after running the plan (one count and one full
+   enumeration, which crosses the per-group replay when the random draw
+   arms checked mode) every measured high-water mark stays within the
+   certified resource envelope (zero E021), and the answers at both
+   semantics levels equal the naive oracles, computed once under the
+   default configuration. The quadratic brute-force WDPT oracle is kept to
+   the budget the time-based fuzzer gives it; beyond that the WDPT answers
+   are compared against the procedural evaluator under the default
+   configuration. The morsel size is randomized so group boundaries land
+   inside small draws. *)
 let check_batch_audit_diff st p db =
   let failures = ref [] in
   let fail name = failures := name :: !failures in
@@ -424,53 +344,48 @@ let check_batch_audit_diff st p db =
     if brute_force_feasible p db then Wdpt.Semantics.eval_naive db p
     else Wdpt.Semantics.eval db p
   in
-  List.iter
-    (fun nd ->
-      let tag s =
-        Printf.sprintf "%s@%d-domains-morsel-%d%s" s nd morsel
-          (if checked then "-checked" else "")
-      in
-      with_engine ~checked ~domains:nd ~min_rows:1 ~morsel (fun () ->
-          let plan = Engine.compile db atoms ~init:Mapping.empty in
-          (match Analysis.Batch_audit.audit plan with
-          | [] -> ()
-          | ds ->
-              fail
-                (tag
-                   ("audit-"
-                   ^ String.concat "+"
-                       (List.map
-                          (fun d ->
-                            Analysis.Diagnostic.code_id
-                              d.Analysis.Diagnostic.code)
-                          ds))));
-          let resource = Analysis.Resource.of_plan plan in
-          Engine.reset_batch_stats ();
-          ignore (Engine.count_envs plan);
-          Engine.iter_envs plan (fun _ -> ());
-          let stats = Engine.batch_stats () in
-          (match Analysis.Batch_audit.check_envelope resource stats with
-          | [] -> ()
-          | ds ->
-              fail
-                (tag
-                   ("envelope-"
-                   ^ String.concat "+"
-                       (List.map
-                          (fun d ->
-                            match d.Analysis.Diagnostic.witness with
-                            | Some
-                                (Analysis.Diagnostic.Envelope
-                                   { component; certified; measured }) ->
-                                Printf.sprintf "%s-%d>%d" component measured
-                                  certified
-                            | _ -> "E021")
-                          ds))));
-          if not (Mapping.Set.equal (Cq.Eval.answers db q) naive_cq) then
-            fail (tag "cq-eval-vs-naive");
-          if not (Mapping.Set.equal (Wdpt.Semantics.eval db p) ref_wdpt) then
-            fail (tag "wdpt-eval-vs-reference")))
-    [ 1; 2 ];
+  let tag s =
+    Printf.sprintf "%s@morsel-%d%s" s morsel (if checked then "-checked" else "")
+  in
+  with_engine ~checked ~morsel (fun () ->
+      let plan = Engine.compile db atoms ~init:Mapping.empty in
+      (match Analysis.Batch_audit.audit plan with
+      | [] -> ()
+      | ds ->
+          fail
+            (tag
+               ("audit-"
+               ^ String.concat "+"
+                   (List.map
+                      (fun d ->
+                        Analysis.Diagnostic.code_id d.Analysis.Diagnostic.code)
+                      ds))));
+      let resource = Analysis.Resource.of_plan plan in
+      Engine.reset_batch_stats ();
+      ignore (Engine.count_envs plan);
+      Engine.iter_envs plan (fun _ -> ());
+      let stats = Engine.batch_stats () in
+      (match Analysis.Batch_audit.check_envelope resource stats with
+      | [] -> ()
+      | ds ->
+          fail
+            (tag
+               ("envelope-"
+               ^ String.concat "+"
+                   (List.map
+                      (fun d ->
+                        match d.Analysis.Diagnostic.witness with
+                        | Some
+                            (Analysis.Diagnostic.Envelope
+                               { component; certified; measured }) ->
+                            Printf.sprintf "%s-%d>%d" component measured
+                              certified
+                        | _ -> "E021")
+                      ds))));
+      if not (Mapping.Set.equal (Cq.Eval.answers db q) naive_cq) then
+        fail (tag "cq-eval-vs-naive");
+      if not (Mapping.Set.equal (Wdpt.Semantics.eval db p) ref_wdpt) then
+        fail (tag "wdpt-eval-vs-reference"));
   !failures
 
 let batch_audit_diff_main count seed0 =
@@ -597,37 +512,6 @@ let drift_diff_main count seed0 =
     Analysis.Json.schema_version count seed0 !skipped !bad;
   exit (if !bad = 0 then 0 else 1)
 
-let race_diff_main count seed0 =
-  let bad = ref 0 and checked = ref 0 and skipped = ref 0 in
-  let seed = ref seed0 in
-  while !checked < count do
-    incr seed;
-    let p, db = random_instance !seed in
-    if not (opt_diff_feasible p db) then incr skipped
-    else begin
-      incr checked;
-      let st = Random.State.make [| !seed; 0x7ace |] in
-      match check_race_diff st p db with
-      | [] -> ()
-      | failures ->
-          incr bad;
-          Printf.printf "seed %d FAILED: %s\n%!" !seed
-            (String.concat ", " failures)
-    end
-  done;
-  if not (check_fault_injection ()) then begin
-    incr bad;
-    Printf.printf "fault-injection NOT caught by the sanitizer\n%!"
-  end;
-  let stats = Engine.Parallel.race_stats () in
-  Printf.printf
-    "race-diff: %d instance(s) from seed %d (%d oversized skipped): %d \
-     failure(s); %d region(s) validated, %d access record(s), %d race(s) \
-     (the fault-injection race is expected)\n"
-    count seed0 !skipped !bad stats.Engine.Parallel.rs_regions
-    stats.Engine.Parallel.rs_events stats.Engine.Parallel.rs_races;
-  exit (if !bad = 0 then 0 else 1)
-
 let opt_diff_main count seed0 =
   let bad = ref 0 and checked = ref 0 and skipped = ref 0 in
   let seed = ref seed0 in
@@ -681,15 +565,6 @@ let () =
     in
     batch_audit_diff_main count seed0
   end;
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "--race-diff" then begin
-    let count =
-      if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2) else 300
-    in
-    let seed0 =
-      if Array.length Sys.argv > 3 then int_of_string Sys.argv.(3) else 42
-    in
-    race_diff_main count seed0
-  end;
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "--drift-diff" then begin
     let count =
       if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2) else 300
@@ -711,7 +586,6 @@ let () =
       "wdpt_fuzz: unknown mode %s\n\
        usage: wdpt_fuzz [SECONDS] [SEED]\n\
       \       wdpt_fuzz --opt-diff [COUNT] [SEED]\n\
-      \       wdpt_fuzz --race-diff [COUNT] [SEED]\n\
       \       wdpt_fuzz --batch-audit-diff [COUNT] [SEED]\n\
       \       wdpt_fuzz --drift-diff [COUNT] [SEED]\n\
       \       wdpt_fuzz --delta-diff [COUNT] [SEED]\n"

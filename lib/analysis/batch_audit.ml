@@ -1,6 +1,6 @@
 (* Static verification of the batched execution layout.
 
-   Mirrors Plan_audit/Par_audit: the auditor runs over the inspectable view
+   Mirrors Plan_audit: the auditor runs over the inspectable view
    (Engine.Inspect.batch_view), not over the runtime itself, so tests can
    corrupt a copy of the view and watch the right E-code come back — while
    the genuine view is re-derived from the same pure stage compiler the
@@ -194,8 +194,8 @@ let audit p = audit_view (I.plan p) (I.batch p)
 
 (* E021: certified-vs-measured, one finding per violated component. The
    envelope is per slice / per group exactly like the high-water marks
-   (peaks of one slice's scratch, one group's replay buffer — never
-   cross-domain sums), so domination is a plain <= per component. *)
+   (peaks of one slice's scratch, one group's replay buffer), so
+   domination is a plain <= per component. *)
 let check_envelope (r : Resource.t) (s : Engine.batch_stats) =
   let chk component certified measured acc =
     if measured > certified then
@@ -214,3 +214,57 @@ let check_envelope (r : Resource.t) (s : Engine.batch_stats) =
   |> chk "probe-table-words" r.Resource.r_dense_words s.Engine.bm_dense_words
   |> chk "replay-rows" r.Resource.r_replay_rows s.Engine.bm_replay_rows
   |> List.rev
+
+(* ---- rendering --------------------------------------------------------- *)
+
+let batch_json (b : I.batch_view) =
+  Json.Obj
+    [ ("morsel-rows", Int b.I.b_morsel_rows);
+      ("groups", Int b.I.b_groups);
+      ( "columns",
+        List
+          (Array.to_list b.I.b_columns
+          |> List.map (fun (s, x) ->
+                 Json.Obj
+                   [ ("slot", Json.Int s); ("variable", Json.Str x) ])) );
+      ( "stages",
+        List
+          (Array.to_list b.I.b_stages
+          |> List.map (fun (st : I.batch_stage_view) ->
+                 Json.Obj
+                   [ ("atom", Int st.I.bv_atom);
+                     ("checks", Int (Array.length st.I.bv_checks));
+                     ("probe-cols", Int (Array.length st.I.bv_cols));
+                     ("binds", Int (Array.length st.I.bv_binds));
+                     ("dups", Int (Array.length st.I.bv_dups));
+                     ("filter", Bool st.I.bv_filter) ])) ) ]
+
+let pp_batch ppf (b : I.batch_view) =
+  begin
+    Format.fprintf ppf
+      "batch: vectorized — %d-row morsel group(s), %d group(s) at the top \
+       level@,"
+      b.I.b_morsel_rows b.I.b_groups;
+    Format.fprintf ppf "  columns:";
+    if Array.length b.I.b_columns = 0 then Format.fprintf ppf " none"
+    else
+      Array.iter
+        (fun (s, x) -> Format.fprintf ppf " %d:%s" s x)
+        b.I.b_columns;
+    Format.fprintf ppf "@,";
+    Array.iteri
+      (fun i (st : I.batch_stage_view) ->
+        if i > 0 then Format.fprintf ppf "@,";
+        Format.fprintf ppf
+          "  stage %d: atom %d — %d check(s), %d probe col(s), %d bind(s), \
+           %d dup(s)%s"
+          i st.I.bv_atom
+          (Array.length st.I.bv_checks)
+          (Array.length st.I.bv_cols)
+          (Array.length st.I.bv_binds)
+          (Array.length st.I.bv_dups)
+          (if st.I.bv_filter then ", mask-only filter" else ""))
+      b.I.b_stages;
+    if Array.length b.I.b_stages = 0 then
+      Format.fprintf ppf "  no stages (atomless plan)"
+  end

@@ -31,7 +31,7 @@
 
 (** Audit a layout. Diagnostics come back in check order (E017 … E020). A
     view produced by {!Engine.Inspect.batch} on a freshly compiled plan
-    audits clean at every pool and morsel size. The plan view supplies the
+    audits clean at every morsel size. The plan view supplies the
     init environment (E017/E018 init-bound slots) and per-atom arities
     (E019). *)
 val audit_view :
@@ -45,3 +45,11 @@ val audit : Engine.t -> Diagnostic.t list
     [replay-rows]). Empty on every genuine run — the soundness property the
     fuzzer's [--batch-audit-diff] mode holds over random instances. *)
 val check_envelope : Resource.t -> Engine.batch_stats -> Diagnostic.t list
+
+(** JSON rendering of the batched execution layout
+    ({!Engine.Inspect.batch_view}) for [wdpt explain --format json]. *)
+val batch_json : Engine.Inspect.batch_view -> Json.t
+
+(** Text rendering of the batch layout (morsel geometry, stage pipeline)
+    for [wdpt explain]. Multi-line; boxed by the caller. *)
+val pp_batch : Format.formatter -> Engine.Inspect.batch_view -> unit

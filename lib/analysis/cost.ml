@@ -109,24 +109,3 @@ let pp ppf c =
     pp_log c.adom_bound pp_log c.hom_bound;
   Format.fprintf ppf "answers <= %a; predicted growth: %a" pp_log
     c.answer_bound pp_growth c.growth
-
-(* ---- runtime partitioning decision ------------------------------------- *)
-
-let parallel_json (d : Engine.Parallel.decision) =
-  Json.Obj
-    [ ("domains", Int d.d_domains);
-      ("atom", (match d.d_atom with None -> Json.Null | Some a -> Int a));
-      ("rows", Int d.d_rows);
-      ("chunks", Int d.d_chunks);
-      ("chunk-rows", Int d.d_chunk_rows);
-      ("reason", Str d.d_reason) ]
-
-let pp_parallel ppf (d : Engine.Parallel.decision) =
-  Format.fprintf ppf "partitioning: %s" d.d_reason;
-  match d.d_atom with
-  | None -> ()
-  | Some a ->
-      Format.fprintf ppf
-        "@,  top-level atom %d: %d candidate row(s) -> %d chunk(s) of <= %d \
-         row(s)"
-        a d.d_rows d.d_chunks d.d_chunk_rows

@@ -75,12 +75,3 @@ val growth_json : growth -> Json.t
 val to_json : t -> Json.t
 val pp_growth : Format.formatter -> growth -> unit
 val pp : Format.formatter -> t -> unit
-
-(** {2 Runtime partitioning decision}
-
-    Rendering of {!Engine.Parallel.decision} — how the engine would chunk a
-    compiled plan's top-level candidate rows across domains under the current
-    configuration — for the [explain] CLI. *)
-
-val parallel_json : Engine.Parallel.decision -> Json.t
-val pp_parallel : Format.formatter -> Engine.Parallel.decision -> unit

@@ -22,10 +22,6 @@ type code =
   | Dropped_check
   | Reorder_violation
   | Cert_mismatch
-  | Chunk_coverage
-  | Undeclared_write
-  | Version_skew
-  | Morsel_coverage
   | Stage_read_before_bind
   | Column_aliasing
   | Position_cover
@@ -60,10 +56,6 @@ let code_id = function
   | Dropped_check -> "E008"
   | Reorder_violation -> "E009"
   | Cert_mismatch -> "E010"
-  | Chunk_coverage -> "E011"
-  | Undeclared_write -> "E014"
-  | Version_skew -> "E015"
-  | Morsel_coverage -> "E016"
   | Stage_read_before_bind -> "E017"
   | Column_aliasing -> "E018"
   | Position_cover -> "E019"
@@ -98,10 +90,6 @@ let code_name = function
   | Dropped_check -> "dropped-check"
   | Reorder_violation -> "reorder-violates-dependency"
   | Cert_mismatch -> "certificate-plan-mismatch"
-  | Chunk_coverage -> "chunk-coverage"
-  | Undeclared_write -> "undeclared-shared-write"
-  | Version_skew -> "cross-domain-version-skew"
-  | Morsel_coverage -> "morsel-coverage"
   | Stage_read_before_bind -> "stage-read-before-bind"
   | Column_aliasing -> "column-aliasing"
   | Position_cover -> "incomplete-position-cover"
@@ -124,8 +112,6 @@ let code_severity = function
   | Uninit_slot_read | Interner_range | Plan_arity_mismatch | Stale_plan -> Error
   | Dead_slot | Order_inversion -> Warning
   | Slot_renaming | Dropped_check | Reorder_violation | Cert_mismatch -> Error
-  | Chunk_coverage | Undeclared_write | Version_skew | Morsel_coverage ->
-      Error
   | Stage_read_before_bind | Column_aliasing | Position_cover | Filter_binds
   | Resource_envelope ->
       Error
@@ -174,25 +160,6 @@ type witness =
   | Dropped of { pass : string; atom : int; pos : int; before : string; after : string }
   | Reordered of { pass : string; position : int; atom : int; detail : string }
   | Cert of { pass : string; field : string; detail : string }
-  | Coverage of { chunk : int; lo : int; hi : int; expected_lo : int; rows : int }
-  | Shared_write of {
-      site : string;
-      target : string;
-      declared : bool;
-      owner_only : bool;
-      kind : string;
-    }
-  | Skew of {
-      domain : int;
-      compiled : int;
-      store : int;
-      live : int;
-      ref_domain : int;
-      ref_compiled : int;
-      ref_store : int;
-      ref_live : int;
-    }
-  | Morsel of { chunk : int; lo : int; hi : int; stride : int; morsel : int }
   | Read_before_bind of { stage : int; atom : int; pos : int; slot : int; binder : int }
   | Aliased of { slot : int; first_stage : int; second_stage : int; init : bool }
   | Cover of { stage : int; atom : int; arity : int; covered : int; missing : int }
@@ -375,42 +342,6 @@ let witness_json w =
   | Cert { pass; field; detail } ->
       kind "certificate-plan-mismatch"
         [ ("pass", Str pass); ("field", Str field); ("detail", Str detail) ]
-  | Coverage { chunk; lo; hi; expected_lo; rows } ->
-      kind "chunk-coverage"
-        [ ("chunk", Int chunk);
-          ("lo", Int lo);
-          ("hi", Int hi);
-          ("expected-lo", Int expected_lo);
-          ("rows", Int rows) ]
-  | Shared_write { site; target; declared; owner_only; kind = k } ->
-      kind "undeclared-shared-write"
-        [ ("site", Str site);
-          ("target", Str target);
-          ("declared", Bool declared);
-          ("owner-only", Bool owner_only);
-          ("target-kind", Str k) ]
-  | Skew { domain; compiled; store; live; ref_domain; ref_compiled; ref_store;
-           ref_live } ->
-      kind "cross-domain-version-skew"
-        [ ( "domain",
-            Obj
-              [ ("index", Int domain);
-                ("compiled", Int compiled);
-                ("store", Int store);
-                ("live", Int live) ] );
-          ( "reference",
-            Obj
-              [ ("index", Int ref_domain);
-                ("compiled", Int ref_compiled);
-                ("store", Int ref_store);
-                ("live", Int ref_live) ] ) ]
-  | Morsel { chunk; lo; hi; stride; morsel } ->
-      kind "morsel-coverage"
-        [ ("chunk", Int chunk);
-          ("lo", Int lo);
-          ("hi", Int hi);
-          ("stride", Int stride);
-          ("morsel-rows", Int morsel) ]
   | Read_before_bind { stage; atom; pos; slot; binder } ->
       kind "stage-read-before-bind"
         [ ("stage", Int stage);

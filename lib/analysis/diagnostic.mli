@@ -55,26 +55,11 @@
       out of range, non-injective maps, invented atoms or slots, changed
       pool or feasibility, or claimed scores that do not recompute (error).
 
-    The E011 and E014–E016 codes are findings of the concurrency auditor
-    ({!Par_audit}) over the parallel execution plan
-    ({!Engine.Inspect.par_view}):
-
-    - [E011 chunk-coverage] — the chunk slices do not partition the
-      top-level candidate range [0, rows) exactly: a gap, an overlap, a
-      negative-width chunk, or a short/long tail (error);
-    - E012 and E013 are retired (they audited the parallel enumeration and
-      [sat] reducers, which no longer exist); the numbers are not reused;
-    - [E014 undeclared-shared-write] — a write site targeting state outside
-      the declared inventory, or a cross-chunk write targeting a non-atomic
-      (chunk-local) location (error);
-    - [E015 cross-domain-version-skew] — domains observing different
-      (compiled, store, live) snapshot triples of one shared plan (error);
-    - [E016 morsel-coverage] — the morsel geometry of a parallel partition
-      is broken: a chunk wider than the configured morsel cap, a non-uniform
-      stride before the last chunk, or an overlong tail (error). Generalizes
-      E011: coverage says the slices partition the range, E016 says they are
-      the fixed-stride morsels the runtime promises (checked only when E011
-      is clean).
+    E011–E016 are retired. E011 and E014–E016 audited the partition, the
+    shared-state discipline and the snapshots of the domain-parallel count
+    and semijoin regions; E012 and E013 audited the parallel enumeration
+    and [sat] reducers. None of these runtimes exists any more, and the
+    numbers are not reused.
 
     The E017–E021 codes are findings of the batch-pipeline auditor
     ({!Batch_audit}) over the vectorized execution plan
@@ -166,10 +151,6 @@ type code =
   | Dropped_check  (** E008 *)
   | Reorder_violation  (** E009 *)
   | Cert_mismatch  (** E010 *)
-  | Chunk_coverage  (** E011 *)
-  | Undeclared_write  (** E014 *)
-  | Version_skew  (** E015 *)
-  | Morsel_coverage  (** E016 *)
   | Stage_read_before_bind  (** E017 *)
   | Column_aliasing  (** E018 *)
   | Position_cover  (** E019 *)
@@ -282,44 +263,6 @@ type witness =
       detail : string;
     }  (** E009 *)
   | Cert of { pass : string; field : string; detail : string }  (** E010 *)
-  | Coverage of {
-      chunk : int;
-          (** offending chunk index; the chunk count itself when the
-              partition ends short of [rows] *)
-      lo : int;
-      hi : int;
-      expected_lo : int;
-          (** where the chunk had to start (the previous chunk's [hi], 0 for
-              the first): [lo > expected_lo] is a gap, [lo < expected_lo] an
-              overlap *)
-      rows : int;  (** the candidate range is [0, rows) *)
-    }  (** E011 *)
-  | Shared_write of {
-      site : string;
-      target : string;
-      declared : bool;  (** the target appears in the shared inventory *)
-      owner_only : bool;  (** only the owning chunk performs the write *)
-      kind : string;
-          (** declared kind of the target (["atomic"] / ["chunk-local"]),
-              ["undeclared"] when absent *)
-    }  (** E014 *)
-  | Skew of {
-      domain : int;  (** first domain whose triple deviates *)
-      compiled : int;
-      store : int;
-      live : int;
-      ref_domain : int;  (** the reference domain (first of the region) *)
-      ref_compiled : int;
-      ref_store : int;
-      ref_live : int;
-    }  (** E015 *)
-  | Morsel of {
-      chunk : int;  (** offending chunk index *)
-      lo : int;
-      hi : int;
-      stride : int;  (** the uniform stride (width of chunk 0) *)
-      morsel : int;  (** the configured cap ({!Engine.Parallel.morsel_rows}) *)
-    }  (** E016 *)
   | Read_before_bind of {
       stage : int;  (** the reading stage (fixed-order index) *)
       atom : int;  (** its plan atom index *)

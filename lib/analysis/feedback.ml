@@ -2,7 +2,7 @@
    view (Engine.Inspect.feedback_view) and of adaptive plan-swap
    certificates (Engine.swap_cert).
 
-   Mirrors Plan_audit / Par_audit / Batch_audit: the auditor runs over the
+   Mirrors Plan_audit / Batch_audit: the auditor runs over the
    plain-data view, not over the runtime, so tests can corrupt a copy and
    watch the right E-code come back — while the genuine view is read from
    the same accumulator the engine commits into, so a clean audit certifies

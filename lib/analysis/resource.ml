@@ -50,13 +50,13 @@ type t = {
   r_saturated : bool;
 }
 
-let analyze ?checked (v : I.view) (pv : I.par_view) (b : I.batch_view) =
+let analyze ?checked (v : I.view) (b : I.batch_view) =
   let checked =
     match checked with Some c -> c | None -> Engine.checked_enabled ()
   in
   let nstages = Array.length b.I.b_stages in
   let nslots = Array.length v.I.i_slots in
-  let rows = pv.I.pv_rows in
+  let rows = b.I.b_rows in
   (* per-stage sound candidate bounds along the fixed order: Dataflow's
      narrowing (and its provably-empty verdicts) must follow the order the
      pipeline executes, so re-run it on a view whose order is the stage
@@ -172,7 +172,7 @@ let analyze ?checked (v : I.view) (pv : I.par_view) (b : I.batch_view) =
       r_saturated = saturated }
   end
 
-let of_plan p = analyze (I.plan p) (I.par p) (I.batch p)
+let of_plan p = analyze (I.plan p) (I.batch p)
 
 let admits t ~budget = (not t.r_saturated) && t.r_peak_bytes <= budget
 

@@ -7,11 +7,8 @@
     along the batched pipeline's fixed stage order, not the plan's static
     order, so the per-stage bounds are sound for the order that actually
     executes — into a certified peak-bytes/peak-rows envelope per plan.
-    Enumeration runs on one domain at every pool size, so the envelope does
-    not depend on the pool: it is the scratch of one run plus, in checked
-    mode, one morsel group's replay buffer. A {!Engine.count_envs} region
-    runs up to [min domains chunks] slices at once, each within the
-    certified column words, and shares one dense-table build.
+    Every run is one sequential slice, so the envelope is the scratch of
+    one run plus, in checked mode, one morsel group's replay buffer.
 
     Soundness contract, exercised by tests, [wdpt_fuzz --batch-audit-diff]
     and the RESOURCE bench experiment: after any run of the plan under the
@@ -49,20 +46,15 @@ type t = {
       (** certified buffered rows per checked-mode group (dominates
           {!Engine.batch_stats.bm_replay_rows}) *)
   r_peak_bytes : int;
-      (** the admission number: scratch bytes + checked-mode replay bytes;
-          the same at every pool size *)
+      (** the admission number: scratch bytes + checked-mode replay bytes *)
   r_infeasible : bool;  (** some stage provably matches nothing *)
   r_saturated : bool;  (** some product hit {!cap} — treat as unbounded *)
 }
 
-(** [analyze ?checked view par_view batch_view]. [checked] defaults to
+(** [analyze ?checked view batch_view]. [checked] defaults to
     [Engine.checked_enabled ()]. *)
 val analyze :
-  ?checked:bool ->
-  Engine.Inspect.view ->
-  Engine.Inspect.par_view ->
-  Engine.Inspect.batch_view ->
-  t
+  ?checked:bool -> Engine.Inspect.view -> Engine.Inspect.batch_view -> t
 
 (** [of_plan p] under the ambient engine configuration. *)
 val of_plan : Engine.t -> t

@@ -63,9 +63,7 @@ module Naive = struct
 end
 
 (* Compiled entry points (see Engine): same semantics, interned values and
-   slot environments in the hot loop. Enumeration and first-match run on
-   the calling domain at every pool size (only counts and semijoins open
-   regions), so nothing at this level needs to know about the pool. *)
+   slot environments in the hot loop. *)
 
 let iter_homomorphisms = Engine.iter_homomorphisms
 let homomorphisms = Engine.homomorphisms

@@ -5,10 +5,9 @@ module Rel = Engine.Rel
 (* The join forest is evaluated over interned relations (Engine.Rel): rows
    are dense-int tuples, semijoins and joins are hash-based on projected key
    tuples. Mapping.t values appear only in the final conversion of the
-   combined answer relation. The semijoin passes go chunk-parallel under a
-   domain pool with a row threshold (Engine.Parallel.set_domains and
-   set_min_rows): Rel.semijoin partitions the probe side over the pool
-   against the shared read-only hash index, keeping row order. *)
+   combined answer relation. The semijoin passes run sequentially:
+   Rel.semijoin filters the probe side against a hash index of the other
+   relation's keys, keeping row order. *)
 
 type node = {
   mutable rel : Rel.t;

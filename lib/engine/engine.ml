@@ -371,9 +371,8 @@ type core = {
    atom's candidate loop (one partial environment the atom was probed
    under), [probed] counts the candidate rows the loop considered, and
    [survived] the rows that passed every check. Counters are plain ints:
-   each interpreter slice owns its private record and parallel regions
-   merge chunk-local records at the join, so no counter is ever shared
-   between domains (the PR 6 race discipline). *)
+   each run owns its private record, folded into the plan's accumulator
+   only once the run completed. *)
 type fb = {
   fb_contexts : int array;   (* per atom: probe contexts entered *)
   fb_probed : int array;     (* per atom: candidate rows considered *)
@@ -789,9 +788,8 @@ let pass_reorder (p : t) =
   (p', { (identity_cert "selectivity-reorder" p') with cert_reorders = true })
 
 (* Global engine toggles are atomics, read exactly once per top-level
-   enumeration (and threaded into every domain worker of a parallel region),
-   so a concurrent set_checked/set_optimize/set_domains from another domain
-   can never tear an in-flight run. *)
+   enumeration, so a concurrent set_checked/set_optimize from another
+   domain can never tear an in-flight run. *)
 let optimize_flag =
   Atomic.make
     (match Sys.getenv_opt "WDPT_ENGINE_OPT" with
@@ -990,13 +988,12 @@ let slot_of p x = Interner.find p.vars x
 (* ------------------------------------------------------------------ *)
 
 (* The first atom of every enumeration, chosen outside the runners so the
-   parallel partitioner can slice its candidate row sequence: at the top
-   level the environment is exactly [init_env], so the selection —
-   smallest stored count among bound positions of each atom in [order],
-   strict first-wins minimum — is a pure function of the plan.
-   Chunked runs that enumerate contiguous slices of this row sequence and
-   concatenate in slice order reproduce the sequential enumeration order
-   exactly. *)
+   morsel groups can slice its candidate row sequence: at the top level the
+   environment is exactly [init_env], so the selection — smallest stored
+   count among bound positions of each atom in [order], strict first-wins
+   minimum — is a pure function of the plan. Runs over contiguous slices of
+   this row sequence, concatenated in slice order, reproduce the whole
+   enumeration order exactly. *)
 type first_choice = {
   fc_pos : int;          (* position of the chosen atom inside [order] *)
   fc_rows : int array;   (* candidate row indices (live prefix [fc_count]) *)
@@ -1048,11 +1045,9 @@ let select_first p =
   end
 
 (* Commit one completed enumeration's counters into the plan:
-   the top-level atom gets its single probe context (one per run, never per
-   chunk — parallel chunks slice ONE top-level candidate loop), the record
-   is folded into the plan's accumulator, and under adaptation the evidence
-   is re-examined for E022-level drift. Runs on the coordinating domain
-   only, after any region join. *)
+   the top-level atom gets its single probe context (one per run), the
+   record is folded into the plan's accumulator, and under adaptation the
+   evidence is re-examined for E022-level drift. *)
 let fb_commit p fc fb =
   let top = p.order.(fc.fc_pos) in
   if top >= 0 && top < Array.length fb.fb_contexts then
@@ -1094,8 +1089,7 @@ let fb_commit p fc fb =
    columnar footprint; groups are contiguous candidate ranges, so group
    concatenation preserves the order. *)
 
-(* morsel size: the unit of parallel work distribution and the batch group
-   width of the vectorized interpreter *)
+(* morsel size: the batch group width of the vectorized interpreter *)
 let morsel_cap = 1 lsl 20
 
 let morsel_rows_flag =
@@ -1113,10 +1107,10 @@ let morsel_rows () = Atomic.get morsel_rows_flag
 (* High-water marks of the batched pipeline's memory consumers, in the same
    units the certified resource envelope (Analysis.Resource) is stated in.
    Each mark is the peak of one slice (column scratch), one build (dense
-   tables) or one checked-mode group (replay buffering) — never a
-   cross-domain sum, so a per-slice envelope can be checked sound against it
-   directly. The counters are bumped once per slice / group, not per row:
-   measurement costs nothing on the hot path. *)
+   tables) or one checked-mode group (replay buffering), so a per-slice
+   envelope can be checked sound against it directly. The counters are
+   bumped once per slice / group, not per row: measurement costs nothing on
+   the hot path. *)
 type batch_stats = {
   bm_column_words : int;  (* peak columnar scratch words of any one slice *)
   bm_dense_words : int;   (* peak dense probe-table words of any one build *)
@@ -1160,8 +1154,8 @@ type bstage = {
    one bound column — processing the remaining atoms in static order would
    expand a cartesian product whenever the selective atom (e.g. one holding
    an init-bound sink variable) sits late in the plan. The order depends
-   only on (plan, fc), so it is identical across pool sizes and between the
-   batched run and the fixed twin. *)
+   only on (plan, fc), so it is identical between the batched run and the
+   fixed twin. *)
 let fixed_order p fc =
   let fc_atom = p.order.(fc.fc_pos) in
   let nslots = max 1 (Array.length p.init_env) in
@@ -1239,9 +1233,9 @@ let batch_stages p fc =
    when the key range stays within a constant factor of the cell count. A
    run over fewer than 128 candidate rows skips the build: the O(index)
    setup would dominate its probe savings. The tables are read-only once
-   built, so a parallel region builds them once and shares them with every
-   chunk; per chunk, the O(index) build would be repeated once per morsel
-   and grow with the input as fast as the work it saves. *)
+   built, so the checked replay builds them once and shares them with every
+   morsel group; per group, the O(index) build would be repeated once per
+   morsel and grow with the input as fast as the work it saves. *)
 type dense_tables = {
   dn_max : int array;  (* per stage: largest dense key, -1 = not built *)
   dn_count : int array array;
@@ -1606,8 +1600,8 @@ let iter_envs_batched_slice ?dense p fc ~lo ~hi ~fb f =
       let pure_join = ncols = 1 && nchecks = 0 && ndups = 0 && !best_const < 0 in
       (* counter discipline: every count below is a per-live-row property
          (rows entering, candidates per row, rows/matches surviving), so
-         sums over any grouping or chunking of the candidate range are
-         identical — the merge-equality the feedback auditor relies on *)
+         sums over any grouping of the candidate range into morsel groups
+         are identical *)
       let sa = st.bs_atom in
       let alive_in = !alive in
       fb_c.(sa) <- fb_c.(sa) + alive_in;
@@ -1956,10 +1950,6 @@ exception Check_failure of string
 
 let check_fail fmt = Format.kasprintf (fun s -> raise (Check_failure s)) fmt
 
-exception Race_failure of string
-
-let race_fail fmt = Format.kasprintf (fun s -> raise (Race_failure s)) fmt
-
 let checked =
   Atomic.make
     (match Sys.getenv_opt "WDPT_ENGINE_CHECKED" with
@@ -2232,17 +2222,16 @@ let iter_envs_fixed_slice ~check p fc ~lo ~hi f =
    re-verifies each of its solutions against the stored relations before
    the comparison. A mismatch in either direction (a dropped or an extra
    batched solution, or any slot disagreement) is a Check_failure, raised
-   before the caller sees any solution of the group. The slice accepts
-   (and ignores) the counter record so it stays interchangeable with
-   [iter_envs_batched_slice] in [Parallel.count]'s chunks; the replay runs
-   the group twice over, so its counters are deliberately discarded. *)
-let iter_envs_batched_checked_slice ?dense p fc ~lo ~hi ~fb:_ f =
+   before the caller sees any solution of the group. The dense probe
+   tables are built once over the whole range and shared by every group's
+   batched run, so the replay probes exactly as the unchecked run does; the
+   replay runs the group twice over, so its counters are deliberately
+   discarded. *)
+let iter_envs_batched_checked_slice p fc ~lo ~hi f =
   sanitize_static p;
   if p.feasible && Array.length p.atoms > 0 then begin
     let group = morsel_rows () in
-    let dense =
-      match dense with Some d -> d | None -> dense_tables p fc ~rows:(hi - lo)
-    in
+    let dense = dense_tables p fc ~rows:(hi - lo) in
     let scratch = fb_create (Array.length p.atoms) in
     let glo = ref lo in
     while !glo < hi do
@@ -2288,26 +2277,18 @@ let run_seq p f slice =
       if Atomic.get checked then sanitize_static p;
       if p.feasible then f (Array.copy p.init_env)
 
-(* one enumeration over the whole top-level range of [fc], on the calling
-   domain: checked mode replays every morsel group against the scalar twin
-   (and commits no counters), otherwise the run's counters are committed *)
+(* one enumeration over the whole top-level range of [fc]: checked mode
+   replays every morsel group against the scalar twin (and commits no
+   counters), otherwise the run's counters are committed *)
 let enum_slice p fc f =
   if Atomic.get checked then
-    iter_envs_batched_checked_slice p fc ~lo:0 ~hi:fc.fc_count
-      ~fb:(fb_create 0) f
+    iter_envs_batched_checked_slice p fc ~lo:0 ~hi:fc.fc_count f
   else begin
     let fb = fb_create (Array.length p.atoms) in
     iter_envs_batched_slice p fc ~lo:0 ~hi:fc.fc_count ~fb f;
     fb_commit p fc fb
   end
 
-(* Enumeration and first-match run on the calling domain at every pool
-   size. A parallel enumeration had to buffer each chunk's solutions for
-   the in-order replay, and a parallel first-match paid the region's spawn
-   for a search that usually stops within a few candidates; on a 2-core
-   x86 VM pool 2 lost to pool 1 on both at every measured size
-   (EXPERIMENTS.md, the pool-1 vs pool-2 curve), so only [count] and
-   [Rel.semijoin] open regions. *)
 let iter_envs p f = run_seq p f (fun fc -> enum_slice p fc f)
 
 (* the first-match run: same order as [iter_envs], one environment at a
@@ -2329,378 +2310,18 @@ let sat p =
     false
   with Hit -> true
 
-(* ------------------------------------------------------------------ *)
-(* Domain-parallel regions: count and semijoin                          *)
-(* ------------------------------------------------------------------ *)
+(* [count_envs p]: the number of solutions, counted off the same
+   sequential run as [iter_envs] *)
+let count_envs p =
+  let n = ref 0 in
+  iter_envs p (fun _ -> incr n);
+  !n
 
+(* there is no domain pool: [set_domains] only keeps existing callers
+   building (see engine.mli) *)
 module Parallel = struct
-  let domains_flag =
-    Atomic.make
-      (match Sys.getenv_opt "WDPT_ENGINE_DOMAINS" with
-      | Some s -> (
-          match int_of_string_opt (String.trim s) with
-          | Some n when n >= 1 -> min n 64
-          | _ -> 1)
-      | None -> 1)
-
-  let set_domains n = Atomic.set domains_flag (max 1 (min n 64))
-  let domains () = Atomic.get domains_flag
-
-  (* Regions are opt-in: a pool alone runs sequentially until a caller names
-     the fewest rows (top-level candidates of a count, input rows of a
-     semijoin) worth a region's cost (spawning and joining the helper
-     domains, merging their results, and the stop-the-world minor
-     collections a second domain adds). On a 2-core x86 VM [count] won or
-     lost by query shape rather than by row count (EXPERIMENTS.md), so there
-     is no measured default; [max_int] stands for "no threshold set". Tests
-     set it to 1 to exercise the parallel path on small instances. *)
-  let min_rows_flag = Atomic.make max_int
-  let set_min_rows n = Atomic.set min_rows_flag (max 1 n)
-  let min_rows () = Atomic.get min_rows_flag
-
-  (* one region at a time: a callback that re-enters the engine while a
-     region is running (workers included) falls back to the sequential
-     path instead of nesting domain pools *)
-  let in_region = Atomic.make false
-
-  (* morsel size: re-exported here because it is the unit of parallel work
-     distribution (the batched interpreter reads the same flag for its group
-     width) *)
-  let set_morsel_rows = set_morsel_rows
-  let morsel_rows = morsel_rows
-
-  (* Fixed-size morsels: the unit of work pulled off the dispatch counter.
-     The chunk size is the configured morsel cap, lowered for small regions
-     so the pool still sees ~4 waves per domain (the old 4×pool target); a
-     fat candidate range therefore splits into ceil(count/morsel) chunks
-     instead of 4×pool huge ones — the single-huge-chunk skew fix. *)
-  let chunk_size_for nd count =
-    let target = (count + (4 * nd) - 1) / (4 * nd) in
-    max 1 (min (morsel_rows ()) target)
-
-  let nchunks_for nd count =
-    if count <= 0 then 1
-    else
-      let s = chunk_size_for nd count in
-      (count + s - 1) / s
-
-  (* [i]th of [nchunks] fixed-stride contiguous slices of [0, count): every
-     chunk spans ceil(count/nchunks) rows except a possibly-short last one —
-     the uniform-stride morsel shape E016 audits. (For any [nchunks]
-     produced by [nchunks_for] the stride round-trips exactly, so no chunk
-     is empty.) *)
-  let chunk_bounds count nchunks =
-    let stride = if nchunks <= 0 then 0 else (count + nchunks - 1) / nchunks in
-    Array.init nchunks (fun i ->
-        (min count (i * stride), min count ((i + 1) * stride)))
-
-  (* ---- data-race sanitizer ----------------------------------------- *)
-
-  (* When enabled, every parallel region logs its shared-location accesses
-     into per-chunk event buffers and validates, after the join, that no
-     two unordered conflicting accesses occurred. The happens-before order
-     of a region is fork -> each chunk -> join: chunks carry independent
-     logical clocks with no cross edges (a chunk never waits on another),
-     so in vector-clock terms two accesses to the same location from
-     different chunks are always unordered — a race whenever the location
-     is non-atomic and at least one access is a write. Atomic locations
-     are exempt: the hardware totally orders them. *)
-  let race_flag =
-    Atomic.make
-      (match Sys.getenv_opt "WDPT_ENGINE_TSAN" with
-      | Some ("1" | "true" | "yes") -> true
-      | _ -> false)
-
-  let set_race_check b = Atomic.set race_flag b
-  let race_check_enabled () = Atomic.get race_flag
-
-  (* test-only seeded fault: each region chunk additionally stores into a
-     peer chunk's cell (value-neutral), exactly the corrupted-reducer shape
-     the sanitizer must catch *)
-  let fault_flag = Atomic.make false
-  let set_fault_injection b = Atomic.set fault_flag b
-  let fault_injection_enabled () = Atomic.get fault_flag
-
-  (* the shared locations of a region, by role; [Chunk_cell i] stands for
-     chunk [i]'s slot of the per-chunk result array, which only chunk [i]
-     may write *)
-  type shared_loc =
-    | Next_counter
-    | Error_slot
-    | Chunk_cell of int
-    | Column_block of int
-        (* chunk [i]'s working state (a count chunk's batched slot columns,
-           a semijoin chunk's kept rows), logged as one whole-block access
-           per (location, kind) rather than per lane *)
-
-  let loc_atomic = function
-    | Next_counter | Error_slot -> true
-    | Chunk_cell _ | Column_block _ -> false
-
-  let loc_name = function
-    | Next_counter -> "chunk-dispatch-counter"
-    | Error_slot -> "error-slot"
-    | Chunk_cell i -> Printf.sprintf "chunk cell %d" i
-    | Column_block i -> Printf.sprintf "batch columns of chunk %d" i
-
-  (* One access record per (location, kind) a chunk performs: the logical
-     clock of the first access plus a repetition count, so logging stays
-     O(distinct locations) however often a location is touched. Each chunk
-     mutates only its own cell of [tr_events]/[tr_clock] — the sanitizer
-     introduces no shared writes of its own. *)
-  type access = {
-    ac_loc : shared_loc;
-    ac_write : bool;
-    ac_chunk : int;
-    ac_clock : int;
-    mutable ac_count : int;
-  }
-
-  type trace = { tr_events : access list array; tr_clock : int array }
-
-  let make_trace nchunks =
-    { tr_events = Array.make nchunks []; tr_clock = Array.make nchunks 0 }
-
-  let log_access tr chunk loc ~write =
-    match
-      List.find_opt
-        (fun a -> a.ac_loc = loc && a.ac_write = write)
-        tr.tr_events.(chunk)
-    with
-    | Some a -> a.ac_count <- a.ac_count + 1
-    | None ->
-        let c = tr.tr_clock.(chunk) in
-        tr.tr_clock.(chunk) <- c + 1;
-        tr.tr_events.(chunk) <-
-          { ac_loc = loc; ac_write = write; ac_chunk = chunk; ac_clock = c;
-            ac_count = 1 }
-          :: tr.tr_events.(chunk)
-
-  type race_stats = { rs_regions : int; rs_events : int; rs_races : int }
-
-  let regions_checked = Atomic.make 0
-  let events_logged = Atomic.make 0
-  let races_found = Atomic.make 0
-
-  let race_stats () =
-    { rs_regions = Atomic.get regions_checked;
-      rs_events = Atomic.get events_logged;
-      rs_races = Atomic.get races_found }
-
-  let reset_race_stats () =
-    Atomic.set regions_checked 0;
-    Atomic.set events_logged 0;
-    Atomic.set races_found 0
-
-  let rec find_conflict = function
-    | [] -> None
-    | a :: rest -> (
-        match
-          List.find_opt
-            (fun b ->
-              a.ac_loc = b.ac_loc
-              && (not (loc_atomic a.ac_loc))
-              && a.ac_chunk <> b.ac_chunk
-              && (a.ac_write || b.ac_write))
-            rest
-        with
-        | Some b -> Some (a, b)
-        | None -> find_conflict rest)
-
-  (* Runs on the calling domain after every worker has joined, so reading
-     the per-chunk buffers is ordered-after every log. *)
-  let validate_trace tr =
-    let all = List.concat (Array.to_list tr.tr_events) in
-    Atomic.incr regions_checked;
-    ignore (Atomic.fetch_and_add events_logged (List.length all));
-    match find_conflict all with
-    | None -> ()
-    | Some (a, b) ->
-        Atomic.incr races_found;
-        let kind x = if x.ac_write then "write" else "read" in
-        race_fail
-          "data race on %s: unordered %s by chunk %d (clock %d) and %s by \
-           chunk %d (clock %d)"
-          (loc_name a.ac_loc) (kind a) a.ac_chunk a.ac_clock (kind b) b.ac_chunk
-          b.ac_clock
-
-  (* Drain chunk ids [0, nchunks) on [nd] domains — the calling domain
-     participates, so [nd - 1] are spawned — pulling work off a shared
-     atomic counter. The first exception wins, stops the drain on every
-     domain, and is re-raised here after all domains are joined. With a
-     trace, the dispatch traffic itself (counter bump, error-slot poll and
-     store) is logged like any other shared access. *)
-  let run_chunks ?trace ~nd ~nchunks work =
-    let next = Atomic.make 0 in
-    let err = Atomic.make None in
-    let log chunk loc ~write =
-      match trace with
-      | Some tr -> log_access tr chunk loc ~write
-      | None -> ()
-    in
-    let drain () =
-      let running = ref true in
-      while !running do
-        let i = Atomic.fetch_and_add next 1 in
-        if i >= nchunks || Option.is_some (Atomic.get err) then running := false
-        else begin
-          log i Next_counter ~write:true;
-          log i Error_slot ~write:false;
-          try work i
-          with e ->
-            log i Error_slot ~write:true;
-            ignore (Atomic.compare_and_set err None (Some e))
-        end
-      done
-    in
-    let workers =
-      List.init (min (nd - 1) (nchunks - 1)) (fun _ -> Domain.spawn drain)
-    in
-    drain ();
-    List.iter Domain.join workers;
-    match Atomic.get err with Some e -> raise e | None -> ()
-
-  let leave () = Atomic.set in_region false
-
-  (* The one region driver, shared by [count] and [Rel.semijoin].
-     [region ~rows ~fb_atoms prepare] returns [None] — the caller runs
-     sequentially — when the pool size is 1, [rows] is under the row
-     threshold, or a region is already running. Otherwise it owns the
-     region: [prepare ()] runs once on the calling domain and returns the
-     chunk worker, which chunk [i] calls over its morsel [lo, hi) of
-     [0, rows) with its own counter record of [fb_atoms] atoms. The driver
-     logs each chunk's accesses under the sanitizer and validates them at
-     the join, applies the seeded fault, and merges the chunk-local counter
-     records, so the merged record equals a sequential run's exactly (every
-     counter is a per-candidate-row property). It returns the per-chunk
-     results in chunk order with the merged counters. *)
-  let region ~rows ~fb_atoms prepare =
-    let nd = Atomic.get domains_flag in
-    if
-      nd <= 1
-      || rows < Atomic.get min_rows_flag
-      || not (Atomic.compare_and_set in_region false true)
-    then None
-    else
-      Fun.protect ~finally:leave (fun () ->
-          let work = prepare () in
-          let nchunks = nchunks_for nd rows in
-          let bounds = chunk_bounds rows nchunks in
-          (* chunk [i] writes only [cells.(i)] and [fbs.(i)] (the
-             Chunk_cell i owner-only discipline) *)
-          let cells = Array.make nchunks None in
-          let fbs = Array.init nchunks (fun _ -> fb_create fb_atoms) in
-          let trace =
-            if Atomic.get race_flag then Some (make_trace nchunks) else None
-          in
-          let inject = Atomic.get fault_flag in
-          let log i loc ~write =
-            match trace with
-            | Some tr -> log_access tr i loc ~write
-            | None -> ()
-          in
-          run_chunks ?trace ~nd ~nchunks (fun i ->
-              let lo, hi = bounds.(i) in
-              log i (Column_block i) ~write:true;
-              let r = work ~lo ~hi fbs.(i) in
-              log i (Chunk_cell i) ~write:true;
-              cells.(i) <- Some r;
-              if inject && nchunks > 1 then begin
-                (* seeded fault: value-neutral store into a peer's cell *)
-                let j = (i + 1) mod nchunks in
-                log i (Chunk_cell j) ~write:true;
-                cells.(j) <- cells.(j)
-              end);
-          Option.iter validate_trace trace;
-          let merged = fb_create fb_atoms in
-          Array.iter (fb_add merged) fbs;
-          Some (Array.map Option.get cells, merged))
-
-  (* [count p]: per-chunk counts, summed. The region builds the dense probe
-     tables once and every chunk reads them. *)
-  let count p =
-    let n = ref 0 in
-    run_seq p
-      (fun _ -> incr n)
-      (fun fc ->
-        let checked_run = Atomic.get checked in
-        let prepare () =
-          (* the slice interpreter is chosen once per region and shared by
-             every worker: a concurrent [set_checked] cannot tear a run into
-             mixed chunks *)
-          let interp =
-            if checked_run then iter_envs_batched_checked_slice
-            else iter_envs_batched_slice
-          in
-          let dense = dense_tables p fc ~rows:fc.fc_count in
-          fun ~lo ~hi fb ->
-            let k = ref 0 in
-            interp ~dense p fc ~lo ~hi ~fb (fun _ -> incr k);
-            !k
-        in
-        match
-          region ~rows:fc.fc_count ~fb_atoms:(Array.length p.atoms) prepare
-        with
-        | None -> enum_slice p fc (fun _ -> incr n)
-        | Some (counts, fb) ->
-            if not checked_run then fb_commit p fc fb;
-            n := Array.fold_left ( + ) 0 counts);
-    !n
-
-  (* the count-region partitioning decision for a plan under the current
-     configuration, as plain data for Analysis.Cost / the explain CLI.
-     Regions serve [count] (and [Rel.semijoin], over its input rows);
-     enumeration and first-match run sequentially at every pool size, so a
-     chunked decision names the count region only. *)
-  type decision = {
-    d_domains : int;  (* configured pool size *)
-    d_atom : int option;  (* top-level atom (plan index), if any *)
-    d_rows : int;  (* top-level candidate rows *)
-    d_chunks : int;  (* 1 = sequential *)
-    d_chunk_rows : int;  (* estimated rows per chunk *)
-    d_reason : string;
-  }
-
-  let decision p =
-    let nd = Atomic.get domains_flag in
-    let mr = Atomic.get min_rows_flag in
-    let sequential atom rows reason =
-      { d_domains = nd;
-        d_atom = atom;
-        d_rows = rows;
-        d_chunks = 1;
-        d_chunk_rows = rows;
-        d_reason = "sequential: " ^ reason }
-    in
-    match select_first p with
-    | None ->
-        sequential None 0
-          (if not p.feasible then "infeasible plan" else "no atoms")
-    | Some fc ->
-        let atom = Some p.order.(fc.fc_pos) in
-        let rows = fc.fc_count in
-        if nd <= 1 then sequential atom rows "pool size 1"
-        else if rows < mr then
-          sequential atom rows
-            (if mr = max_int then "no row threshold set (regions are opt-in)"
-             else
-               Printf.sprintf "%d candidate row(s) under the %d-row threshold"
-                 rows mr)
-        else
-          let nchunks = nchunks_for nd rows in
-          { d_domains = nd;
-            d_atom = atom;
-            d_rows = rows;
-            d_chunks = nchunks;
-            d_chunk_rows = (rows + nchunks - 1) / nchunks;
-            d_reason =
-              Printf.sprintf
-                "count region: %d morsel(s) of up to %d row(s) on %d \
-                 domain(s); enumeration and first-match run sequentially"
-                nchunks (chunk_size_for nd rows) nd }
+  let set_domains (_ : int) = ()
 end
-
-let count_envs = Parallel.count
 
 (* ------------------------------------------------------------------ *)
 (* Plan inspection                                                      *)
@@ -2825,96 +2446,6 @@ module Inspect = struct
       f_store_version = p.cdb.Db.db_version;
       f_live_version = Database.version p.src_db }
 
-  (* ---- the parallel execution plan, as plain data ------------------ *)
-
-  type shared_kind =
-    | Atomic_cell
-    | Chunk_local
-
-  type shared_view = { s_name : string; s_kind : shared_kind }
-
-  type write_view = { w_site : string; w_target : string; w_owner_only : bool }
-
-  type reducer_view = { r_primitive : string; r_merge : string }
-
-  type par_view = {
-    pv_domains : int;
-    pv_min_rows : int;
-    pv_morsel_rows : int;
-    pv_atom : int option;
-    pv_rows : int;
-    pv_sequential : bool;
-    pv_reason : string;
-    pv_chunks : (int * int) array;
-    pv_reducers : reducer_view array;
-    pv_shared : shared_view array;
-    pv_writes : write_view array;
-    pv_snapshots : (int * int * int) array;
-  }
-
-  (* The genuine view is re-derived from the same pure functions the runtime
-     partitions with (select_first via Parallel.decision, nchunks_for,
-     chunk_bounds), so auditing it certifies the decision the region will
-     actually take — not a description that could drift. *)
-  let par (p : t) =
-    let d = Parallel.decision p in
-    let chunks = Parallel.chunk_bounds d.Parallel.d_rows d.Parallel.d_chunks in
-    (* the plan's one region primitive: enumeration and first-match run
-       sequentially *)
-    let reducers = [| { r_primitive = "count"; r_merge = "sum" } |] in
-    let shared =
-      [| { s_name = "chunk-dispatch-counter"; s_kind = Atomic_cell };
-         { s_name = "error-slot"; s_kind = Atomic_cell };
-         { s_name = "region-guard"; s_kind = Atomic_cell };
-         { s_name = "chunk-counts"; s_kind = Chunk_local };
-         { s_name = "feedback-cells"; s_kind = Chunk_local };
-         (* the batched interpreter's columnar state is chunk-local: each
-            chunk allocates and writes only its own slot columns *)
-         { s_name = "batch-columns"; s_kind = Chunk_local } |]
-    in
-    let writes =
-      [ { w_site = "chunk-dispatch";
-          w_target = "chunk-dispatch-counter";
-          w_owner_only = false };
-        { w_site = "first-failure"; w_target = "error-slot"; w_owner_only = false };
-        { w_site = "region-enter-leave";
-          w_target = "region-guard";
-          w_owner_only = false };
-        { w_site = "count-accumulate";
-          w_target = "chunk-counts";
-          w_owner_only = true };
-        { w_site = "feedback-accumulate";
-          w_target = "feedback-cells";
-          w_owner_only = true };
-        { w_site = "batch-column-write";
-          w_target = "batch-columns";
-          w_owner_only = true } ]
-    in
-    (* the seeded fault is an honest part of the runtime while enabled, so
-       the static view declares its cross-chunk store — and E014 flags it *)
-    let writes =
-      if Parallel.fault_injection_enabled () then
-        writes
-        @ [ { w_site = "fault-injection";
-              w_target = "chunk-counts";
-              w_owner_only = false } ]
-      else writes
-    in
-    { pv_domains = d.Parallel.d_domains;
-      pv_min_rows = Parallel.min_rows ();
-      pv_morsel_rows = Parallel.morsel_rows ();
-      pv_atom = d.Parallel.d_atom;
-      pv_rows = d.Parallel.d_rows;
-      pv_sequential = d.Parallel.d_chunks <= 1;
-      pv_reason = d.Parallel.d_reason;
-      pv_chunks = chunks;
-      pv_reducers = reducers;
-      pv_shared = shared;
-      pv_writes = Array.of_list writes;
-      pv_snapshots =
-        Array.make d.Parallel.d_domains
-          (p.compiled_at, p.cdb.Db.db_version, Database.version p.src_db) }
-
   (* ---- the batched execution layout, as plain data ------------------ *)
 
   type batch_stage_view = {
@@ -2931,19 +2462,21 @@ module Inspect = struct
     b_stages : batch_stage_view array;  (* fixed stage order *)
     b_columns : (int * string) array;
         (* the columnar layout: every stage-bound slot and its variable *)
+    b_rows : int;              (* top-level candidate rows *)
     b_groups : int;            (* morsel groups over the top-level range *)
   }
 
   (* Re-derived from [batch_stages], the same pure function the batched
-     interpreter compiles its pipeline with — like [par], inspecting it
-     certifies the layout the run will actually use. *)
+     interpreter compiles its pipeline with, so inspecting it certifies the
+     layout the run will actually use. *)
   let batch (p : t) =
-    let m = Parallel.morsel_rows () in
+    let m = morsel_rows () in
     match select_first p with
     | None ->
         { b_morsel_rows = m;
           b_stages = [||];
           b_columns = [||];
+          b_rows = 0;
           b_groups = 0 }
     | Some fc ->
         let stages = batch_stages p fc in
@@ -2968,6 +2501,7 @@ module Inspect = struct
                      bv_filter = st.bs_filter })
                  stages);
           b_columns = Array.of_list columns;
+          b_rows = fc.fc_count;
           b_groups = (fc.fc_count + m - 1) / m }
 
   (* the optimization trail: (view of the plan before each pass, certificate)
@@ -3055,7 +2589,7 @@ exception Found of Mapping.t
 
 (* first answer = first answer of the enumeration: runs on the sequential
    fixed-order runner so the exception exits as soon as the witness is found
-   (a morsel group or a parallel region would buffer before replaying). *)
+   (a morsel group would buffer before replaying). *)
 let first_homomorphism db atoms ~init =
   let p = compile db atoms ~init in
   let table = conversion_table p in
@@ -3240,24 +2774,7 @@ module Rel = struct
         let k = key_of ps t in
         if not (Tuple.Tbl.mem keys k) then Tuple.Tbl.add keys k ())
       s.rows;
-    let keep t = Tuple.Tbl.mem keys (key_of pr t) in
-    (* chunk-parallel filter: [keys] is only read inside the region, so
-       sharing the table across domains is safe; per-chunk results are
-       concatenated in chunk order to keep the row order deterministic *)
-    let filter_chunks () =
-      let arr = Array.of_list r.rows in
-      fun ~lo ~hi _ ->
-        let out = ref [] in
-        for j = hi - 1 downto lo do
-          if keep arr.(j) then out := arr.(j) :: !out
-        done;
-        !out
-    in
-    let rows =
-      match Parallel.region ~rows:r.count ~fb_atoms:0 filter_chunks with
-      | Some (parts, _) -> List.concat (Array.to_list parts)
-      | None -> List.filter keep r.rows
-    in
+    let rows = List.filter (fun t -> Tuple.Tbl.mem keys (key_of pr t)) r.rows in
     { r with rows; count = List.length rows }
 
   let join r s =

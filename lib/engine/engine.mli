@@ -18,11 +18,8 @@
     selection, slot assignment) are additionally cached per atom list, so
     re-evaluating one body under many [~init] bindings compiles once.
 
-    Counting can run domain-parallel (see {!Parallel}): the top-level
-    candidate row range is partitioned into contiguous chunks drained by a
-    pool of OCaml 5 domains and the chunk counts are summed; {!Rel.semijoin}
-    filters its input rows the same way. Enumeration and first-match run
-    on the calling domain at every pool size.
+    Every primitive runs sequentially on the calling domain: enumeration,
+    counting, first-match and {!Rel.semijoin} alike.
 
     [Mapping.t] appears only at the boundaries: [~init] is interned at
     compile time and solutions are read back out of the slot environment. *)
@@ -171,18 +168,18 @@ val cached_swap : t -> swap_cert option
 
 (** {2 Batched (vectorized) execution}
 
-    Every enumeration ({!iter_envs}, {!count_envs} and its parallel chunks,
-    the projections) executes each compiled instruction over a vector
-    of candidate environments at once: the environment vector is columnar
+    Every enumeration ({!iter_envs}, {!count_envs}, the projections)
+    executes each compiled instruction over a vector of candidate
+    environments at once: the environment vector is columnar
     (one flat [int array] per stage-bound slot, batch-row indexed), checks
     narrow a survivor bitmask in place, and index probes sort/group the
     batch by probe key so counted-cell lookups become sequential runs. The
     pipeline runs the atoms in a fixed order — the pre-computed top-level
     choice, then the static order — which makes slot boundness uniform
     across a batch; enumeration order is the depth-first order of that
-    fixed-order recursion, identical at every pool size, and validated
-    env-for-env against a scalar fixed-order twin in checked mode. Top-level candidates are processed in groups of
-    {!Parallel.morsel_rows} rows, bounding the columnar footprint.
+    fixed-order recursion, and validated env-for-env against a scalar
+    fixed-order twin in checked mode. Top-level candidates are processed in
+    groups of {!morsel_rows} rows, bounding the columnar footprint.
 
     First-match ({!sat}, {!first_homomorphism}) runs on that scalar
     fixed-order twin instead: one environment at a time over the same stage
@@ -190,13 +187,22 @@ val cached_swap : t -> swap_cert option
     group, and it finds the first solution the batched enumeration would
     yield. *)
 
+(** Largest morsel size, [2^20] rows. *)
+val morsel_cap : int
+
+(** Morsel size: the batch group size of the vectorized interpreter
+    (default 1024, clamped to [1 .. ]{!morsel_cap}). Initialized from
+    [WDPT_ENGINE_MORSEL]. *)
+val set_morsel_rows : int -> unit
+
+val morsel_rows : unit -> int
+
 (** High-water marks of the batched pipeline's memory consumers, in the
     units the certified resource envelope ({!Analysis.Resource}) is stated
     in. Each mark is the peak of one slice (column/dense scratch) or of one
-    group/chunk (replay buffering) — never a cross-domain sum — so a
-    per-slice envelope can be checked sound against it directly
-    ([measured <= certified], E021 otherwise). Bumped once per slice or
-    group, never per row. *)
+    group (replay buffering), so a per-slice envelope can be checked sound
+    against it directly ([measured <= certified], E021 otherwise). Bumped
+    once per slice or group, never per row. *)
 type batch_stats = {
   bm_column_words : int;
       (** peak columnar scratch words (slot columns, parent pointers, probe
@@ -204,7 +210,7 @@ type batch_stats = {
   bm_dense_words : int;
       (** peak dense probe-table words (the per-stage count/rows top arrays;
           row arrays alias the counted index) of any one build: one per
-          sequential run, one per parallel region, shared by its chunks *)
+          run, shared by a checked-mode replay's groups *)
   bm_replay_rows : int;
       (** peak buffered environment rows of any one checked-mode morsel
           group *)
@@ -227,19 +233,17 @@ val value_of : t -> int -> Value.t
 (** [iter_envs p f] calls [f env] for every satisfying slot assignment. The
     environment is borrowed: it is mutated (or dropped) after [f] returns, so
     callers must copy whatever they keep. Raising inside [f] aborts the
-    enumeration. Runs on the calling domain at every pool size
-    ({!Parallel.set_domains}) and opens no region, so the order of calls is
-    fixed and [f] never runs concurrently. *)
+    enumeration. Runs on the calling domain, so the order of calls is fixed
+    and [f] never runs concurrently. *)
 val iter_envs : t -> (int array -> unit) -> unit
 
-(** [count_envs p] is the number of satisfying slot assignments. With a
-    pool and a row threshold it opens a region (see {!Parallel}): per-chunk
-    counts, summed. *)
+(** [count_envs p] is the number of satisfying slot assignments, counted
+    off the same run as {!iter_envs}. *)
 val count_envs : t -> int
 
 (** [sat p]: some satisfying assignment exists. Runs on the scalar
-    fixed-order runner, tuple at a time, on the calling domain at every
-    pool size, and commits no feedback counters. *)
+    fixed-order runner, tuple at a time, and commits no feedback
+    counters. *)
 val sat : t -> bool
 
 (** [mapping_of_env p env] converts a satisfying environment back to a
@@ -285,116 +289,11 @@ val stream_projections :
   (Mapping.t -> unit) ->
   int
 
-(** {2 Domain-parallel regions}
-
-    Regions serve two primitives, both through one region driver:
-    {!count_envs}, whose top level iterates the candidate rows of one
-    statically chosen atom — a pure function of the plan, replicated outside
-    the loop — so the row range partitions into contiguous chunks that
-    domains drain from a shared atomic counter and whose counts are summed;
-    and {!Rel.semijoin}, which filters its input rows chunk by chunk and
-    concatenates the kept rows in chunk order. Checked mode composes: every
-    count chunk runs the checked replay with the full per-run validation.
-    Enumeration ({!iter_envs}, the projections) and first-match ({!sat},
-    {!first_homomorphism}) open no region: they run on the calling domain
-    at every pool size.
-    A region falls back to sequential when the pool size is 1, the row
-    count is under {!Parallel.min_rows} (always, until a threshold is set),
-    or a region is already running (nested engine calls from an
-    enumeration callback). *)
+(** No domain pool remains; [set_domains] ignores its argument and holds no
+    state. It has no effect and goes with the next change to the benchmark
+    driver, its last caller. *)
 module Parallel : sig
-  (** Set the domain pool size for count and semijoin regions (clamped to
-      [1..64]). 1 = sequential. Initialized from [WDPT_ENGINE_DOMAINS].
-      Enumeration and first-match ignore it. *)
   val set_domains : int -> unit
-
-  val domains : unit -> int
-
-  (** Minimum rows (top-level candidates of a count, input rows of a
-      semijoin) before a region pays its dispatch cost: spawning and joining
-      the helper domains and merging their results. Regions are opt-in:
-      until this is set, {!min_rows} is [max_int] and a pool of any size
-      runs sequentially. On a 2-core VM [count] won or lost by query shape
-      rather than by row count, so no default was measurable. Tests set 1
-      to exercise the parallel path on small instances. *)
-  val set_min_rows : int -> unit
-
-  (** The current threshold; [max_int] when none was set. *)
-  val min_rows : unit -> int
-
-  (** Morsel size: the maximum rows per parallel chunk and the batch group
-      size of the vectorized interpreter (default 1024, clamped to
-      [1 .. 2^20]). Initialized from [WDPT_ENGINE_MORSEL]. Capping chunk
-      size at the morsel fixes the single-huge-chunk skew: one fat
-      top-level range now splits into many morsels drained from the shared
-      counter instead of [4 × pool] static slices. *)
-  val set_morsel_rows : int -> unit
-
-  val morsel_rows : unit -> int
-
-  (** [chunk_size_for nd count]: rows per chunk for a pool of [nd] over
-      [count] candidate rows — [ceil (count / (4 * nd))] capped at
-      {!morsel_rows}, at least 1. *)
-  val chunk_size_for : int -> int -> int
-
-  (** [chunk_bounds count nchunks]: the [nchunks] fixed-stride contiguous
-      morsel slices of [0, count) as [(lo, hi)] pairs (uniform stride,
-      ragged last chunk) — the exact partition a region uses (and the one
-      [Analysis.Par_audit] E011/E016 re-check). *)
-  val chunk_bounds : int -> int -> (int * int) array
-
-  (** [nchunks_for nd count = ceil (count / chunk_size_for nd count)]:
-      chunks per region for a pool of [nd] over [count] candidate rows. *)
-  val nchunks_for : int -> int -> int
-
-  (** {2 Data-race sanitizer}
-
-      When enabled — [WDPT_ENGINE_TSAN=1] in the environment, or
-      {!set_race_check} — every parallel region logs its shared-location
-      accesses (dispatch counter, error slot, per-chunk working state and
-      result cells) into per-chunk event buffers with per-chunk logical clocks, and
-      validates after the join that no two unordered conflicting accesses
-      occurred: chunks have no happens-before edges between each other (only
-      fork and join), so any two accesses to the same non-atomic location
-      from different chunks with at least one write constitute a race —
-      reported by raising {!Race_failure}. Atomic locations are exempt.
-      Logging is deduplicated per (location, access kind, chunk), so the
-      overhead is O(distinct locations) per chunk plus one lookup per
-      logged access. *)
-
-  val set_race_check : bool -> unit
-  val race_check_enabled : unit -> bool
-
-  (** Cumulative sanitizer counters: regions validated, access records
-      logged, races found (a found race also raises). *)
-  type race_stats = { rs_regions : int; rs_events : int; rs_races : int }
-
-  val race_stats : unit -> race_stats
-  val reset_race_stats : unit -> unit
-
-  (** Test-only seeded fault: while enabled, each region chunk (count or
-      semijoin) additionally performs a value-neutral store into a peer chunk's result
-      cell — a deliberately corrupted reducer the sanitizer must catch (and
-      {!Inspect.par} declares, so [Analysis.Par_audit] E014 flags it too). *)
-  val set_fault_injection : bool -> unit
-
-  val fault_injection_enabled : unit -> bool
-
-  (** The {!count_envs} partitioning decision for a plan under the current
-      configuration, as plain data (reported by [explain] and
-      {!Analysis.Cost}). A chunked decision's reason names the count region
-      and says that enumeration and first-match run sequentially; it never
-      describes an enumeration as parallel. *)
-  type decision = {
-    d_domains : int;  (** configured pool size *)
-    d_atom : int option;  (** top-level atom (plan index), if any *)
-    d_rows : int;  (** top-level candidate rows *)
-    d_chunks : int;  (** 1 = sequential *)
-    d_chunk_rows : int;  (** estimated rows per chunk *)
-    d_reason : string;  (** why a count region / why sequential *)
-  }
-
-  val decision : t -> decision
 end
 
 (** Interned relations: sorted variable arrays over deduplicated id-tuples,
@@ -504,58 +403,6 @@ module Inspect : sig
 
   val feedback : t -> feedback_view
 
-  (** {2 The parallel execution plan}
-
-      Plain-data view of the partitioning decision a {!count_envs} region
-      would take for this plan under the current configuration, re-derived
-      from the same pure functions the runtime uses ({!Parallel.decision},
-      {!Parallel.nchunks_for}, {!Parallel.chunk_bounds}) — what
-      [Analysis.Par_audit] verifies (E011, E014–E016). Enumeration and
-      first-match open no region. *)
-
-  (** How a declared shared location is protected: a hardware-ordered atomic
-      cell, or chunk-local state only its owning chunk may write. *)
-  type shared_kind =
-    | Atomic_cell
-    | Chunk_local
-
-  type shared_view = { s_name : string; s_kind : shared_kind }
-
-  (** One shared-state write site of the region: where it writes, what it
-      targets, and whether only the owning chunk performs it. *)
-  type write_view = { w_site : string; w_target : string; w_owner_only : bool }
-
-  (** The region's reducer: how chunk results merge. The plan's one region
-      primitive is [count], merged by [sum]. *)
-  type reducer_view = {
-    r_primitive : string;  (** ["count"] *)
-    r_merge : string;  (** ["sum"] *)
-  }
-
-  type par_view = {
-    pv_domains : int;  (** configured pool size *)
-    pv_min_rows : int;  (** parallelism threshold ({!Parallel.min_rows}) *)
-    pv_morsel_rows : int;  (** morsel cap ({!Parallel.morsel_rows}); no
-            chunk may exceed it (E016) *)
-    pv_atom : int option;  (** re-derived top-level atom (plan index) *)
-    pv_rows : int;  (** top-level candidate rows *)
-    pv_sequential : bool;  (** true when the region falls back to one chunk *)
-    pv_reason : string;  (** why parallel / why sequential *)
-    pv_chunks : (int * int) array;
-        (** the [(lo, hi)] slices; must partition [0, pv_rows) exactly
-            (E011). [[|(0, 0)|]] for a rowless plan. *)
-    pv_reducers : reducer_view array;
-    pv_shared : shared_view array;  (** declared shared-state inventory *)
-    pv_writes : write_view array;
-        (** every write must target a declared location, and cross-chunk
-            writes only atomic ones (E014) *)
-    pv_snapshots : (int * int * int) array;
-        (** per domain: (compiled, store, live) version triple; all domains
-            share one plan so skew is a defect (E015) *)
-  }
-
-  val par : t -> par_view
-
   (** {2 The batched execution layout}
 
       Plain-data view of the vectorized interpreter's stage pipeline and
@@ -583,13 +430,14 @@ module Inspect : sig
   }
 
   type batch_view = {
-    b_morsel_rows : int;  (** batch group size ({!Parallel.morsel_rows}) *)
+    b_morsel_rows : int;  (** batch group size ({!morsel_rows}) *)
     b_stages : batch_stage_view array;
         (** fixed stage order: top-level choice first, then the static
             order — empty for infeasible or atomless plans *)
     b_columns : (int * string) array;
         (** the columnar environment: (slot, variable name) per
             stage-bound slot, one flat [int array] each at run time *)
+    b_rows : int;  (** top-level candidate rows *)
     b_groups : int;
         (** morsel groups the top-level candidate range splits into *)
   }
@@ -634,11 +482,6 @@ exception Check_failure of string
 
 val set_checked : bool -> unit
 val checked_enabled : unit -> bool
-
-(** Raised by the data-race sanitizer ({!Parallel.set_race_check} /
-    [WDPT_ENGINE_TSAN=1]) when a parallel region performed two unordered
-    conflicting accesses to the same non-atomic shared location. *)
-exception Race_failure of string
 
 (** {2 Delta evaluation}
 

@@ -156,9 +156,7 @@ let complete pl =
    the root either matches — yielding a total answer — or nothing does, so
    the SPARQL semantics and the CQ semantics coincide and the cost-selected
    engine can run the whole evaluation. All three engines bottom out in the
-   compiled Engine, so every choice made here gives identical answers and
-   order at every pool size; only the Yannakakis semijoin passes can open
-   regions on the domain pool. *)
+   compiled Engine, so every choice made here gives identical answers. *)
 let eval_cq pl db p =
   let cq = Pattern_tree.r_of_subtree p (Pattern_tree.all_nodes p) in
   match pl.exec with

@@ -12,17 +12,10 @@ let deterministic_fresh (name, cases) =
       cases )
 
 let () =
-  (* parallel regions are opt-in: when the suite runs under a pool
-     (WDPT_ENGINE_DOMAINS), open them at any size so that every
-     engine-backed count and semijoin crosses the chunked multi-domain
-     path *)
-  if Engine.Parallel.domains () > 1 then Engine.Parallel.set_min_rows 1;
   Alcotest.run "wdpt"
     (List.map deterministic_fresh
        [ ("relational", Test_relational.suite);
          ("engine", Test_engine.suite);
-         ("parallel", Test_parallel.suite);
-         ("par-audit", Test_par_audit.suite);
          ("batch", Test_batch.suite);
          ("batch-audit", Test_batch_audit.suite);
          ("hypergraph", Test_hypergraph.suite);

@@ -250,33 +250,24 @@ let prop_checked_agrees =
 
 (* (d) the sanitizer runs on every entry point: a plan compiled before a
    Database.add holds a store behind the live database, and checked mode
-   refuses to run it, sequentially and on a pool of 2 *)
+   refuses to run it *)
 let test_detached_plan () =
   let was = Engine.checked_enabled () in
-  let d0 = Engine.Parallel.domains () and m0 = Engine.Parallel.min_rows () in
   Fun.protect
-    ~finally:(fun () ->
-      Engine.set_checked was;
-      Engine.Parallel.set_domains d0;
-      Engine.Parallel.set_min_rows m0)
+    ~finally:(fun () -> Engine.set_checked was)
     (fun () ->
       Engine.set_checked true;
-      Engine.Parallel.set_min_rows 1;
-      List.iter
-        (fun nd ->
-          Engine.Parallel.set_domains nd;
-          let db = db3 () in
-          let p = Engine.compile db [ e "x" "y"; e "y" "z" ] ~init:Mapping.empty in
-          Database.add db (Fact.make "E" [ Value.int 4; Value.int 5 ]);
-          let raises name run =
-            match run () with
-            | () -> Alcotest.failf "%s at pool %d: no Check_failure" name nd
-            | exception Engine.Check_failure _ -> ()
-          in
-          raises "sat" (fun () -> ignore (Engine.sat p));
-          raises "count_envs" (fun () -> ignore (Engine.count_envs p));
-          raises "iter_envs" (fun () -> Engine.iter_envs p (fun _ -> ())))
-        [ 1; 2 ])
+      let db = db3 () in
+      let p = Engine.compile db [ e "x" "y"; e "y" "z" ] ~init:Mapping.empty in
+      Database.add db (Fact.make "E" [ Value.int 4; Value.int 5 ]);
+      let raises name run =
+        match run () with
+        | () -> Alcotest.failf "%s: no Check_failure" name
+        | exception Engine.Check_failure _ -> ()
+      in
+      raises "sat" (fun () -> ignore (Engine.sat p));
+      raises "count_envs" (fun () -> ignore (Engine.count_envs p));
+      raises "iter_envs" (fun () -> Engine.iter_envs p (fun _ -> ())))
 
 let suite =
   [ Alcotest.test_case "clean plans audit clean" `Quick test_clean;

@@ -1,31 +1,22 @@
 (* The vectorized (batched) interpreter: the morsel-skew regression (a fat
-   top-level relation must split into capped morsels, not 4*pool static
-   slices), batch-edge geometry (candidate ranges smaller than a morsel
-   group, survivor masks going all-zero mid-instruction, morsel boundaries
-   inside OPT branches), paging parity on the batched streamed path, morsel
-   configuration clamping, and qcheck properties pinning the batched
-   answers to the naive oracles (Cq.Eval.Naive, Semantics.eval_naive) at
-   both semantics levels and a deterministic batched enumeration order
-   across pool sizes. *)
+   top-level relation must split into capped morsel groups), batch-edge
+   geometry (candidate ranges smaller than a morsel group, survivor masks
+   going all-zero mid-instruction, morsel boundaries inside OPT branches),
+   paging parity on the batched streamed path, morsel configuration
+   clamping, and qcheck properties pinning the batched answers to the naive
+   oracles (Cq.Eval.Naive, Semantics.eval_naive) at both semantics levels
+   and a batched enumeration order independent of the morsel size. *)
 
 open Relational
 open Helpers
-module P = Engine.Parallel
 module I = Engine.Inspect
 
-(* every test restores the ambient engine configuration, whatever happens
-   (the suite may itself run under WDPT_ENGINE_DOMAINS / _MORSEL) *)
-let with_engine ?domains ?min_rows ?morsel f =
-  let d0 = P.domains () and m0 = P.min_rows () and g0 = P.morsel_rows () in
-  Option.iter P.set_domains domains;
-  Option.iter P.set_min_rows min_rows;
-  Option.iter P.set_morsel_rows morsel;
-  Fun.protect
-    ~finally:(fun () ->
-      P.set_domains d0;
-      P.set_min_rows m0;
-      P.set_morsel_rows g0)
-    f
+(* every test restores the ambient morsel size, whatever happens (the suite
+   may itself run under WDPT_ENGINE_MORSEL) *)
+let with_engine ?morsel f =
+  let g0 = Engine.morsel_rows () in
+  Option.iter Engine.set_morsel_rows morsel;
+  Fun.protect ~finally:(fun () -> Engine.set_morsel_rows g0) f
 
 let envs_of plan =
   let out = ref [] in
@@ -34,46 +25,31 @@ let envs_of plan =
 
 (* ---- morsel-skew regression --------------------------------------------- *)
 
-(* One fat relation: 20000 top-level candidate rows. The pre-morsel geometry
-   cut 4*pool static slices — 2500 rows each at pool 2, so one straggler
-   domain could sit on a quarter of the work. Morsels cap every chunk at
-   morsel_rows, splitting the fat range into 20 slices drained from the
-   shared counter. *)
-let chain_db_40 () = db_of_edges (List.init 40 (fun i -> (i, i + 1)))
-
+(* One fat relation: 20000 top-level candidate rows. Morsels cap every
+   batch group at morsel_rows, splitting the fat range into 20 groups
+   instead of materializing it as one. *)
 let test_morsel_skew () =
   let db = db_of_edges (List.init 20000 (fun i -> (i, i + 1))) in
   let plan = Engine.compile db [ e "x" "y" ] ~init:Mapping.empty in
-  with_engine ~domains:2 ~min_rows:1 ~morsel:1024 (fun () ->
-      let v = I.par plan in
-      check_bool "parallel" true (not v.I.pv_sequential);
-      check_int "morsel count pinned" 20 (Array.length v.I.pv_chunks);
-      Array.iter
-        (fun (lo, hi) ->
-          check_bool "chunk within the morsel cap" true (hi - lo <= 1024))
-        v.I.pv_chunks;
-      check_bool "audits clean (incl. E016)" true
-        (Analysis.Par_audit.audit_view v = []);
-      check_int "all rows enumerated" 20000 (Engine.count_envs plan));
-  (* small regions still split into ~4 waves per domain below the cap *)
-  let small = Engine.compile (chain_db_40 ()) [ e "x" "y" ] ~init:Mapping.empty in
-  with_engine ~domains:2 ~min_rows:1 ~morsel:1024 (fun () ->
-      let v = I.par small in
-      check_bool "small region still chunked" true
-        (Array.length v.I.pv_chunks > 1))
+  with_engine ~morsel:1024 (fun () ->
+      let b = I.batch plan in
+      check_int "top-level rows" 20000 b.I.b_rows;
+      check_int "morsel group count pinned" 20 b.I.b_groups;
+      check_int "all rows enumerated" 20000 (Engine.count_envs plan))
 
 (* ---- morsel configuration ------------------------------------------------ *)
 
 let test_morsel_config () =
   with_engine (fun () ->
-      P.set_morsel_rows 0;
-      check_int "0 clamps to 1" 1 (P.morsel_rows ());
-      P.set_morsel_rows (-5);
-      check_int "negative clamps to 1" 1 (P.morsel_rows ());
-      P.set_morsel_rows (1 lsl 30);
-      check_int "oversized clamps to the cap" (1 lsl 20) (P.morsel_rows ());
-      P.set_morsel_rows 256;
-      check_int "in-range value kept" 256 (P.morsel_rows ()))
+      Engine.set_morsel_rows 0;
+      check_int "0 clamps to 1" 1 (Engine.morsel_rows ());
+      Engine.set_morsel_rows (-5);
+      check_int "negative clamps to 1" 1 (Engine.morsel_rows ());
+      Engine.set_morsel_rows (1 lsl 30);
+      check_int "oversized clamps to the cap" Engine.morsel_cap
+        (Engine.morsel_rows ());
+      Engine.set_morsel_rows 256;
+      check_int "in-range value kept" 256 (Engine.morsel_rows ()))
 
 (* ---- batch-edge geometry ------------------------------------------------- *)
 
@@ -132,15 +108,10 @@ let test_opt_boundary () =
   check_bool "instance has extended and bare answers" true
     (Mapping.Set.cardinal reference = 10);
   (* morsel 3 puts group boundaries inside both the root body's and the OPT
-     branch's candidate ranges, sequentially and across a pool of 2 *)
-  List.iter
-    (fun nd ->
-      with_engine ~domains:nd ~min_rows:1 ~morsel:3 (fun () ->
-          check_bool
-            (Printf.sprintf "batched OPT answers at pool %d" nd)
-            true
-            (Mapping.Set.equal (Wdpt.Semantics.eval db p) reference)))
-    [ 1; 2 ]
+     branch's candidate ranges *)
+  with_engine ~morsel:3 (fun () ->
+      check_bool "batched OPT answers" true
+        (Mapping.Set.equal (Wdpt.Semantics.eval db p) reference))
 
 (* ---- paging parity on the batched streamed path -------------------------- *)
 
@@ -177,37 +148,25 @@ let test_paging_parity () =
 (* ---- properties ---------------------------------------------------------- *)
 
 let prop_batched_cq_agree =
-  qtest ~count:100 "batched = naive CQ answers (pools 1/2/4, small morsels)"
+  qtest ~count:100 "batched = naive CQ answers (small morsels)"
     (QCheck.pair arbitrary_cq arbitrary_db) (fun (q, db) ->
-      let naive = Cq.Eval.Naive.answers db q in
-      List.for_all
-        (fun nd ->
-          with_engine ~domains:nd ~min_rows:1 ~morsel:2 (fun () ->
-              Mapping.Set.equal (Cq.Eval.answers db q) naive))
-        [ 1; 2; 4 ])
+      with_engine ~morsel:2 (fun () ->
+          Mapping.Set.equal (Cq.Eval.answers db q) (Cq.Eval.Naive.answers db q)))
 
 let prop_batched_wdpt_agree =
-  qtest ~count:60 "batched = naive WDPT answers (pools 1/2/4)"
+  qtest ~count:60 "batched = naive WDPT answers (morsel 3)"
     (QCheck.pair arbitrary_small_wdpt arbitrary_db) (fun (p, db) ->
-      let naive = Wdpt.Semantics.eval_naive db p in
-      List.for_all
-        (fun nd ->
-          with_engine ~domains:nd ~min_rows:1 ~morsel:3 (fun () ->
-              Mapping.Set.equal (Wdpt.Semantics.eval db p) naive))
-        [ 1; 2; 4 ])
+      with_engine ~morsel:3 (fun () ->
+          Mapping.Set.equal (Wdpt.Semantics.eval db p)
+            (Wdpt.Semantics.eval_naive db p)))
 
 let prop_batched_order_deterministic =
-  qtest ~count:100 "batched enumeration order identical at pools 1/2/4"
+  qtest ~count:100 "batched enumeration order identical across morsel sizes"
     (QCheck.pair arbitrary_cq arbitrary_db) (fun (q, db) ->
       let plan = Engine.compile db (Cq.Query.body q) ~init:Mapping.empty in
-      let reference =
-        with_engine ~domains:1 ~min_rows:1 ~morsel:2 (fun () -> envs_of plan)
-      in
-      List.for_all
-        (fun nd ->
-          with_engine ~domains:nd ~min_rows:1 ~morsel:2 (fun () ->
-              envs_of plan = reference && envs_of plan = reference))
-        [ 2; 4 ])
+      let reference = with_engine ~morsel:1024 (fun () -> envs_of plan) in
+      with_engine ~morsel:2 (fun () ->
+          envs_of plan = reference && envs_of plan = reference))
 
 let suite =
   [ Alcotest.test_case "morsel-skew regression" `Quick test_morsel_skew;

@@ -1,6 +1,6 @@
 (* The batch-pipeline auditor (Analysis.Batch_audit, E017-E021) and the
    certified resource envelopes (Analysis.Resource): genuine batched layouts
-   audit clean at every pool size and morsel geometry, each corruption of
+   audit clean at every morsel geometry, each corruption of
    the batch_view draws exactly its E-code with the exact machine-checkable
    witness, measured batch_stats high-water marks stay within the certified
    envelope (and a shrunk envelope draws E021 per component), admission
@@ -9,27 +9,20 @@
 
 open Relational
 open Helpers
-module P = Engine.Parallel
 module I = Engine.Inspect
 module D = Analysis.Diagnostic
 module R = Analysis.Resource
 
 (* every test restores the ambient engine configuration, whatever happens
-   (the suite may itself run under WDPT_ENGINE_DOMAINS / _MORSEL /
-   _CHECKED) *)
-let with_engine ?checked ?domains ?min_rows ?morsel f =
-  let c0 = Engine.checked_enabled () in
-  let d0 = P.domains () and m0 = P.min_rows () and g0 = P.morsel_rows () in
+   (the suite may itself run under WDPT_ENGINE_MORSEL / _CHECKED) *)
+let with_engine ?checked ?morsel f =
+  let c0 = Engine.checked_enabled () and g0 = Engine.morsel_rows () in
   Option.iter Engine.set_checked checked;
-  Option.iter P.set_domains domains;
-  Option.iter P.set_min_rows min_rows;
-  Option.iter P.set_morsel_rows morsel;
+  Option.iter Engine.set_morsel_rows morsel;
   Fun.protect
     ~finally:(fun () ->
       Engine.set_checked c0;
-      P.set_domains d0;
-      P.set_min_rows m0;
-      P.set_morsel_rows g0)
+      Engine.set_morsel_rows g0)
     f
 
 let chain_db n = db_of_edges (List.init n (fun i -> (i, i + 1)) @ [ (0, 0) ])
@@ -63,16 +56,13 @@ let audit1 name v b =
 let test_genuine_clean () =
   let plan = compile_plan () in
   List.iter
-    (fun nd ->
-      List.iter
-        (fun morsel ->
-          with_engine ~domains:nd ~min_rows:1 ~morsel (fun () ->
-              check_bool
-                (Printf.sprintf "clean at pool %d morsel %d" nd morsel)
-                true
-                (Analysis.Batch_audit.audit plan = [])))
-        [ 1; 7; 1024 ])
-    [ 1; 2; 4 ]
+    (fun morsel ->
+      with_engine ~morsel (fun () ->
+          check_bool
+            (Printf.sprintf "clean at morsel %d" morsel)
+            true
+            (Analysis.Batch_audit.audit plan = [])))
+    [ 1; 7; 1024 ]
 
 (* ---- corruption tests: exactly the right code + witness ----------------- *)
 
@@ -194,7 +184,7 @@ let test_e020 () =
   | _ -> Alcotest.fail "E020 streamed: wrong code or witness"
 
 let test_e021 () =
-  with_engine ~checked:true ~domains:1 ~min_rows:1 ~morsel:7
+  with_engine ~checked:true ~morsel:7
     (fun () ->
       let plan = compile_plan () in
       let r = R.of_plan plan in
@@ -236,7 +226,7 @@ let test_e021 () =
 (* ---- admission ----------------------------------------------------------- *)
 
 let test_admission () =
-  with_engine ~checked:false ~domains:1 ~min_rows:1 ~morsel:7
+  with_engine ~checked:false ~morsel:7
     (fun () ->
       let plan = compile_plan () in
       let r = R.of_plan plan in
@@ -267,7 +257,7 @@ let test_schema_stable () =
   with_engine (fun () ->
       let b = I.batch plan in
       check_bool "batch json schema" true
-        (json_keys (Analysis.Par_audit.batch_json b) = batch_keys);
+        (json_keys (Analysis.Batch_audit.batch_json b) = batch_keys);
       check_int "stage geometry" 2 (Array.length b.I.b_stages);
       check_int "group geometry" b.I.b_groups
         ((41 + b.I.b_morsel_rows - 1) / b.I.b_morsel_rows);
@@ -284,7 +274,7 @@ let take n l = List.filteri (fun i _ -> i < n) l
 (* 41 candidate rows under 7-row morsel groups: boundaries at 7, 14, ..., 35
    with a 6-row ragged tail. Pages whose offset lands exactly on, one
    before, and one past a group boundary (and past the end) must slice the
-   full first-seen enumeration exactly, at pools 1 and 2. *)
+   full first-seen enumeration exactly. *)
 let test_ragged_paging () =
   let db = chain_db 40 in
   let atoms = [ e "x" "y" ] in
@@ -296,50 +286,41 @@ let test_ragged_paging () =
     in
     (n, List.rev !out)
   in
-  List.iter
-    (fun nd ->
-      with_engine ~domains:nd ~min_rows:1 ~morsel:7 (fun () ->
-          let _, all = collect ~offset:0 ~limit:None in
-          let total = List.length all in
-          check_int "41 distinct rows" 41 total;
-          check_bool "ragged tail" true (total mod 7 <> 0);
+  with_engine ~morsel:7 (fun () ->
+      let _, all = collect ~offset:0 ~limit:None in
+      let total = List.length all in
+      check_int "41 distinct rows" 41 total;
+      check_bool "ragged tail" true (total mod 7 <> 0);
+      List.iter
+        (fun offset ->
           List.iter
-            (fun offset ->
-              List.iter
-                (fun lim ->
-                  let n, page = collect ~offset ~limit:(Some lim) in
-                  let expected = take lim (drop offset all) in
-                  check_int
-                    (Printf.sprintf "count offset=%d limit=%d pool=%d" offset
-                       lim nd)
-                    (List.length expected) n;
-                  check_bool
-                    (Printf.sprintf "page offset=%d limit=%d pool=%d" offset
-                       lim nd)
-                    true
-                    (List.equal Mapping.equal page expected))
-                [ 1; 7; 13 ])
-            [ 6; 7; 8; 13; 14; 15; 34; 35; 36; 40; 41; 42 ]))
-    [ 1; 2 ]
+            (fun lim ->
+              let n, page = collect ~offset ~limit:(Some lim) in
+              let expected = take lim (drop offset all) in
+              check_int
+                (Printf.sprintf "count offset=%d limit=%d" offset lim)
+                (List.length expected) n;
+              check_bool
+                (Printf.sprintf "page offset=%d limit=%d" offset lim)
+                true
+                (List.equal Mapping.equal page expected))
+            [ 1; 7; 13 ])
+        [ 6; 7; 8; 13; 14; 15; 34; 35; 36; 40; 41; 42 ])
 
 (* ---- properties ---------------------------------------------------------- *)
 
 let prop_genuine_clean =
-  qtest ~count:100 "genuine batch layouts audit clean (pools 1/2/4)"
+  qtest ~count:100 "genuine batch layouts audit clean (morsel 3)"
     (QCheck.pair arbitrary_cq arbitrary_db) (fun (q, db) ->
       let plan = Engine.compile db (Cq.Query.body q) ~init:Mapping.empty in
-      List.for_all
-        (fun nd ->
-          with_engine ~domains:nd ~min_rows:1 ~morsel:3
-            (fun () -> Analysis.Batch_audit.audit plan = []))
-        [ 1; 2; 4 ])
+      with_engine ~morsel:3 (fun () -> Analysis.Batch_audit.audit plan = []))
 
 let prop_envelope_dominates =
   qtest ~count:60 "certified envelope dominates measured marks"
     (QCheck.pair arbitrary_cq arbitrary_db) (fun (q, db) ->
       List.for_all
-        (fun (nd, checked) ->
-          with_engine ~checked ~domains:nd ~min_rows:1 ~morsel:3
+        (fun checked ->
+          with_engine ~checked ~morsel:3
             (fun () ->
               let plan =
                 Engine.compile db (Cq.Query.body q) ~init:Mapping.empty
@@ -350,7 +331,7 @@ let prop_envelope_dominates =
               Engine.iter_envs plan (fun _ -> ());
               Analysis.Batch_audit.check_envelope r (Engine.batch_stats ())
               = []))
-        [ (1, false); (2, false); (1, true); (2, true) ])
+        [ false; true ])
 
 let suite =
   [ Alcotest.test_case "genuine layouts audit clean" `Quick test_genuine_clean;

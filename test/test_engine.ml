@@ -1,10 +1,19 @@
-(* The compiled evaluation engine: unit tests for interning, counted indexes
-   and plan caching, plus the agreement properties pinning the engine to the
-   naive reference evaluator (Cq.Eval.Naive) and the engine-backed tractable
-   WDPT evaluator to the reference semantics. *)
+(* The compiled evaluation engine: unit tests for interning, counted indexes,
+   plan caching, counting and the in-place extension of the compiled form,
+   plus the agreement properties pinning the engine to the naive reference
+   evaluator (Cq.Eval.Naive) and the engine-backed tractable WDPT evaluator
+   to the reference semantics. *)
 
 open Relational
 open Helpers
+module D = Analysis.Diagnostic
+
+(* run [f] with checked mode set to [b], restoring the ambient setting (the
+   suite may itself run under WDPT_ENGINE_CHECKED) *)
+let with_checked b f =
+  let c0 = Engine.checked_enabled () in
+  Engine.set_checked b;
+  Fun.protect ~finally:(fun () -> Engine.set_checked c0) f
 
 (* ---- interner / tuple ------------------------------------------------- *)
 
@@ -121,8 +130,8 @@ let prop_first_homomorphism_agree =
 
 (* The scalar first-match runner and the batched enumeration share one
    stage order: first_homomorphism is the first mapping iter_homomorphisms
-   yields, and satisfiable agrees with the enumeration count, at pools 1
-   and 2 with checked mode off and on. *)
+   yields, and satisfiable agrees with the enumeration count, with checked
+   mode off and on. *)
 let prop_first_match_is_first_enumerated =
   qtest ~count:200
     "first_homomorphism = first enumerated, satisfiable = count > 0"
@@ -139,25 +148,14 @@ let prop_first_match_is_first_enumerated =
          with Exit -> ());
         !out
       in
-      let c0 = Engine.checked_enabled () in
-      let d0 = Engine.Parallel.domains () in
-      let m0 = Engine.Parallel.min_rows () in
-      Fun.protect
-        ~finally:(fun () ->
-          Engine.set_checked c0;
-          Engine.Parallel.set_domains d0;
-          Engine.Parallel.set_min_rows m0)
-        (fun () ->
-          Engine.Parallel.set_min_rows 1;
-          List.for_all
-            (fun (nd, checked) ->
-              Engine.Parallel.set_domains nd;
-              Engine.set_checked checked;
+      List.for_all
+        (fun checked ->
+          with_checked checked (fun () ->
               let first = Engine.first_homomorphism db body ~init in
               Option.equal Mapping.equal first (first_enumerated ())
               && Engine.satisfiable db body ~init
-                 = (Engine.count_envs (Engine.compile db body ~init) > 0))
-            [ (1, false); (2, false); (1, true); (2, true) ]))
+                 = (Engine.count_envs (Engine.compile db body ~init) > 0)))
+        [ false; true ])
 
 (* ---- engine-backed tractable WDPT evaluation vs reference semantics ---- *)
 
@@ -431,15 +429,15 @@ let test_remove_inside_enumeration () =
         end);
     (undisturbed, List.rev !seen)
   in
-  let saved_morsel = Engine.Parallel.morsel_rows ()
+  let saved_morsel = Engine.morsel_rows ()
   and saved_checked = Engine.checked_enabled () in
   Fun.protect
     ~finally:(fun () ->
-      Engine.Parallel.set_morsel_rows saved_morsel;
+      Engine.set_morsel_rows saved_morsel;
       Engine.set_checked saved_checked)
     (fun () ->
       (* small morsels: the callback fires before later morsels are read *)
-      Engine.Parallel.set_morsel_rows 2;
+      Engine.set_morsel_rows 2;
       Engine.set_checked false;
       let undisturbed, seen = disturbed_run () in
       check_bool "enumeration spans several morsels" true
@@ -451,6 +449,160 @@ let test_remove_inside_enumeration () =
         (match disturbed_run () with
         | _ -> false
         | exception Engine.Check_failure _ -> true))
+
+(* ---- counting ----------------------------------------------------------- *)
+
+let chain_db n =
+  db_of_edges (List.init n (fun i -> (i, i + 1)) @ [ (0, 0) ])
+
+let chain_atoms = [ e "x" "y"; e "y" "z" ]
+
+let plan_envs plan =
+  let out = ref [] in
+  Engine.iter_envs plan (fun env -> out := Array.copy env :: !out);
+  List.rev !out
+
+(* an enumeration callback that re-enters the engine runs its counts to
+   completion *)
+let test_count_reentrancy () =
+  let db = chain_db 20 in
+  let plan = Engine.compile db [ e "x" "y" ] ~init:Mapping.empty in
+  let expected = List.length (plan_envs plan) in
+  let nested_ok = ref true in
+  Engine.iter_envs plan (fun _ ->
+      if Engine.count_envs plan <> expected then nested_ok := false);
+  check_bool "nested count inside a callback" true !nested_ok
+
+(* checked mode rejects a count over a detached plan; the engine stays
+   usable, so the next count over a fresh plan runs *)
+let test_checked_count_detached () =
+  let db = chain_db 40 in
+  let detached = Engine.compile db chain_atoms ~init:Mapping.empty in
+  Database.add db (Fact.make "E" [ Value.int 90; Value.int 91 ]);
+  with_checked true (fun () ->
+      (match Engine.count_envs detached with
+      | _ -> Alcotest.fail "detached plan: no Check_failure"
+      | exception Engine.Check_failure _ -> ());
+      let fresh = Engine.compile db chain_atoms ~init:Mapping.empty in
+      check_int "next count runs" (List.length (plan_envs fresh))
+        (Engine.count_envs fresh))
+
+(* a count over at least 128 top-level rows builds the dense probe tables;
+   with and without the checked-mode replay it equals the enumeration *)
+let test_count_dense () =
+  let db = chain_db 600 in
+  let plan = Engine.compile db chain_atoms ~init:Mapping.empty in
+  let expected = with_checked false (fun () -> List.length (plan_envs plan)) in
+  List.iter
+    (fun checked ->
+      with_checked checked (fun () ->
+          Engine.reset_batch_stats ();
+          let name = Printf.sprintf "checked %b" checked in
+          check_int (name ^ ": count") expected (Engine.count_envs plan);
+          check_bool (name ^ ": dense tables built") true
+            ((Engine.batch_stats ()).Engine.bm_dense_words > 0)))
+    [ false; true ]
+
+let prop_order_deterministic =
+  qtest ~count:150 "enumeration order is identical across two runs"
+    (QCheck.pair arbitrary_cq arbitrary_db) (fun (q, db) ->
+      let plan = Engine.compile db (Cq.Query.body q) ~init:Mapping.empty in
+      plan_envs plan = plan_envs plan)
+
+(* ---- incremental compiled databases ------------------------------------ *)
+
+let test_incremental_extension () =
+  let db = db_of_edges [ (1, 2); (2, 3) ] in
+  let before = Cq.Eval.answers db (Cq.Query.make ~head:[ "x" ] ~body:[ e "x" "y" ]) in
+  check_int "answers before" 2 (Mapping.Set.cardinal before);
+  let v0 = Database.version db in
+  Database.add db (Fact.make "E" [ Value.int 3; Value.int 4 ]);
+  check_bool "cache survives add" true (Database.get_cache db <> None);
+  check_bool "catch-up feed" true
+    (Database.facts_since db v0 = [ Fact.make "E" [ Value.int 3; Value.int 4 ] ]);
+  let after = Cq.Eval.answers db (Cq.Query.make ~head:[ "x" ] ~body:[ e "x" "y" ]) in
+  check_int "new fact visible after extension" 3 (Mapping.Set.cardinal after);
+  (* the extended form answers exactly like a from-scratch rebuild *)
+  Database.clear_cache db;
+  let rebuilt = Cq.Eval.answers db (Cq.Query.make ~head:[ "x" ] ~body:[ e "x" "y" ]) in
+  check_bool "extension = rebuild" true (Mapping.Set.equal after rebuilt)
+
+(* the catch-up feed at its boundaries: an up-to-date reader gets an empty
+   batch, a reader claiming a version from the future gets an empty batch
+   (never a negative take or an exception), and extending after a cache
+   clear rebuilds to the same answers as extending a live cache *)
+let test_facts_since_edges () =
+  let db = db_of_edges [ (1, 2); (2, 3) ] in
+  let now = Database.version db in
+  check_bool "up to date: empty batch" true (Database.facts_since db now = []);
+  check_bool "future version: empty batch" true
+    (Database.facts_since db (now + 5) = []);
+  Database.add db (Fact.make "E" [ Value.int 3; Value.int 4 ]);
+  check_bool "one-fact batch" true
+    (Database.facts_since db now = [ Fact.make "E" [ Value.int 3; Value.int 4 ] ]);
+  check_bool "caught up again" true
+    (Database.facts_since db (Database.version db) = []);
+  (* an add that lands after clear_cache (no compiled form to extend in
+     place) must be indistinguishable from an incremental extension *)
+  let q = Cq.Query.make ~head:[ "x" ] ~body:[ e "x" "y" ] in
+  let live = db_of_edges [ (1, 2); (2, 3) ] in
+  ignore (Cq.Eval.answers live q);
+  Database.add live (Fact.make "E" [ Value.int 3; Value.int 4 ]);
+  let incremental = Cq.Eval.answers live q in
+  let cleared = db_of_edges [ (1, 2); (2, 3) ] in
+  ignore (Cq.Eval.answers cleared q);
+  Database.clear_cache cleared;
+  Database.add cleared (Fact.make "E" [ Value.int 3; Value.int 4 ]);
+  check_bool "add after clear_cache = incremental extension" true
+    (Mapping.Set.equal (Cq.Eval.answers cleared q) incremental)
+
+let test_e006_extended () =
+  let db = db_of_edges [ (1, 2); (2, 3) ] in
+  let plan = Engine.compile db [ e "x" "y" ] ~init:Mapping.empty in
+  check_bool "fresh plan audits clean" true
+    (Analysis.Plan_audit.audit plan = []);
+  Database.add db (Fact.make "E" [ Value.int 3; Value.int 4 ]);
+  (* store not yet caught up: the old plan is detached (error form) *)
+  (match Analysis.Plan_audit.audit plan with
+  | [ { D.code = D.Stale_plan; severity = D.Error; witness = Some (D.Stale _); _ } ]
+    ->
+      ()
+  | ds -> Alcotest.failf "expected detached-stale, got %d finding(s)" (List.length ds));
+  (* compiling anything catches the shared store up in place; now the old
+     plan is merely extended (warning form), and a fresh plan is clean *)
+  let fresh = Engine.compile db [ e "x" "y" ] ~init:Mapping.empty in
+  check_bool "fresh plan after extension audits clean" true
+    (Analysis.Plan_audit.audit fresh = []);
+  (match Analysis.Plan_audit.audit plan with
+  | [ { D.code = D.Stale_plan;
+        severity = D.Warning;
+        witness = Some (D.Extended { compiled; store; live });
+        _
+      } ] ->
+      check_bool "compiled < store" true (compiled < store);
+      check_int "store caught up to live" live store
+  | ds ->
+      Alcotest.failf "expected incrementally-extended, got %d finding(s)"
+        (List.length ds));
+  (* the extended store is usable: the old plan's view sees the new row *)
+  let view = Engine.Inspect.plan plan in
+  check_int "extended row count" 3 view.Engine.Inspect.i_atoms.(0).Engine.Inspect.a_rows
+
+let prop_incremental_equals_rebuild =
+  qtest ~count:100 "incremental add + re-eval = rebuild from scratch"
+    (QCheck.triple arbitrary_cq arbitrary_db arbitrary_db)
+    (fun (q, db, extra) ->
+      (* warm the compiled form, then extend it in place fact by fact *)
+      ignore (Cq.Eval.answers db q);
+      List.iter (Database.add db) (Database.facts extra);
+      let incremental = Cq.Eval.answers db q in
+      (* the same final fact set, compiled from scratch *)
+      let scratch = Database.of_list (Database.facts db) in
+      let rebuilt = Cq.Eval.answers scratch q in
+      Database.clear_cache db;
+      let recleared = Cq.Eval.answers db q in
+      Mapping.Set.equal incremental rebuilt
+      && Mapping.Set.equal incremental recleared)
 
 let suite =
   [ Alcotest.test_case "interner" `Quick test_interner;
@@ -471,4 +623,15 @@ let suite =
     prop_maximal_set;
     prop_in_place_sync;
     Alcotest.test_case "removal synced mid-enumeration" `Quick
-      test_remove_inside_enumeration ]
+      test_remove_inside_enumeration;
+    Alcotest.test_case "count re-entered from a callback" `Quick
+      test_count_reentrancy;
+    Alcotest.test_case "checked count rejects a detached plan" `Quick
+      test_checked_count_detached;
+    Alcotest.test_case "count = enumeration over dense tables" `Quick
+      test_count_dense;
+    prop_order_deterministic;
+    Alcotest.test_case "incremental extension" `Quick test_incremental_extension;
+    Alcotest.test_case "facts_since edge cases" `Quick test_facts_since_edges;
+    Alcotest.test_case "E006 extended vs detached" `Quick test_e006_extended;
+    prop_incremental_equals_rebuild ]

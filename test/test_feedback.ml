@@ -1,8 +1,8 @@
 (* The cardinality-feedback auditor (Analysis.Feedback) and the verified
    adaptive re-planning loop: genuine counter views audit clean, every
    deliberately corrupted view is rejected with the right E-code and
-   witness (E022-E026), chunk-local counters merge to exactly the
-   sequential counts under a parallel pool, adaptation never changes
+   witness (E022-E026), counters do not depend on how the candidate range
+   splits into morsel groups, adaptation never changes
    answers, and the stats-epoch-keyed calibration cache is evicted on
    epoch bumps. *)
 
@@ -13,30 +13,27 @@ module I = Engine.Inspect
 module F = Analysis.Feedback
 
 (* every test restores the ambient adaptive configuration (the CI runs one
-   leg under WDPT_ENGINE_ADAPT=1 WDPT_ENGINE_DOMAINS=2, so "off" is not a
-   safe default to restore to). Checked runs commit no counters — their
+   leg under WDPT_ENGINE_ADAPT=1, so "off" is not a safe default to restore
+   to). Checked runs commit no counters — their
    per-group replay would double-count the genuine run's probes — so every
    test here runs unchecked, also in the WDPT_ENGINE_CHECKED=1 leg. *)
-let with_config ?adapt ?threshold ?min_probed ?domains ?min_rows () f =
+let with_config ?adapt ?threshold ?min_probed ?morsel () f =
   let adapt0 = Engine.adapt_enabled () in
   let thr0 = Engine.drift_threshold () in
   let mp0 = Engine.drift_min_probed () in
-  let dom0 = Engine.Parallel.domains () in
-  let mr0 = Engine.Parallel.min_rows () in
+  let morsel0 = Engine.morsel_rows () in
   let checked0 = Engine.checked_enabled () in
   Engine.set_checked false;
   Option.iter Engine.set_adapt adapt;
   Option.iter Engine.set_drift_threshold threshold;
   Option.iter Engine.set_drift_min_probed min_probed;
-  Option.iter Engine.Parallel.set_domains domains;
-  Option.iter Engine.Parallel.set_min_rows min_rows;
+  Option.iter Engine.set_morsel_rows morsel;
   Fun.protect
     ~finally:(fun () ->
       Engine.set_adapt adapt0;
       Engine.set_drift_threshold thr0;
       Engine.set_drift_min_probed mp0;
-      Engine.Parallel.set_domains dom0;
-      Engine.Parallel.set_min_rows mr0;
+      Engine.set_morsel_rows morsel0;
       Engine.set_checked checked0)
     f
 
@@ -269,11 +266,11 @@ let test_e025 () =
             "calibration";
           reject "truncated calibration" { cert with Engine.sw_calib = [||] } "calibration")
 
-(* ---- parallel merge correctness ----------------------------------------- *)
+(* ---- counters across morsel groupings ------------------------------------ *)
 
-(* every counter counts a per-live-row property, so the merged chunk-local
-   counters of a parallel run must equal the sequential ones exactly *)
-let test_parallel_merge () =
+(* every counter counts a per-live-row property, so a run cut into 7-row
+   morsel groups must count exactly what one 1024-row group counts *)
+let test_morsel_grouping () =
   let db =
     Database.of_list
       (List.concat
@@ -281,8 +278,8 @@ let test_parallel_merge () =
            List.init 50 (fun i -> Fact.make "E" [ Value.int (i * 7) ; Value.int 1 ]) ])
   in
   let atoms = [ e "x" "y"; e "y" "z" ] in
-  let counters domains =
-    with_config ~adapt:false ~domains ~min_rows:1 () (fun () ->
+  let counters morsel =
+    with_config ~adapt:false ~morsel () (fun () ->
         let p = ran_plan db atoms in
         Engine.iter_envs p (fun _ -> ());
         let v = I.feedback p in
@@ -292,17 +289,17 @@ let test_parallel_merge () =
               (fa.I.f_contexts, fa.I.f_probed, fa.I.f_survived))
             v.I.f_atoms ))
   in
-  let seq_runs, seq = counters 1 in
-  let par_runs, par = counters 2 in
-  check_int "both configurations complete the same runs" seq_runs par_runs;
-  check_bool "run counter is live" true (seq_runs > 0);
+  let wide_runs, wide = counters 1024 in
+  let narrow_runs, narrow = counters 7 in
+  check_int "both groupings complete the same runs" wide_runs narrow_runs;
+  check_bool "run counter is live" true (wide_runs > 0);
   Array.iteri
-    (fun i (sc, sp, ss) ->
-      let pc, pp, ps = par.(i) in
-      check_int (Printf.sprintf "atom %d contexts" i) sc pc;
-      check_int (Printf.sprintf "atom %d probed" i) sp pp;
-      check_int (Printf.sprintf "atom %d survived" i) ss ps)
-    seq
+    (fun i (wc, wp, ws) ->
+      let nc, np, ns = narrow.(i) in
+      check_int (Printf.sprintf "atom %d contexts" i) wc nc;
+      check_int (Printf.sprintf "atom %d probed" i) wp np;
+      check_int (Printf.sprintf "atom %d survived" i) ws ns)
+    wide
 
 (* ---- the adaptive cache across epochs ------------------------------------ *)
 
@@ -352,9 +349,9 @@ let test_adapt_cache () =
 (* ---- schema stability ---------------------------------------------------- *)
 
 let test_schema () =
-  check_int "analysis JSON schema version" 3 Analysis.Json.schema_version;
+  check_int "analysis JSON schema version" 4 Analysis.Json.schema_version;
   (match D.report_json [] with
-  | Analysis.Json.Obj (("schema", Analysis.Json.Int 3) :: ("version", Analysis.Json.Int 1) :: _) -> ()
+  | Analysis.Json.Obj (("schema", Analysis.Json.Int 4) :: ("version", Analysis.Json.Int 1) :: _) -> ()
   | _ -> Alcotest.fail "diagnostic reports must lead with the schema version");
   (* the feedback view JSON is keyed for the explain --drift consumer *)
   with_config ~adapt:false () (fun () ->
@@ -400,7 +397,8 @@ let suite =
     Alcotest.test_case "E024 stale-stats-epoch" `Quick test_e024;
     Alcotest.test_case "E025 unjustified-replan" `Quick test_e025;
     Alcotest.test_case "E026 inconsistent-collector" `Quick test_e026;
-    Alcotest.test_case "parallel counter merge" `Quick test_parallel_merge;
+    Alcotest.test_case "counters independent of morsel size" `Quick
+      test_morsel_grouping;
     Alcotest.test_case "adaptive cache epochs" `Quick test_adapt_cache;
     Alcotest.test_case "JSON schema lock" `Quick test_schema;
     prop_genuine_clean;

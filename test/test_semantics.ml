@@ -142,16 +142,32 @@ let prop_max_eval_correct =
         (fun h -> Wdpt.Max_eval.decision db p h = brute_max db p h)
         (probes db p))
 
+(* No answer strictly subsumes another. h ⊏ h' holds iff dom h ⊊ dom h'
+   and h is h' restricted to dom h, so it suffices to look up, for every
+   answer h' and every strictly smaller answer domain d, whether h'
+   restricted to d is an answer. Exact, engine-free, and linear in the
+   answers times their distinct domains instead of quadratic in the
+   answers. *)
+let is_antichain ans =
+  let domains =
+    List.sort_uniq String_set.compare
+      (List.map Mapping.domain (Mapping.Set.elements ans))
+  in
+  Mapping.Set.for_all
+    (fun h' ->
+      let dom' = Mapping.domain h' in
+      List.for_all
+        (fun d ->
+          String_set.equal d dom'
+          || (not (String_set.subset d dom'))
+          || not (Mapping.Set.mem (Mapping.restrict d h') ans))
+        domains)
+    ans
+
 let prop_answers_incomparable_under_max =
   qtest ~count:100 "p_m(D) is an antichain" (QCheck.pair arbitrary_wdpt arbitrary_db)
     (fun (p, db) ->
-      let ans = Mapping.Set.elements (Sem.eval_max db p) in
-      List.for_all
-        (fun h ->
-          List.for_all
-            (fun h' -> Mapping.equal h h' || not (Mapping.subsumes h h'))
-            ans)
-        ans)
+      is_antichain (Sem.eval_max db p))
 
 let prop_projection_free_antichain =
   (* without projection, p(D) itself consists of maximal mappings only *)
@@ -160,13 +176,7 @@ let prop_projection_free_antichain =
       let pf =
         Pt.make ~free:(String_set.elements (Pt.vars p)) (Pt.to_spec p)
       in
-      let ans = Mapping.Set.elements (Sem.eval db pf) in
-      List.for_all
-        (fun h ->
-          List.for_all
-            (fun h' -> Mapping.equal h h' || not (Mapping.subsumes h h'))
-            ans)
-        ans)
+      is_antichain (Sem.eval db pf))
 
 let suite =
   [ Alcotest.test_case "Example 2" `Quick test_example2;
