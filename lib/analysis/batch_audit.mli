@@ -43,7 +43,7 @@ val audit : Engine.t -> Diagnostic.t list
 (** [check_envelope env stats]: one E021 per envelope component a measured
     high-water mark exceeds ([column-words], [probe-table-words],
     [replay-rows]). Empty on every genuine run — the soundness property the
-    fuzzer's [--batch-audit-diff] mode holds over random instances. *)
+    differential harness [wdpt_fuzz] holds over random instances. *)
 val check_envelope : Resource.t -> Engine.batch_stats -> Diagnostic.t list
 
 (** JSON rendering of the batched execution layout

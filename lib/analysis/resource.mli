@@ -10,7 +10,7 @@
     Every run is one sequential slice, so the envelope is the scratch of
     one run plus, in checked mode, one morsel group's replay buffer.
 
-    Soundness contract, exercised by tests, [wdpt_fuzz --batch-audit-diff]
+    Soundness contract, exercised by tests, [wdpt_fuzz]
     and the RESOURCE bench experiment: after any run of the plan under the
     configuration the envelope was computed for, every
     {!Engine.batch_stats} high-water mark is dominated by the matching

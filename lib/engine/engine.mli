@@ -123,7 +123,7 @@ val optimize_enabled : unit -> bool
     independently re-verifies (E025); an invalid certificate keeps the old
     plan. Calibration only reorders the static atom order — the answer set
     is order-independent, so adaptive and non-adaptive runs agree
-    answer-for-answer ([wdpt_fuzz --drift-diff] checks this). *)
+    answer-for-answer ([wdpt_fuzz] checks this). *)
 
 val set_adapt : bool -> unit
 val adapt_enabled : unit -> bool

@@ -29,7 +29,7 @@
     touched relations for removals) instead of being rebuilt. The
     differential guarantee (events applied to the old answer sets reproduce
     full re-evaluation at both semantics levels) is fuzz-tested by
-    [wdpt_fuzz --delta-diff] against a freshly built copy of the database,
+    [wdpt_fuzz] against a freshly built copy of the database,
     and audited by [Analysis.Delta_audit]. *)
 
 open Relational

@@ -542,23 +542,17 @@ let test_qcheck_standing_diff () =
   let gen =
     QCheck.Gen.(
       let* dbseed = int_range 0 10000 in
+      let* delete_heavy = bool in
       let* steps =
         list_size (int_range 1 12)
           (pair (int_range 0 6) (pair (int_range 0 5) (int_range 0 5)))
       in
-      return (dbseed, steps))
+      return (dbseed, delete_heavy, steps))
   in
   let arb = QCheck.make gen in
-  (* same convention as wdpt_fuzz --delta-diff: under the env flag the
-     stream turns delete-heavy (4 in 7 steps delete instead of 3 in 7), so
-     a CI leg can lean on tombstones and removal-induced promotions
-     suite-wide *)
-  let delete_heavy =
-    match Sys.getenv_opt "WDPT_DELTA_FUZZ_DELETES" with
-    | Some ("1" | "true" | "yes") -> true
-    | _ -> false
-  in
-  let prop (dbseed, steps) =
+  (* half the streams are delete-heavy (4 in 7 steps delete instead of 3 in
+     7), leaning on tombstones and removal-induced promotions *)
+  let prop (dbseed, delete_heavy, steps) =
     let db = Workload.Gen_db.random_graph_db ~seed:dbseed ~nodes:5 ~edges:8 in
     let p =
       Wdpt.Pattern_tree.make ~free:[ "x"; "z" ]
@@ -599,7 +593,7 @@ let test_qcheck_standing_diff () =
         && Analysis.Delta_audit.audit st = [])
       steps
   in
-  let cell = QCheck.Test.make ~count:60 ~name:"standing refresh = full re-eval" arb prop in
+  let cell = QCheck.Test.make ~count:120 ~name:"standing refresh = full re-eval" arb prop in
   QCheck.Test.check_exn cell
 
 let suite =
