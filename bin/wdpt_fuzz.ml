@@ -25,7 +25,8 @@
         on: the first pass may install a calibration, the second serves
         it);
       - within the brute-force budget, Cq.Yannakakis and Cq.Decomp_eval on
-        the full-tree CQ, Algebra_eval, the three decision procedures of
+        the full-tree CQ, Cq.Decomp_eval on its projection onto the free
+        variables (r_T), Algebra_eval, the three decision procedures of
         Theorems 6-9 on sampled probes, and Eval_projection_free on the
         projection-free variant of p;
       - the full-tree plan: its certificate trail re-verifies (E007-E010),
@@ -141,6 +142,12 @@ let check_brute fail db p q ~reference ~max_ref ~cq_ref =
   | Some a when not (Mapping.Set.equal a cq_ref) -> fail "yannakakis-vs-naive"
   | _ -> ());
   if not (Mapping.Set.equal (Cq.Decomp_eval.answers db q) cq_ref) then
+    fail "decomp-vs-naive";
+  (* r_T, the full-tree CQ projected onto the free variables: there the
+     bag-tree join-project can start below the root *)
+  let r = Pt.r_of_subtree p (Pt.all_nodes p) in
+  let r_ref = Mapping.Set.map (Mapping.restrict (Cq.Query.head_set r)) cq_ref in
+  if not (Mapping.Set.equal (Cq.Decomp_eval.answers db r) r_ref) then
     fail "decomp-vs-naive";
   if not (Mapping.Set.equal (Wdpt.Algebra_eval.eval db p) reference) then
     fail "algebraic-vs-reference";

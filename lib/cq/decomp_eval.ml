@@ -1,155 +1,35 @@
 open Relational
 module Td = Hypergraphs.Tree_decomposition
 
-type node = {
-  bag : String_set.t;
-  mutable atoms : Atom.t list;
-  mutable children : int list;
-}
-
-(* Build a rooted structure (root 0) from a decomposition; assign each atom to
-   one bag covering it. *)
-let prepare td atoms =
-  let n = Array.length td.Td.bags in
-  let nodes =
-    Array.map (fun bag -> { bag; atoms = []; children = [] }) td.Td.bags
-  in
-  let adj = Array.make n [] in
-  List.iter
-    (fun (a, b) ->
-      adj.(a) <- b :: adj.(a);
-      adj.(b) <- a :: adj.(b))
-    td.Td.tree;
-  (* root everything at 0; ignore disconnected decomposition parts by
-     attaching them below 0 (joins on disjoint vars are cross products) *)
-  let visited = Array.make n false in
-  let order = ref [] in
-  let rec dfs i =
-    visited.(i) <- true;
-    order := i :: !order;
-    List.iter
-      (fun j ->
-        if not visited.(j) then begin
-          nodes.(i).children <- j :: nodes.(i).children;
-          dfs j
-        end)
-      adj.(i)
-  in
-  if n > 0 then dfs 0;
-  Array.iteri
-    (fun i v ->
-      if not v then begin
-        nodes.(0).children <- i :: nodes.(0).children;
-        visited.(i) <- true;
-        dfs i
-      end)
-    visited;
-  List.iter
-    (fun a ->
-      let vs = Atom.var_set a in
-      let rec assign i =
-        if i >= n then invalid_arg "Decomp_eval: decomposition does not cover an atom"
-        else if String_set.subset vs nodes.(i).bag then nodes.(i).atoms <- a :: nodes.(i).atoms
-        else assign (i + 1)
+(* Each bag joins the atoms assigned to it; bag variables that no assigned
+   atom covers range over the active domain. *)
+let bag_tree ?td db q ~init =
+  Option.map
+    (fun (q, atoms) ->
+      let { Td.bags; tree } =
+        match td with
+        | Some td -> td
+        | None ->
+            snd
+              (Td.upper_bound
+                 (Hypergraphs.Hypergraph.of_edges (List.map Atom.var_set atoms)))
       in
-      assign 0)
-    atoms;
-  nodes
-
-let bag_relation db adom node ~init =
-  (* join the atoms assigned to this bag by backtracking, then extend
-     uncovered bag variables over the active domain *)
-  let covered =
-    List.fold_left
-      (fun acc a -> String_set.union acc (Atom.var_set a))
-      String_set.empty node.atoms
-  in
-  let homs = Eval.homomorphisms db node.atoms ~init in
-  let rel =
-    Relation.make covered
-      (List.map (fun h -> Mapping.restrict covered h) homs)
-  in
-  String_set.fold
-    (fun x r -> if String_set.mem x covered then r else Relation.extend_all r x adom)
-    node.bag rel
-
-(* Ground atoms (no variables) are checked eagerly and dropped. *)
-let split_ground atoms =
-  let ground, rest = List.partition Atom.is_ground atoms in
-  (ground, rest)
-
-let td_of_query q =
-  snd (Td.upper_bound (Query.hypergraph q))
-
-let eval_structure ?td db q ~init =
-  let q = Query.substitute init q in
-  let ground, atoms = split_ground (Query.body q) in
-  if not (List.for_all (fun a -> Database.mem db (Atom.to_fact a)) ground) then None
-  else begin
-    let td =
-      match td with
-      | Some td -> td
-      | None -> td_of_query (Query.make ~head:(Query.head q) ~body:atoms)
-    in
-    (* instantiation can remove variables; trimming bags to live variables
-       preserves validity and avoids ranging dead variables over the domain *)
-    let live =
-      List.fold_left (fun acc a -> String_set.union acc (Atom.var_set a))
-        String_set.empty atoms
-    in
-    let td =
-      { td with Td.bags = Array.map (String_set.inter live) td.Td.bags }
-    in
-    let nodes = prepare td atoms in
-    let adom = Value.Set.elements (Database.active_domain db) in
-    let rels = Array.map (fun node -> bag_relation db adom node ~init:Mapping.empty) nodes in
-    Some (q, nodes, rels)
-  end
-
-let rec up_semijoin nodes rels i =
-  List.iter
-    (fun c ->
-      up_semijoin nodes rels c;
-      rels.(i) <- Relation.semijoin rels.(i) rels.(c))
-    nodes.(i).children
+      let t = Bag_tree.of_decomposition ~bags ~tree atoms in
+      let bag_rel (bag, atoms) =
+        Engine.Rel.extend_adom db bag (Engine.Rel.of_atoms db atoms ~onto:bag)
+      in
+      (q, { t with Bag_tree.nodes = Array.map bag_rel t.Bag_tree.nodes }))
+    (Bag_tree.instantiate db q ~init)
 
 let satisfiable_td ?td db q ~init =
-  match eval_structure ?td db q ~init with
+  match bag_tree ?td db q ~init with
   | None -> false
-  | Some (_q, nodes, rels) ->
-      if Array.length rels = 0 then true
-      else begin
-        up_semijoin nodes rels 0;
-        not (Relation.is_empty rels.(0))
-      end
+  | Some (_, t) -> Bag_tree.satisfiable t
 
 let answers_td ?td db q =
-  match eval_structure ?td db q ~init:Mapping.empty with
+  match bag_tree ?td db q ~init:Mapping.empty with
   | None -> Mapping.Set.empty
-  | Some (q', nodes, rels) ->
-      let head = Query.head_set q' in
-      if Array.length rels = 0 then Mapping.Set.singleton Mapping.empty
-      else begin
-        (* full reducer *)
-        up_semijoin nodes rels 0;
-        let rec down i =
-          List.iter
-            (fun c ->
-              rels.(c) <- Relation.semijoin rels.(c) rels.(i);
-              down c)
-            nodes.(i).children
-        in
-        down 0;
-        (* upward join, projecting to bag ∪ head at each step *)
-        let rec up i =
-          let keep = String_set.union nodes.(i).bag head in
-          List.fold_left
-            (fun acc c -> Relation.project keep (Relation.join acc (up c)))
-            rels.(i) nodes.(i).children
-        in
-        let result = Relation.project head (up 0) in
-        Mapping.Set.of_list (Relation.rows result)
-      end
+  | Some (q, t) -> Bag_tree.answers db t ~head:(Query.head_set q)
 
 (* Acyclic (instantiated) queries go to Yannakakis — the HW(1) algorithm;
    the rest to the tree-decomposition evaluator. A supplied decomposition

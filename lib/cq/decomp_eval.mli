@@ -1,12 +1,14 @@
 (** Decomposition-based CQ evaluation (the tractable evaluator behind
     Theorems 2, 3, 7, 8, 9 of the paper).
 
-    The decomposition tree is treated as a join tree over materialized bag
-    relations: an upward semijoin pass decides satisfiability (Yannakakis);
-    for non-Boolean queries a full reducer plus an upward join-project pass
-    computes the answer set. For a query of treewidth k the bag relations have
-    at most |adom|^(k+1) rows, giving the polynomial bound; on acyclic queries
-    the GYO join forest is used directly, so bags are single atoms. *)
+    The decomposition tree is a bag tree for the shared reducer
+    {!Bag_tree}: each bag joins the atoms assigned to it, and bag variables
+    no assigned atom covers range over the active domain. {!Bag_tree}'s
+    upward semijoin pass decides satisfiability; its full reducer plus
+    upward join–project computes the answer set. For a query of treewidth
+    k the bag relations have at most |adom|^(k+1) rows, giving the
+    polynomial bound; on acyclic queries the GYO join forest is used
+    directly ({!Yannakakis}), so bags are single atoms. *)
 
 open Relational
 

@@ -1,130 +1,39 @@
 open Relational
 module Ht = Hypergraphs.Hypertree
 
-type node = {
-  bag : String_set.t;
-  guards : String_set.t list;
-  mutable atoms : Atom.t list;
-  mutable children : int list;
-  mutable rel : Relation.t;
-}
-
-let prepare db htd atoms =
-  let n = Array.length htd.Ht.bags in
-  let live =
-    List.fold_left (fun acc a -> String_set.union acc (Atom.var_set a)) String_set.empty atoms
-  in
-  let nodes =
-    Array.init n (fun i ->
-        { bag = String_set.inter live htd.Ht.bags.(i);
-          guards = htd.Ht.guards.(i);
-          atoms = [];
-          children = [];
-          rel = Relation.unit })
-  in
-  let adj = Array.make n [] in
-  List.iter
-    (fun (a, b) ->
-      adj.(a) <- b :: adj.(a);
-      adj.(b) <- a :: adj.(b))
-    htd.Ht.tree;
-  let visited = Array.make n false in
-  let rec dfs i =
-    visited.(i) <- true;
-    List.iter
-      (fun j ->
-        if not visited.(j) then begin
-          nodes.(i).children <- j :: nodes.(i).children;
-          dfs j
-        end)
-      adj.(i)
-  in
-  if n > 0 then dfs 0;
-  Array.iteri
-    (fun i v ->
-      if not v then begin
-        nodes.(0).children <- i :: nodes.(0).children;
-        dfs i
-      end)
-    visited;
-  (* assign each atom to a covering node *)
-  List.iter
-    (fun a ->
-      let vs = Atom.var_set a in
-      let rec assign i =
-        if i >= n then invalid_arg "Hyper_eval: decomposition does not cover an atom"
-        else if String_set.subset vs nodes.(i).bag then
-          nodes.(i).atoms <- a :: nodes.(i).atoms
-        else assign (i + 1)
+(* Each bag is the join of its guard atoms and assigned atoms, projected
+   onto the bag. A guard edge takes every atom whose variables lie inside
+   it: instantiation shrinks an atom's variable set below the edge it was
+   drawn from. *)
+let bag_tree db q ~htd ~init =
+  Option.map
+    (fun (q, atoms) ->
+      let t = Bag_tree.of_decomposition ~bags:htd.Ht.bags ~tree:htd.Ht.tree atoms in
+      let bag_rel i (bag, assigned) =
+        let guard_atoms =
+          List.filter
+            (fun a ->
+              List.exists (String_set.subset (Atom.var_set a)) htd.Ht.guards.(i))
+            atoms
+        in
+        let all = List.sort_uniq Atom.compare (guard_atoms @ assigned) in
+        let rel = Engine.Rel.of_atoms db all ~onto:bag in
+        if not (String_set.equal (Engine.Rel.var_set rel) bag) then
+          invalid_arg "Hyper_eval: bag not covered by its guards";
+        rel
       in
-      assign 0)
-    atoms;
-  (* guard atoms: for each guard edge, every query atom with that variable
-     set; joined with the assigned atoms and projected onto the bag *)
-  let atoms_by_varset vs =
-    List.filter (fun a -> String_set.equal (Atom.var_set a) vs) atoms
-  in
-  Array.iter
-    (fun node ->
-      let guard_atoms = List.concat_map atoms_by_varset node.guards in
-      let all = List.sort_uniq Atom.compare (guard_atoms @ node.atoms) in
-      let covered =
-        List.fold_left (fun acc a -> String_set.union acc (Atom.var_set a)) String_set.empty all
-      in
-      if not (String_set.subset node.bag covered) then
-        invalid_arg "Hyper_eval: bag not covered by its guards";
-      let homs = Eval.homomorphisms db all ~init:Mapping.empty in
-      node.rel <-
-        Relation.make node.bag (List.map (Mapping.restrict node.bag) homs))
-    nodes;
-  nodes
-
-let rec up_semijoin nodes i =
-  List.iter
-    (fun c ->
-      up_semijoin nodes c;
-      nodes.(i).rel <- Relation.semijoin nodes.(i).rel nodes.(c).rel)
-    nodes.(i).children
-
-let eval_structure db q ~htd ~init =
-  let q = Query.substitute init q in
-  let ground, atoms = List.partition Atom.is_ground (Query.body q) in
-  if not (List.for_all (fun a -> Database.mem db (Atom.to_fact a)) ground) then None
-  else Some (q, prepare db htd atoms)
+      (q, { t with Bag_tree.nodes = Array.mapi bag_rel t.Bag_tree.nodes }))
+    (Bag_tree.instantiate db q ~init)
 
 let satisfiable db q ~htd ~init =
-  match eval_structure db q ~htd ~init with
+  match bag_tree db q ~htd ~init with
   | None -> false
-  | Some (_, nodes) ->
-      Array.length nodes = 0
-      ||
-      (up_semijoin nodes 0;
-       not (Relation.is_empty nodes.(0).rel))
+  | Some (_, t) -> Bag_tree.satisfiable t
 
 let answers db q ~htd =
-  match eval_structure db q ~htd ~init:Mapping.empty with
+  match bag_tree db q ~htd ~init:Mapping.empty with
   | None -> Mapping.Set.empty
-  | Some (q', nodes) ->
-      let head = Query.head_set q' in
-      if Array.length nodes = 0 then Mapping.Set.singleton Mapping.empty
-      else begin
-        up_semijoin nodes 0;
-        let rec down i =
-          List.iter
-            (fun c ->
-              nodes.(c).rel <- Relation.semijoin nodes.(c).rel nodes.(i).rel;
-              down c)
-            nodes.(i).children
-        in
-        down 0;
-        let rec up i =
-          let keep = String_set.union nodes.(i).bag head in
-          List.fold_left
-            (fun acc c -> Relation.project keep (Relation.join acc (up c)))
-            nodes.(i).rel nodes.(i).children
-        in
-        Mapping.Set.of_list (Relation.rows (Relation.project head (up 0)))
-      end
+  | Some (q, t) -> Bag_tree.answers db t ~head:(Query.head_set q)
 
 let auto db q ~k ~init =
   let q' = Query.substitute init q in

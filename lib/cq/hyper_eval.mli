@@ -1,10 +1,13 @@
 (** CQ evaluation guided by a generalized hypertree decomposition — the
     HW(k) evaluation of Theorem 3 for k ≥ 2 (k = 1 is {!Yannakakis}).
 
-    Each decomposition node materializes the join of its ≤ k guard atoms
-    projected onto its bag, so the materialization cost is bounded by the
-    guards' join sizes instead of |adom|^treewidth; the bag relations then
-    form an acyclic instance processed with semijoin passes as usual. *)
+    Each decomposition node materializes the join of its ≤ k guard edges'
+    atoms and its assigned atoms, projected onto its bag, so the
+    materialization cost is bounded by the guards' join sizes instead of
+    |adom|^treewidth; the bag relations then form a bag tree evaluated by
+    the shared reducer {!Bag_tree}. A guard edge takes every atom whose
+    variables lie inside it, so a decomposition of the uninstantiated
+    query stays usable under [~init]. *)
 
 open Relational
 

@@ -1,9 +1,11 @@
 (** Yannakakis' algorithm over GYO join forests — the classical evaluation
     of acyclic CQs [21], and the LOGCFL witness behind HW(1) (Theorem 3).
 
-    Unlike the tree-decomposition evaluator, bags here are single atoms, so
-    queries like Example 5's guarded cliques (acyclic but of unbounded
-    treewidth) are evaluated without materializing |adom|^tw bags. *)
+    The join forest is the bag tree the shared reducer {!Bag_tree} runs
+    on. Unlike the tree-decomposition evaluator, bags here are single
+    atoms, so queries like Example 5's guarded cliques (acyclic but of
+    unbounded treewidth) are evaluated without materializing |adom|^tw
+    bags. *)
 
 open Relational
 

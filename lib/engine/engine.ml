@@ -2621,30 +2621,34 @@ let projection_frame p onto =
     Array.of_list (List.map snd slotted),
     fixed )
 
+(* the distinct tuples of [slots] over every environment of [p], deduplicated
+   on raw slot tuples *)
+let distinct_tuples p slots =
+  let seen = Tuple.Tbl.create 64 in
+  (* one reusable probe key; copied only when a new projection is seen *)
+  let nk = Array.length slots in
+  let probe = Array.make nk 0 in
+  iter_envs p (fun env ->
+      for i = 0 to nk - 1 do
+        probe.(i) <- env.(slots.(i))
+      done;
+      if not (Tuple.Tbl.mem seen probe) then
+        Tuple.Tbl.add seen (Array.copy probe) ());
+  Tuple.Tbl.fold (fun key () acc -> key :: acc) seen []
+
 let distinct_projections db atoms ~init ~onto =
   let p = compile db atoms ~init in
   if not p.feasible then []
   else begin
-    (* dedup happens on raw slot tuples *)
     let hvars, hslots, fixed = projection_frame p onto in
-    let seen = Tuple.Tbl.create 256 in
-    (* one reusable probe key; copied only when a new projection is seen *)
-    let nk = Array.length hslots in
-    let probe = Array.make nk 0 in
-    iter_envs p (fun env ->
-        for i = 0 to nk - 1 do
-          probe.(i) <- env.(hslots.(i))
-        done;
-        if not (Tuple.Tbl.mem seen probe) then
-          Tuple.Tbl.add seen (Array.copy probe) ());
-    Tuple.Tbl.fold
-      (fun key () acc ->
+    List.map
+      (fun key ->
         let m = ref fixed in
         Array.iteri
           (fun i v -> m := Mapping.add hvars.(i) (value_of p v) !m)
           key;
-        !m :: acc)
-      seen []
+        !m)
+      (distinct_tuples p hslots)
   end
 
 exception Stream_done
@@ -2705,6 +2709,8 @@ module Rel = struct
   let unit = { vars = [||]; rows = [ [||] ]; count = 1 }
 
   let make vars rows =
+    if List.exists (fun t -> Array.length t <> Array.length vars) rows then
+      invalid_arg "Engine.Rel.make: row width differs from the variables";
     let seen = Tuple.Tbl.create (max 16 (List.length rows)) in
     let distinct =
       List.filter
@@ -2718,32 +2724,28 @@ module Rel = struct
     in
     { vars; rows = distinct; count = List.length distinct }
 
-  (* distinct projections of the facts matching [atom] onto its (sorted)
-     variables, computed by a single-atom plan *)
-  let of_atom db atom =
-    let p = compile db [ atom ] ~init:Mapping.empty in
-    let vs = Array.of_list (List.sort String.compare (Atom.vars atom)) in
-    if not p.feasible then { vars = vs; rows = []; count = 0 }
+  (* distinct projections onto [onto] of the homomorphisms of [atoms],
+     interned straight from the engine enumeration *)
+  let of_atoms db atoms ~onto =
+    let p = compile db atoms ~init:Mapping.empty in
+    let in_atoms =
+      List.fold_left
+        (fun acc a -> String_set.union acc (Atom.var_set a))
+        String_set.empty atoms
+    in
+    let vars = Array.of_list (String_set.elements (String_set.inter onto in_atoms)) in
+    if not p.feasible then { vars; rows = []; count = 0 }
     else begin
       let slots =
         Array.map
           (fun x ->
             match slot_of p x with
             | Some s -> s
-            | None -> assert false (* every variable of the atom has a slot *))
-          vs
+            | None -> assert false (* every variable of an atom has a slot *))
+          vars
       in
-      let seen = Tuple.Tbl.create 64 in
-      let nk = Array.length slots in
-      let probe = Array.make nk 0 in
-      iter_envs p (fun env ->
-          for i = 0 to nk - 1 do
-            probe.(i) <- env.(slots.(i))
-          done;
-          if not (Tuple.Tbl.mem seen probe) then
-            Tuple.Tbl.add seen (Array.copy probe) ());
-      let rows = Tuple.Tbl.fold (fun t () acc -> t :: acc) seen [] in
-      { vars = vs; rows; count = List.length rows }
+      let rows = distinct_tuples p slots in
+      { vars; rows; count = List.length rows }
     end
 
   (* positions of [xs] inside [r.vars] *)
@@ -2854,6 +2856,20 @@ module Rel = struct
       let rows = Tuple.Tbl.fold (fun t () acc -> t :: acc) seen [] in
       { vars = kept; rows; count = List.length rows }
     end
+
+  (* each variable of [xs] missing from [r] joins as a column over the
+     active domain: a cross product, since it shares no variable *)
+  let extend_adom db xs r =
+    let pool = (Db.of_database db).Db.pool in
+    let ids =
+      Value.Set.fold
+        (fun v acc ->
+          match Interner.find pool v with Some id -> [| id |] :: acc | None -> acc)
+        (Database.active_domain db) []
+    in
+    String_set.fold
+      (fun x r -> if Array.mem x r.vars then r else join r (make [| x |] ids))
+      xs r
 
   let to_mappings db r =
     let cdb = Db.of_database db in

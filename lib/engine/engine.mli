@@ -309,16 +309,22 @@ module Rel : sig
   val is_empty : t -> bool
 
   (** [make vars rows] builds a relation (rows deduplicated); [vars] must be
-      sorted and each row indexed in that order. *)
+      sorted and each row indexed in that order.
+      @raise Invalid_argument if a row's width differs from [vars]'s length. *)
   val make : string array -> Tuple.t list -> t
 
-  (** [of_atom db a] is the distinct projections of the facts matching [a]
-      onto the sorted variables of [a]. *)
-  val of_atom : Database.t -> Atom.t -> t
+  (** [of_atoms db atoms ~onto] is the set of restrictions to [onto] of the
+      homomorphisms of [atoms] ({!distinct_projections} with interned rows);
+      its variables are those of [onto] that occur in [atoms]. *)
+  val of_atoms : Database.t -> Atom.t list -> onto:String_set.t -> t
 
   val semijoin : t -> t -> t
   val join : t -> t -> t
   val project : String_set.t -> t -> t
+
+  (** [extend_adom db xs r] extends [r] to every variable of [xs]: each one
+      missing from [r] ranges over the active domain of [db]. *)
+  val extend_adom : Database.t -> String_set.t -> t -> t
 
   (** Boundary conversion of every row to a [Mapping.t]. *)
   val to_mappings : Database.t -> t -> Mapping.t list

@@ -199,13 +199,78 @@ let test_hyper_eval () =
   check_bool "auto refuses width 1" true
     (Cq.Hyper_eval.auto db q ~k:1 ~init:Mapping.empty = None)
 
+(* a width-2 decomposition of the uninstantiated C6 stays valid under any
+   binding: its guard edges must pick up the atoms instantiation shrank *)
+let test_hyper_eval_bound () =
+  let q = Workload.Gen_cq.cycle 6 in
+  let db = db_of_edges [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 0); (9, 9) ] in
+  match Hypergraphs.Hypertree.ghw_at_most (Cq.Query.hypergraph q) 2 with
+  | None -> Alcotest.fail "C6 has ghw 2"
+  | Some htd ->
+      List.iter
+        (fun x ->
+          List.iter
+            (fun n ->
+              let init = mapping [ (x, n) ] in
+              check_bool
+                (Printf.sprintf "%s = %d" x n)
+                (Cq.Eval.satisfiable db (Cq.Query.body q) ~init)
+                (Cq.Hyper_eval.satisfiable db q ~htd ~init))
+            [ 0; 1; 2; 3; 9 ])
+        (String_set.elements (Cq.Query.vars q))
+
+(* projections onto one variable: the join-project starts below the root,
+   so rows the downward semijoins remove must not reach the answers *)
+let test_bag_tree_projections () =
+  let agree name got q db =
+    check_bool name true (Mapping.Set.equal got (Cq.Eval.answers db q))
+  in
+  let path = [ e "x" "y"; e "y" "z"; e "z" "w" ] in
+  let db = db_of_edges [ (0, 1); (1, 2); (2, 3); (5, 6); (6, 7); (8, 9) ] in
+  List.iter
+    (fun x ->
+      let q = Cq.Query.make ~head:[ x ] ~body:path in
+      match Cq.Yannakakis.answers db q with
+      | None -> Alcotest.fail "a path is acyclic"
+      | Some a -> agree ("Yannakakis onto " ^ x) a q db)
+    [ "x"; "y"; "z"; "w" ];
+  let c6 = Workload.Gen_cq.cycle 6 in
+  let db =
+    db_of_edges
+      [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 0); (6, 7); (7, 8); (8, 10);
+        (10, 11); (11, 12) ]
+  in
+  List.iter
+    (fun x ->
+      let q = Cq.Query.make ~head:[ x ] ~body:(Cq.Query.body c6) in
+      agree ("tree decomposition onto " ^ x) (Cq.Decomp_eval.answers db q) q db;
+      match Hypergraphs.Hypertree.ghw_at_most (Cq.Query.hypergraph q) 2 with
+      | None -> Alcotest.fail "C6 has ghw 2"
+      | Some htd -> agree ("hypertree onto " ^ x) (Cq.Hyper_eval.answers db q ~htd) q db)
+    (String_set.elements (Cq.Query.vars c6))
+
+(* a CQ, a database and one variable of the CQ bound to an active-domain
+   value of the database *)
+let arbitrary_bound_cq =
+  QCheck.make
+    ~print:(fun (q, db, init) ->
+      Format.asprintf "%a@.%a@.init %a" Cq.Query.pp q Database.pp db Mapping.pp init)
+    QCheck.Gen.(
+      let* q = gen_cq in
+      let* db = gen_db in
+      let* x = oneofl (String_set.elements (Cq.Query.vars q)) in
+      let* value = oneofl (Value.Set.elements (Database.active_domain db)) in
+      return (q, db, Mapping.of_list [ (x, value) ]))
+
 let prop_hyper_eval_agrees =
   qtest ~count:80 "hypertree-guided evaluation agrees with backtracking"
-    (QCheck.pair arbitrary_cq arbitrary_db) (fun (q, db) ->
+    arbitrary_bound_cq (fun (q, db, init) ->
       match Hypergraphs.Hypertree.ghw_at_most (Cq.Query.hypergraph q) 2 with
       | None -> true
       | Some htd ->
-          Mapping.Set.equal (Cq.Hyper_eval.answers db q ~htd) (Cq.Eval.answers db q))
+          Mapping.Set.equal (Cq.Hyper_eval.answers db q ~htd) (Cq.Eval.answers db q)
+          && Cq.Hyper_eval.satisfiable db q ~htd ~init
+             = Cq.Eval.satisfiable db (Cq.Query.body q) ~init)
 
 let prop_yannakakis_agrees =
   qtest ~count:200 "Yannakakis agrees with backtracking on acyclic queries"
@@ -220,10 +285,17 @@ let prop_engines_agree =
       Mapping.Set.equal (Cq.Eval.answers db q) (Cq.Decomp_eval.answers db q))
 
 let prop_satisfiable_agree =
-  qtest ~count:200 "satisfiability agreement"
-    (QCheck.pair arbitrary_cq arbitrary_db) (fun (q, db) ->
-      Cq.Eval.satisfiable db (Cq.Query.body q) ~init:Mapping.empty
-      = Cq.Decomp_eval.satisfiable db q ~init:Mapping.empty)
+  qtest ~count:200 "satisfiability agreement" arbitrary_bound_cq
+    (fun (q, db, init) ->
+      let _, td = Hypergraphs.Tree_decomposition.upper_bound (Cq.Query.hypergraph q) in
+      List.for_all
+        (fun init ->
+          let expected = Cq.Eval.satisfiable db (Cq.Query.body q) ~init in
+          Cq.Decomp_eval.satisfiable db q ~init = expected
+          && Cq.Decomp_eval.satisfiable ~td db q ~init = expected
+          && Option.fold ~none:true ~some:(Bool.equal expected)
+               (Cq.Yannakakis.satisfiable db q ~init))
+        [ Mapping.empty; init ])
 
 let prop_containment_sound =
   qtest ~count:100 "containment is sound on random instances"
@@ -317,6 +389,9 @@ let suite =
     Alcotest.test_case "Yannakakis on guarded cliques" `Quick
       test_yannakakis_guarded_clique;
     Alcotest.test_case "hypertree-guided evaluation" `Quick test_hyper_eval;
+    Alcotest.test_case "hypertree evaluation under a binding" `Quick
+      test_hyper_eval_bound;
+    Alcotest.test_case "bag-tree projections" `Quick test_bag_tree_projections;
     prop_hyper_eval_agrees;
     prop_yannakakis_agrees;
     prop_engines_agree;

@@ -50,36 +50,43 @@ let test_matches_arity_mismatch () =
 
 (* ---- relation algebra --------------------------------------------------- *)
 
-let rel vars rows =
-  Cq.Relation.make (String_set.of_list vars) (List.map mapping rows)
-
+(* interned relations (Engine.Rel): the algebra every bag tree runs on *)
 let test_relation_algebra () =
-  let r = rel [ "a"; "b" ] [ [ ("a", 1); ("b", 2) ]; [ ("a", 3); ("b", 4) ] ] in
-  let s = rel [ "b"; "c" ] [ [ ("b", 2); ("c", 5) ] ] in
-  let j = Cq.Relation.join r s in
-  check_int "join rows" 1 (Cq.Relation.cardinal j);
-  check_int "join vars" 3 (String_set.cardinal (Cq.Relation.vars j));
-  let sj = Cq.Relation.semijoin r s in
-  check_int "semijoin rows" 1 (Cq.Relation.cardinal sj);
+  let db =
+    Database.of_list
+      [ Fact.make "R" [ Value.int 1; Value.int 2 ];
+        Fact.make "R" [ Value.int 3; Value.int 4 ];
+        Fact.make "S" [ Value.int 2; Value.int 5 ];
+        Fact.make "T" [ Value.int 7 ];
+        Fact.make "T" [ Value.int 8 ] ]
+  in
+  let rel a = Engine.Rel.of_atoms db [ a ] ~onto:(Atom.var_set a) in
+  let r = rel (atom "R" [ v "a"; v "b" ]) in
+  let s = rel (atom "S" [ v "b"; v "c" ]) in
+  let rows r = Engine.Rel.to_mappings db r in
+  let j = Engine.Rel.join r s in
+  check_int "join rows" 1 (Engine.Rel.cardinal j);
+  check_int "join vars" 3 (String_set.cardinal (Engine.Rel.var_set j));
+  let sj = Engine.Rel.semijoin r s in
+  check_int "semijoin rows" 1 (Engine.Rel.cardinal sj);
   check_bool "semijoin subset" true
-    (List.for_all
-       (fun row -> List.exists (Mapping.equal row) (Cq.Relation.rows r))
-       (Cq.Relation.rows sj));
-  let p = Cq.Relation.project (String_set.singleton "a") r in
-  check_int "project keeps rows" 2 (Cq.Relation.cardinal p);
+    (List.for_all (fun row -> List.exists (Mapping.equal row) (rows r)) (rows sj));
+  let p = Engine.Rel.project (String_set.singleton "a") r in
+  check_int "project keeps rows" 2 (Engine.Rel.cardinal p);
   check_bool "unit is join identity" true
-    (Cq.Relation.cardinal (Cq.Relation.join r Cq.Relation.unit)
-     = Cq.Relation.cardinal r);
-  let ext = Cq.Relation.extend_all p "z" [ Value.int 0; Value.int 1 ] in
-  check_int "extend_all" 4 (Cq.Relation.cardinal ext);
-  check_bool "make validates domains" true
+    (Engine.Rel.cardinal (Engine.Rel.join r Engine.Rel.unit)
+     = Engine.Rel.cardinal r);
+  let ext = Engine.Rel.extend_adom db (String_set.of_list [ "a"; "z" ]) p in
+  check_int "extend over the active domain" (2 * Database.adom_size db)
+    (Engine.Rel.cardinal ext);
+  check_bool "make validates row widths" true
     (try
-       ignore (Cq.Relation.make (String_set.singleton "a") [ mapping [ ("b", 1) ] ]);
+       ignore (Engine.Rel.make [| "a" |] [ [| 0; 1 |] ]);
        false
      with Invalid_argument _ -> true);
   (* disjoint join = cross product *)
-  let t = rel [ "z" ] [ [ ("z", 7) ]; [ ("z", 8) ] ] in
-  check_int "cross product" 4 (Cq.Relation.cardinal (Cq.Relation.join r t))
+  let t = rel (atom "T" [ v "z" ]) in
+  check_int "cross product" 4 (Engine.Rel.cardinal (Engine.Rel.join r t))
 
 let test_mapping_algebra () =
   let s1 = Mapping.Set.of_list [ mapping [ ("x", 1) ]; mapping [ ("x", 2) ] ] in

@@ -266,9 +266,10 @@ let test_maximal_set_cases () =
 
 let test_rel_ops () =
   let db = db_of_edges [ (1, 2); (2, 3); (3, 4) ] in
-  let r = Engine.Rel.of_atom db (e "x" "y") in
+  let of_atom db a = Engine.Rel.of_atoms db [ a ] ~onto:(Atom.var_set a) in
+  let r = of_atom db (e "x" "y") in
   check_int "atom relation rows" 3 (Engine.Rel.cardinal r);
-  let s = Engine.Rel.of_atom db (e "y" "z") in
+  let s = of_atom db (e "y" "z") in
   let sj = Engine.Rel.semijoin r s in
   (* (3,4) has no outgoing edge beyond 4 *)
   check_int "semijoin drops dead end" 2 (Engine.Rel.cardinal sj);
@@ -281,7 +282,7 @@ let test_rel_ops () =
     (List.exists (fun m -> Mapping.equal m (mapping [ ("x", 1); ("z", 3) ])) ms);
   (* self-join pattern E(x,x) only matches loops *)
   check_bool "self loop absent" true
-    (Engine.Rel.is_empty (Engine.Rel.of_atom db (atom "E" [ v "x"; v "x" ])))
+    (Engine.Rel.is_empty (of_atom db (atom "E" [ v "x"; v "x" ])))
 
 (* ---- answer paging boundaries ------------------------------------------ *)
 
