@@ -24,11 +24,12 @@
       - Semantics.eval, eval_max and Cq.Eval.answers (twice with adaptation
         on: the first pass may install a calibration, the second serves
         it);
-      - within the brute-force budget, Cq.Yannakakis and Cq.Decomp_eval on
-        the full-tree CQ, Cq.Decomp_eval on its projection onto the free
-        variables (r_T), Algebra_eval, the three decision procedures of
-        Theorems 6-9 on sampled probes, and Eval_projection_free on the
-        projection-free variant of p;
+      - within the brute-force budget, Cq.Yannakakis and the
+        tree-decomposition evaluator (Cq.Decomp_eval with a supplied
+        decomposition) on the full-tree CQ, Cq.Decomp_eval on its
+        projection onto the free variables (r_T), Algebra_eval, the three
+        decision procedures of Theorems 6-9 on sampled probes, and
+        Eval_projection_free on the projection-free variant of p;
       - the full-tree plan: its certificate trail re-verifies (E007-E010),
         its batched layout audits clean (E017-E020), and a count plus an
         enumeration stay within its certified envelope (E021);
@@ -141,7 +142,15 @@ let check_brute fail db p q ~reference ~max_ref ~cq_ref =
   (match Cq.Yannakakis.answers db q with
   | Some a when not (Mapping.Set.equal a cq_ref) -> fail "yannakakis-vs-naive"
   | _ -> ());
-  if not (Mapping.Set.equal (Cq.Decomp_eval.answers db q) cq_ref) then
+  (* a supplied decomposition forces the tree-decomposition evaluator, which
+     on an acyclic q would otherwise delegate to Yannakakis again *)
+  let td =
+    snd
+      (Hypergraphs.Tree_decomposition.upper_bound
+         (Hypergraphs.Hypergraph.of_edges
+            (List.map Atom.var_set (Cq.Query.body q))))
+  in
+  if not (Mapping.Set.equal (Cq.Decomp_eval.answers ~td db q) cq_ref) then
     fail "decomp-vs-naive";
   (* r_T, the full-tree CQ projected onto the free variables: there the
      bag-tree join-project can start below the root *)

@@ -4,28 +4,93 @@ open Relational
    it maximally and independently into each child branch.  Independence is
    justified by well-designedness: a variable occurring in two sibling
    branches also occurs in their common ancestors, hence is already bound
-   when the branches are processed. *)
-let iter_maximal_extensions db p ~init yield =
-  (* stream maximal extensions of [h] into the subtree at [node]; nothing is
-     yielded iff the node's pattern cannot be matched at all, so a child that
-     yielded nothing leaves the extension as it was *)
-  let rec iter_ext node h k =
-    Cq.Eval.iter_homomorphisms db (Pattern_tree.atoms p node) ~init:h (fun g ->
-        let rec kids acc = function
-          | [] -> k acc
-          | c :: rest ->
-              let matched = ref false in
-              iter_ext c acc (fun e ->
-                  matched := true;
-                  kids e rest);
-              if not !matched then kids acc rest
-        in
-        kids g (Pattern_tree.children p node))
-  in
-  iter_ext (Pattern_tree.root p) init yield
+   when the branches are processed.
 
-let iter_maximal_homomorphisms db p yield =
-  iter_maximal_extensions db p ~init:Mapping.empty yield
+   The same argument bounds what a child sees of its parent: the incoming
+   mapping reaches a non-root node's CQ only through the node's own
+   variables (its interface to the ancestors, plus whatever [init] binds
+   there), and a sibling's variable that reaches it lies in their common
+   parent. So every non-root node keeps a memo keyed by the incoming
+   mapping's values on the node variables; an entry is the node's CQ
+   homomorphisms as deltas (the bindings of the node variables the key
+   leaves unbound), in engine enumeration order, and every parent that
+   agrees on the key is extended from the one shared list (Theorems 6–7:
+   a child is evaluated once per distinct interface binding, not once per
+   parent). An empty entry means the node cannot be matched, and the
+   extension falls through unchanged. The root is evaluated once per run
+   and streamed, never materialised, so a consumer that stops early (paging)
+   stops the enumeration.
+
+   The memo lives as long as the extender value: one enumeration, or one
+   [Standing] refresh (built after the
+   batch is applied; the database must not change while it is in use). It
+   holds one delta list per distinct key and node, i.e. at most the node's
+   CQ answers for the interface bindings the walk actually reached. *)
+
+(* a memo key: the incoming mapping's value on each node variable, in the
+   node's sorted variable order, [None] where unbound *)
+module Key = Hashtbl.Make (struct
+  type t = Value.t option list
+
+  let equal = List.equal (Option.equal Value.equal)
+
+  let hash =
+    List.fold_left
+      (fun acc o ->
+        match o with None -> (acc * 31) + 1 | Some v -> (acc * 31) + Value.hash v)
+      17
+end)
+
+type node = {
+  atoms : Atom.t list;
+  vars : string list;         (* node variables, sorted *)
+  kids : int list;
+  memo : (string * Value.t) list list Key.t;  (* unused at the root *)
+}
+
+let extender db p =
+  let nodes =
+    Array.init (Pattern_tree.node_count p) (fun n ->
+        { atoms = Pattern_tree.atoms p n;
+          vars = String_set.elements (Pattern_tree.node_vars p n);
+          kids = Pattern_tree.children p n;
+          memo = Key.create 16 })
+  in
+  (* the shared CQ homomorphisms of non-root [node] under incoming [h] *)
+  let deltas node h =
+    let key = List.map (fun x -> Mapping.find x h) node.vars in
+    match Key.find_opt node.memo key with
+    | Some ds -> ds
+    | None ->
+        let fresh = List.filter (fun x -> not (Mapping.mem x h)) node.vars in
+        let out = ref [] in
+        Cq.Eval.iter_homomorphisms db node.atoms
+          ~init:(Mapping.restrict_list node.vars h) (fun g ->
+            out := List.map (fun x -> (x, Option.get (Mapping.find x g))) fresh :: !out);
+        let ds = List.rev !out in
+        Key.add node.memo key ds;
+        ds
+  in
+  let extend h d = List.fold_left (fun h (x, v) -> Mapping.add x v h) h d in
+  (* extend [h] into the branches [cs] in order, then continue with [k]; a
+     branch with no match leaves the extension as it was *)
+  let rec branches h cs k =
+    match cs with
+    | [] -> k h
+    | c :: rest -> (
+        let node = nodes.(c) in
+        match deltas node h with
+        | [] -> branches h rest k
+        | ds ->
+            List.iter
+              (fun d -> branches (extend h d) node.kids (fun e -> branches e rest k))
+              ds)
+  in
+  let root = nodes.(Pattern_tree.root p) in
+  fun ~init yield ->
+    Cq.Eval.iter_homomorphisms db root.atoms ~init (fun g -> branches g root.kids yield)
+
+let iter_maximal_homomorphisms db p yield = extender db p ~init:Mapping.empty yield
 
 let maximal_homomorphisms db p =
   let out = ref [] in

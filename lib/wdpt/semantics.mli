@@ -4,7 +4,16 @@
     Two independent implementations are provided and cross-validated in the
     test suite: a reference one that literally follows Definition 2, and a
     procedural top-down one (the pt-evaluation of Letelier et al. [17]) that
-    exploits well-designedness to extend homomorphisms branch by branch. *)
+    exploits well-designedness to extend homomorphisms branch by branch.
+
+    The procedural walk evaluates every non-root node's CQ once per distinct
+    interface binding: it memoises the node's homomorphisms, as deltas over
+    the incoming mapping, keyed by the incoming mapping's values on the
+    node's variables, and extends every parent that agrees on them from the
+    one shared list. The memo lives as long as one {!extender} value (one
+    call of the enumerations below, or every run of one shared extender)
+    and holds one delta list per distinct key and node. The root is never
+    memoised: its homomorphisms are streamed. *)
 
 open Relational
 
@@ -16,13 +25,25 @@ val maximal_homomorphisms : Database.t -> Pattern_tree.t -> Mapping.t list
 val iter_maximal_homomorphisms :
   Database.t -> Pattern_tree.t -> (Mapping.t -> unit) -> unit
 
-(** [iter_maximal_extensions db p ~init yield]: the maximal homomorphisms
-    extending the partial mapping [init] (the general form of
-    {!iter_maximal_homomorphisms}, which passes the empty mapping). With
-    [init] binding all root-node variables this enumerates exactly the
-    maximal homomorphisms whose root restriction equals [init] — the
-    per-root-key scoped re-run {!Standing} is built on. *)
-val iter_maximal_extensions :
+(** [extender db p] is the procedural walk with a fresh, empty memo:
+    [extender db p ~init yield] enumerates the maximal homomorphisms
+    extending the partial mapping [init] ({!iter_maximal_homomorphisms} is
+    one run with the empty mapping). With [init] binding all root-node
+    variables this enumerates exactly the maximal homomorphisms whose root
+    restriction equals [init] — the per-root-key scoped re-run {!Standing}
+    is built on.
+
+    Partial application builds the memo once, so one extender run on many
+    [init]s (the dirty root keys of a {!Standing} refresh) evaluates each
+    OPT child once per distinct interface binding across all the runs. The
+    memo reflects [db] as it is while the extender runs: build a new
+    extender after [db] changes.
+
+    Order: the root's homomorphisms come in engine enumeration order; below
+    each, the children are extended in tree order, and every child's
+    extensions in engine enumeration order, depth first. The memo does not
+    change this order. *)
+val extender :
   Database.t -> Pattern_tree.t -> init:Mapping.t -> (Mapping.t -> unit) -> unit
 
 (** [stream_eval db p ~offset ~limit yield]: stream the answers of p(D) —

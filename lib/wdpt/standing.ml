@@ -9,8 +9,10 @@ open Relational
    - *rootkey* (the restriction of a maximal homomorphism to the root-node
      variables): every maximal homomorphism binds all root variables, so the
      hom store partitions by rootkey, and a scoped re-run
-     ([Semantics.iter_maximal_extensions ~init:rootkey]) recomputes one
-     partition without touching the others.
+     ([Semantics.extender db p ~init:rootkey]) recomputes one partition
+     without touching the others. One refresh runs every dirty rootkey
+     through one extender, built after the batch is applied, so partitions
+     that share an OPT child's interface binding evaluate that child once.
 
    - *root-free-key* (the rootkey restricted to the free variables): two
      answers can only be ⊑-comparable when they agree on the free variables
@@ -234,13 +236,14 @@ let refresh t =
             !pending
       in
       let recomputed = ref 0 in
+      let extend = Semantics.extender t.db t.query in
       Mapping.Set.iter
         (fun rk ->
           let old =
             Option.value ~default:Mapping.Set.empty (MMap.find_opt rk t.homs)
           in
           let fresh = ref Mapping.Set.empty in
-          Semantics.iter_maximal_extensions t.db t.query ~init:rk (fun h ->
+          extend ~init:rk (fun h ->
               fresh := Mapping.Set.add h !fresh);
           let fresh = !fresh in
           if not (Mapping.Set.equal old fresh) then begin

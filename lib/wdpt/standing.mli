@@ -10,8 +10,9 @@
     {!refresh} nets the modification-log window ({!Engine.Delta.batch}),
     marks the dirty rootkeys (deletion scan over the stored homs + insertion
     path probes with delta-constrained pivots), recomputes exactly those
-    partitions via the scoped re-run
-    [Semantics.iter_maximal_extensions ~init:rootkey], and reports the
+    partitions via scoped re-runs [extend ~init:rootkey] of one
+    {!Semantics.extender} built for the refresh (dirty partitions that
+    share an OPT child's interface binding evaluate it once), and reports the
     answer change set as events — including OPT-specific [Demoted] /
     [Promoted] transitions of the maximal-answer frontier that full
     re-evaluation would silently absorb.

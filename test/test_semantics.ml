@@ -185,6 +185,118 @@ let prop_projection_free_antichain =
       in
       is_antichain (Sem.eval db pf))
 
+(* ---- the shared tree walk --------------------------------------------- *)
+
+(* Every non-root node's CQ is evaluated once per distinct binding of its
+   variables and the result shared by every parent that agrees on them. The
+   fixed instances below pin the exact enumeration order (engine order at
+   the root, then each child's extensions in engine order, depth first) and
+   make the memo key matter: the interface variable sorts first in one node
+   and last in another, so a key that loses a variable conflates parents. *)
+
+let fact r args = Fact.make r (List.map Value.int args)
+
+let check_walk name db p expected =
+  let seq = ref [] in
+  Sem.iter_maximal_homomorphisms db p (fun h -> seq := h :: !seq);
+  Alcotest.(check (list mapping_testable))
+    (name ^ ": enumeration order") (List.map mapping expected) (List.rev !seq);
+  Alcotest.check mapping_set_testable (name ^ ": = reference semantics")
+    (Sem.eval_naive db p) (Sem.eval db p)
+
+(* a star: parents x = 1, 2, 3 share the interface binding c = 0 of the
+   child F(c, y); x = 4 reaches it with c = 9, which has no match *)
+let test_walk_shared_star () =
+  let db =
+    Database.of_list
+      [ fact "E" [ 1; 0 ]; fact "E" [ 2; 0 ]; fact "E" [ 3; 0 ]; fact "E" [ 4; 9 ];
+        fact "F" [ 0; 7 ]; fact "F" [ 0; 8 ] ]
+  in
+  let p =
+    Pt.make ~free:[ "x"; "c"; "y" ]
+      (Node ([ atom "E" [ v "x"; v "c" ] ], [ Node ([ atom "F" [ v "c"; v "y" ] ], []) ]))
+  in
+  check_walk "star" db p
+    [ [ ("c", 0); ("x", 1); ("y", 7) ];
+      [ ("c", 0); ("x", 1); ("y", 8) ];
+      [ ("c", 0); ("x", 2); ("y", 7) ];
+      [ ("c", 0); ("x", 2); ("y", 8) ];
+      [ ("c", 0); ("x", 3); ("y", 7) ];
+      [ ("c", 0); ("x", 3); ("y", 8) ];
+      [ ("c", 9); ("x", 4) ] ]
+
+(* G(a, c) matches for c = 0 and not for c = 5; the second parent with
+   c = 5 hits the cached empty entry and must still fall through to the
+   sibling H(x, w) *)
+let test_walk_cached_miss () =
+  let db =
+    Database.of_list
+      [ fact "E" [ 1; 0 ]; fact "E" [ 2; 5 ]; fact "E" [ 3; 0 ]; fact "E" [ 4; 5 ];
+        fact "G" [ 7; 0 ]; fact "H" [ 1; 20 ]; fact "H" [ 4; 40 ]; fact "H" [ 4; 41 ] ]
+  in
+  let p =
+    Pt.make ~free:[ "x"; "c"; "a"; "w" ]
+      (Node
+         ( [ atom "E" [ v "x"; v "c" ] ],
+           [ Node ([ atom "G" [ v "a"; v "c" ] ], []);
+             Node ([ atom "H" [ v "x"; v "w" ] ], []) ] ))
+  in
+  check_walk "cached miss" db p
+    [ [ ("a", 7); ("c", 0); ("w", 20); ("x", 1) ];
+      [ ("c", 5); ("x", 2) ];
+      [ ("a", 7); ("c", 0); ("x", 3) ];
+      [ ("c", 5); ("w", 40); ("x", 4) ];
+      [ ("c", 5); ("w", 41); ("x", 4) ] ]
+
+(* nested OPT: the child K(p, q) is keyed by p, the grandchild L(q, c) by q,
+   so p = 1 and p = 2 share the grandchild's entry for q = 10 under
+   different child entries; q = 12 and p = 4 fall through *)
+let test_walk_nested () =
+  let db =
+    Database.of_list
+      [ fact "P" [ 1 ]; fact "P" [ 2 ]; fact "P" [ 3 ]; fact "P" [ 4 ];
+        fact "K" [ 1; 10 ]; fact "K" [ 2; 10 ]; fact "K" [ 2; 11 ]; fact "K" [ 3; 12 ];
+        fact "L" [ 10; 100 ]; fact "L" [ 10; 101 ]; fact "L" [ 11; 102 ] ]
+  in
+  let p =
+    Pt.make ~free:[ "p"; "q"; "c" ]
+      (Node
+         ( [ atom "P" [ v "p" ] ],
+           [ Node
+               ( [ atom "K" [ v "p"; v "q" ] ],
+                 [ Node ([ atom "L" [ v "q"; v "c" ] ], []) ] ) ] ))
+  in
+  check_walk "nested" db p
+    [ [ ("c", 100); ("p", 1); ("q", 10) ];
+      [ ("c", 101); ("p", 1); ("q", 10) ];
+      [ ("c", 100); ("p", 2); ("q", 10) ];
+      [ ("c", 101); ("p", 2); ("q", 10) ];
+      [ ("c", 102); ("p", 2); ("q", 11) ];
+      [ ("p", 3); ("q", 12) ];
+      [ ("p", 4) ] ]
+
+(* Standing's use: one extender run on every root key (in reverse order, so
+   the memo is filled differently than by a single run) enumerates exactly
+   the maximal homomorphisms *)
+let prop_shared_extender_rootkeys =
+  qtest ~count:100 "one extender over every root key = maximal homs"
+    (QCheck.pair arbitrary_wdpt arbitrary_db) (fun (p, db) ->
+      let root = Pt.root p in
+      let rootkeys =
+        List.sort_uniq Mapping.compare
+          (List.map
+             (Mapping.restrict (Pt.node_vars p root))
+             (Cq.Eval.homomorphisms db (Pt.atoms p root) ~init:Mapping.empty))
+      in
+      let extend = Sem.extender db p in
+      let out = ref [] in
+      List.iter
+        (fun rk -> extend ~init:rk (fun h -> out := h :: !out))
+        (List.rev rootkeys);
+      List.equal Mapping.equal
+        (List.sort Mapping.compare !out)
+        (List.sort Mapping.compare (Sem.maximal_homomorphisms db p)))
+
 let suite =
   [ Alcotest.test_case "Example 2" `Quick test_example2;
     Alcotest.test_case "Examples 3 and 7" `Quick test_example3;
@@ -198,4 +310,9 @@ let suite =
     prop_partial_eval_correct;
     prop_max_eval_correct;
     prop_answers_incomparable_under_max;
-    prop_projection_free_antichain ]
+    prop_projection_free_antichain;
+    Alcotest.test_case "shared walk: star" `Quick test_walk_shared_star;
+    Alcotest.test_case "shared walk: cached miss falls through" `Quick
+      test_walk_cached_miss;
+    Alcotest.test_case "shared walk: nested interfaces" `Quick test_walk_nested;
+    prop_shared_extender_rootkeys ]
