@@ -791,7 +791,6 @@ let opt_pipeline () =
     "reorder); verify = Analysis.Equiv re-checking every certificate. Both@.";
   Format.printf
     "read per-atom summaries only, so they must stay flat as |D| grows.@.";
-  let was_opt = Engine.optimize_enabled () in
   (* (a) pipeline and verification cost against |D| on a fixed plan shape *)
   let body = Cq.Query.body (Workload.Gen_cq.chain 4) in
   print_row "  %8s  %14s  %14s@." "|D|" "pipeline(ms)" "verify(ms)";
@@ -801,9 +800,7 @@ let opt_pipeline () =
       let db =
         Workload.Gen_db.random_graph_db ~seed:17 ~nodes:(size / 4) ~edges:size
       in
-      Engine.set_optimize false;
-      let base = Engine.compile db body ~init:Mapping.empty in
-      Engine.set_optimize true;
+      let base = Engine.Inspect.base (Engine.compile db body ~init:Mapping.empty) in
       let t_pipe = time_it (fun () -> ignore (Engine.optimize base)) in
       let opt = Engine.optimize base in
       let t_ver = time_it (fun () -> ignore (Analysis.Equiv.verify_trail opt)) in
@@ -817,7 +814,8 @@ let opt_pipeline () =
   print_row
     "  pipeline growth exponent in |D|: %.2f  (acceptance: ~0, O(plan) not O(data))@."
     (loglog_slope (List.rev !pipe_points));
-  (* (b) end-to-end enumeration, pipeline off vs on, answers cross-checked.
+  (* (b) enumeration by the unoptimized original (Engine.Inspect.base) vs the
+     optimized plan, answers cross-checked.
      The workloads are the ones the passes exist for: bodies with redundant
      duplicate atoms (dead-instruction), and initial bindings that fold to
      checks, empty ground guards and a stale static order (fold + drop +
@@ -849,18 +847,18 @@ let opt_pipeline () =
               ~edges:size
           in
           let init = init_of db in
-          let enum () =
+          let p = Engine.compile db body ~init in
+          let enum p =
             let n = ref 0 in
-            let p = Engine.compile db body ~init in
             Engine.iter_envs p (fun _ -> incr n);
             !n
           in
-          Engine.set_optimize false;
           let n_plain = ref 0 in
-          let t_plain = time_it (fun () -> n_plain := enum ()) in
-          Engine.set_optimize true;
+          let t_plain =
+            time_it (fun () -> n_plain := enum (Engine.Inspect.base p))
+          in
           let n_opt = ref 0 in
-          let t_opt = time_it (fun () -> n_opt := enum ()) in
+          let t_opt = time_it (fun () -> n_opt := enum p) in
           if !n_plain <> !n_opt then failwith ("OPT: answer mismatch on " ^ name);
           print_row "  %-24s  %8d  %12.2f  %12.2f  %8.2fx@." name size
             (t_plain *. 1000.) (t_opt *. 1000.)
@@ -868,8 +866,7 @@ let opt_pipeline () =
           record "OPT" (Printf.sprintf "%s |D|=%d unopt" name size) t_plain;
           record "OPT" (Printf.sprintf "%s |D|=%d opt" name size) t_opt)
         (if !smoke then [ 200; 800 ] else [ 800; 1600; 3200 ]))
-    workloads;
-  Engine.set_optimize was_opt
+    workloads
 
 (* ---------------------------------------------------------------- *)
 (* DRIFT: adaptive re-optimization pays off on skewed data            *)
@@ -888,81 +885,74 @@ let drift_adaptive () =
     "certificate, and the hot probe moves behind the selective join. The@.";
   Format.printf
     "feedback audit reads counter summaries only, so it must stay flat in |D|.@.";
-  let was_adapt = Engine.adapt_enabled () in
-  Fun.protect
-    ~finally:(fun () -> Engine.set_adapt was_adapt)
-    (fun () ->
-      let atoms =
-        [ Atom.make "S" [ Term.var "x" ];
-          Atom.make "R" [ Term.const (Value.int 1); Term.var "y" ];
-          Atom.make "C" [ Term.var "y"; Term.var "x" ] ]
+  let atoms =
+    [ Atom.make "S" [ Term.var "x" ];
+      Atom.make "R" [ Term.const (Value.int 1); Term.var "y" ];
+      Atom.make "C" [ Term.var "y"; Term.var "x" ] ]
+  in
+  (* the skew.wdpt workload scaled by the hot-key population: S and C stay
+     fixed, R's key 1 grows, the 200-key tail keeps the average cell small *)
+  let build hot =
+    let db = Database.create () in
+    for i = 1 to 10 do
+      Database.add db (Fact.make "S" [ Value.int i ])
+    done;
+    for j = 1 to hot do
+      Database.add db (Fact.make "R" [ Value.int 1; Value.int j ])
+    done;
+    for k = 2 to 201 do
+      Database.add db (Fact.make "R" [ Value.int k; Value.int 0 ])
+    done;
+    for j = 1 to 300 do
+      Database.add db
+        (Fact.make "C" [ Value.int j; Value.int (((j - 1) mod 10) + 1) ])
+    done;
+    db
+  in
+  print_row "  %8s  %12s  %14s  %12s  %9s  %7s@." "|D|" "static(ms)"
+    "adaptive(ms)" "audit(ms)" "speedup" "agree";
+  let audit_points = ref [] in
+  let worst = ref infinity in
+  let sizes = if !smoke then [ 2_000; 8_000 ] else [ 2_000; 8_000; 32_000 ] in
+  let largest = List.fold_left max 0 sizes in
+  List.iter
+    (fun hot ->
+      let db = build hot in
+      let size = 10 + hot + 200 + 300 in
+      (* static: compiled before the first run, so uncalibrated; its
+         runs keep their order but feed the counters, and the first
+         installs the certified swap in the stats-epoch-keyed cache *)
+      let p_static = Engine.compile db atoms ~init:Mapping.empty in
+      let n_s = ref 0 in
+      let t_static = time_it (fun () -> n_s := Engine.count_envs p_static) in
+      (* adaptive: the recompile picks the swap up, so the timed runs
+         execute the re-planned order *)
+      let p_adapt = Engine.compile db atoms ~init:Mapping.empty in
+      let n_a = ref 0 in
+      let t_adapt = time_it (fun () -> n_a := Engine.count_envs p_adapt) in
+      let t_audit =
+        time_it (fun () -> ignore (Analysis.Feedback.audit p_adapt))
       in
-      (* the skew.wdpt workload scaled by the hot-key population: S and C stay
-         fixed, R's key 1 grows, the 200-key tail keeps the average cell small *)
-      let build hot =
-        let db = Database.create () in
-        for i = 1 to 10 do
-          Database.add db (Fact.make "S" [ Value.int i ])
-        done;
-        for j = 1 to hot do
-          Database.add db (Fact.make "R" [ Value.int 1; Value.int j ])
-        done;
-        for k = 2 to 201 do
-          Database.add db (Fact.make "R" [ Value.int k; Value.int 0 ])
-        done;
-        for j = 1 to 300 do
-          Database.add db
-            (Fact.make "C" [ Value.int j; Value.int (((j - 1) mod 10) + 1) ])
-        done;
-        db
-      in
-      print_row "  %8s  %12s  %14s  %12s  %9s  %7s@." "|D|" "static(ms)"
-        "adaptive(ms)" "audit(ms)" "speedup" "agree";
-      let audit_points = ref [] in
-      let worst = ref infinity in
-      let sizes = if !smoke then [ 2_000; 8_000 ] else [ 2_000; 8_000; 32_000 ] in
-      let largest = List.fold_left max 0 sizes in
-      List.iter
-        (fun hot ->
-          let db = build hot in
-          let size = 10 + hot + 200 + 300 in
-          Engine.set_adapt false;
-          let p_static = Engine.compile db atoms ~init:Mapping.empty in
-          let n_s = ref 0 in
-          let t_static = time_it (fun () -> n_s := Engine.count_envs p_static) in
-          (* adaptive: the first run feeds the counters and installs the
-             certified swap in the stats-epoch-keyed cache; the recompile
-             picks it up, so the timed runs execute the re-planned order *)
-          Engine.set_adapt true;
-          Database.clear_cache db;
-          let warm = Engine.compile db atoms ~init:Mapping.empty in
-          ignore (Engine.count_envs warm);
-          let p_adapt = Engine.compile db atoms ~init:Mapping.empty in
-          let n_a = ref 0 in
-          let t_adapt = time_it (fun () -> n_a := Engine.count_envs p_adapt) in
-          let t_audit =
-            time_it (fun () -> ignore (Analysis.Feedback.audit p_adapt))
-          in
-          if Analysis.Feedback.audit p_adapt <> [] then
-            failwith "DRIFT: adapted plan fails the feedback audit";
-          let agree = !n_s = !n_a in
-          if not agree then failwith "DRIFT: adaptive answer count disagrees";
-          let speedup = t_static /. t_adapt in
-          if hot = largest then worst := Float.min !worst speedup;
-          print_row "  %8d  %12.2f  %14.2f  %12.4f  %8.1fx  %7b@." size
-            (t_static *. 1000.) (t_adapt *. 1000.) (t_audit *. 1000.) speedup
-            agree;
-          record "DRIFT" (Printf.sprintf "static |D|=%d" size) t_static;
-          record "DRIFT" (Printf.sprintf "adaptive |D|=%d" size) t_adapt;
-          record "DRIFT" (Printf.sprintf "audit |D|=%d" size) t_audit;
-          audit_points := (size, t_audit) :: !audit_points)
-        sizes;
-      print_row
-        "  adaptive speedup at largest |D|: %.1fx  (acceptance: > 1x with identical answers)@."
-        !worst;
-      print_row
-        "  audit growth exponent in |D|: %.2f  (acceptance: ~0, O(plan) not O(data))@."
-        (loglog_slope (List.rev !audit_points)))
+      if Analysis.Feedback.audit p_adapt <> [] then
+        failwith "DRIFT: adapted plan fails the feedback audit";
+      let agree = !n_s = !n_a in
+      if not agree then failwith "DRIFT: adaptive answer count disagrees";
+      let speedup = t_static /. t_adapt in
+      if hot = largest then worst := Float.min !worst speedup;
+      print_row "  %8d  %12.2f  %14.2f  %12.4f  %8.1fx  %7b@." size
+        (t_static *. 1000.) (t_adapt *. 1000.) (t_audit *. 1000.) speedup
+        agree;
+      record "DRIFT" (Printf.sprintf "static |D|=%d" size) t_static;
+      record "DRIFT" (Printf.sprintf "adaptive |D|=%d" size) t_adapt;
+      record "DRIFT" (Printf.sprintf "audit |D|=%d" size) t_audit;
+      audit_points := (size, t_audit) :: !audit_points)
+    sizes;
+  print_row
+    "  adaptive speedup at largest |D|: %.1fx  (acceptance: > 1x with identical answers)@."
+    !worst;
+  print_row
+    "  audit growth exponent in |D|: %.2f  (acceptance: ~0, O(plan) not O(data))@."
+    (loglog_slope (List.rev !audit_points))
 
 (* ---------------------------------------------------------------- *)
 (* DELTA: standing-query maintenance vs full re-evaluation            *)

@@ -129,10 +129,8 @@ let admission_gate ~budget db q =
       end
 
 let eval_cmd =
-  let run query data maximal relational limit offset morsel_rows max_mem
-      adapt =
+  let run query data maximal relational limit offset morsel_rows max_mem =
     apply_morsel_rows morsel_rows;
-    if adapt then Engine.set_adapt true;
     let p = or_die (load_tree ~relational query) in
     let db = or_die (load_db ~relational data) in
     admission_gate ~budget:max_mem db (Wdpt.Pattern_tree.q_full p);
@@ -206,20 +204,11 @@ let eval_cmd =
          & info [ "offset" ] ~docv:"N"
              ~doc:"Skip the first $(docv) answers of the page.")
   in
-  let adapt =
-    Arg.(value & flag
-         & info [ "adapt" ]
-             ~doc:"Enable verified adaptive re-planning for this command \
-                   (same as WDPT_ENGINE_ADAPT=1): after a run whose \
-                   cardinality counters show estimate drift, the plan is \
-                   recalibrated and re-ordered under an independently \
-                   re-verified swap certificate.")
-  in
   Cmd.v
     (Cmd.info "eval"
        ~doc:"Evaluate a well-designed query ({AND,OPT}-SPARQL, or pattern-tree syntax with -r).")
     Term.(const run $ query_arg $ data_arg $ maximal $ relational_arg $ limit
-          $ offset $ morsel_rows_arg $ max_mem_arg $ adapt)
+          $ offset $ morsel_rows_arg $ max_mem_arg)
 
 (* shared by watch, lint and explain; the lint -j flag stays as an alias *)
 let format_arg =
@@ -551,9 +540,8 @@ let lint_cmd =
     Term.(const run $ query_arg $ json_arg $ format_arg $ relational_arg)
 
 let explain_cmd =
-  let run query data format relational opt morsel_rows max_mem adapt drift =
+  let run query data format relational opt morsel_rows max_mem drift =
     apply_morsel_rows morsel_rows;
-    if adapt then Engine.set_adapt true;
     let lint_ds = lint_source ~relational query in
     let fatal =
       List.exists
@@ -580,9 +568,6 @@ let explain_cmd =
     in
     let atoms = Cq.Query.body q in
     let plan = Engine.compile db atoms ~init:Relational.Mapping.empty in
-    (* --opt forces the pass pipeline even when WDPT_ENGINE_OPT=0 disabled it
-       at compile time (Engine.optimize is a no-op on optimized plans) *)
-    let plan = if opt then Engine.optimize plan else plan in
     let view = Engine.Inspect.plan plan in
     let audit_ds = Analysis.Plan_audit.audit_view view in
     let equiv = if opt then Some (Analysis.Equiv.verify_trail plan) else None in
@@ -599,9 +584,9 @@ let explain_cmd =
         max_mem
     in
     (* --drift: one counting evaluation over the plan collects the genuine
-       per-atom counters; the feedback view, its audit and (under --adapt /
-       WDPT_ENGINE_ADAPT) the re-plan certificate verdict are reported.
-       E022 findings are warnings, so a drift-y query exits 1, not 2. *)
+       per-atom counters; the feedback view, its audit and the verdict on
+       the re-plan certificate those counters justify are reported. E022
+       findings are warnings, so a drift-y query exits 1, not 2. *)
     let feedback =
       if not drift then None
       else begin
@@ -609,16 +594,13 @@ let explain_cmd =
         let fview = Engine.Inspect.feedback plan in
         let fds = Analysis.Feedback.audit plan in
         let swap =
-          if not (Engine.adapt_enabled ()) then None
-          else
-            match Engine.replan plan with
-            | None -> None
-            | Some (swapped, cert) ->
-                let _, sds =
-                  Analysis.Feedback.accept_swap ~before:plan ~after:swapped
-                    cert
-                in
-                Some (cert, sds)
+          Option.map
+            (fun (swapped, cert) ->
+              ( cert,
+                Analysis.Feedback.verify_swap
+                  ~before:(Engine.Inspect.plan plan)
+                  ~after:(Engine.Inspect.plan swapped) cert ))
+            (Engine.replan plan)
         in
         Some (fview, fds, swap)
       end
@@ -746,10 +728,8 @@ let explain_cmd =
             (match swap with
             | None ->
                 Format.printf
-                  "adaptive: no re-plan (%s)@."
-                  (if Engine.adapt_enabled () then
-                     "drift below threshold or insufficient evidence"
-                   else "adapt off — use --adapt or WDPT_ENGINE_ADAPT=1")
+                  "adaptive: no re-plan (drift below threshold or \
+                   insufficient evidence)@."
             | Some (cert, sds) ->
                 Format.printf
                   "adaptive: re-planned at epoch %d over %d run(s), %d \
@@ -773,19 +753,9 @@ let explain_cmd =
   let opt_arg =
     Arg.(value & flag
          & info [ "opt" ]
-             ~doc:"Run the optimization pass pipeline, verify every pass \
-                   certificate (translation validation, E007-E010) and print \
-                   the pass trail plus the dataflow summary of the optimized \
-                   plan.")
-  in
-  let adapt_arg =
-    Arg.(value & flag
-         & info [ "adapt" ]
-             ~doc:"Enable verified adaptive re-planning for this command \
-                   (same as WDPT_ENGINE_ADAPT=1). With $(b,--drift), a \
-                   confirmed estimate drift re-plans the query and the swap \
-                   certificate is independently re-verified by the feedback \
-                   auditor (a rejected certificate is E025).")
+             ~doc:"Re-verify every pass certificate of the optimized plan \
+                   (translation validation, E007-E010) and print the pass \
+                   trail plus the dataflow summary of the optimized plan.")
   in
   let drift_arg =
     Arg.(value & flag
@@ -793,7 +763,9 @@ let explain_cmd =
              ~doc:"Run one counting evaluation over the plan to collect \
                    per-atom cardinality feedback, then print the \
                    estimate-vs-actual selectivity table and the feedback \
-                   audit verdict (E022-E026); in JSON the report lands under \
+                   audit verdict (E022-E026), plus the re-plan a confirmed \
+                   drift triggers and its re-verified swap certificate \
+                   (E025); in JSON the report lands under \
                    the schema-stable $(b,feedback) key. Estimate-drift \
                    findings (E022) are warnings: exit 1, not 2.")
   in
@@ -808,12 +780,12 @@ let explain_cmd =
              batched layout (E017-E020) and certifies a resource \
              envelope for admission control ($(b,--max-mem)). With \
              $(b,--drift), collects runtime cardinality feedback and audits \
-             it (E022-E026); with $(b,--adapt) a confirmed drift re-plans \
-             under an independently verified certificate. Exit codes \
-             match $(b,lint): 0 = clean, 1 = warnings, 2 = errors; 3 = \
-             rejected by $(b,--max-mem).")
+             it (E022-E026); a confirmed drift re-plans the query and the \
+             swap certificate is re-verified (a rejected one is E025). \
+             Exit codes match $(b,lint): 0 = clean, 1 = warnings, 2 = \
+             errors; 3 = rejected by $(b,--max-mem).")
     Term.(const run $ query_arg $ data_opt $ format_arg $ relational_arg
-          $ opt_arg $ morsel_rows_arg $ max_mem_arg $ adapt_arg $ drift_arg)
+          $ opt_arg $ morsel_rows_arg $ max_mem_arg $ drift_arg)
 
 let check_cmd =
   let run query relational =

@@ -13,29 +13,30 @@
 
    Per instance:
    1. draw (p, D), accept it under Workload.Budget.engine_feasible, and draw
-      the configuration: checked mode, morsel size, the optimizer pass
-      pipeline, adaptive re-planning and the standing-view delete weight
-      (see draw_config);
+      the configuration: checked mode, morsel size, the drift checks and
+      the standing-view delete weight (see draw_config);
    2. compute the oracles once, under the ambient configuration:
       Cq.Eval.Naive for the full-tree CQ, Semantics.eval_naive within the
       brute-force budget (Algebra_eval beyond it) and a brute
       strict-subsumption filter for p_m(D);
    3. under the drawn configuration, check against them:
-      - Semantics.eval, eval_max and Cq.Eval.answers (twice with adaptation
-        on: the first pass may install a calibration, the second serves
-        it);
+      - Semantics.eval, eval_max and Cq.Eval.answers (twice with the drift
+        checks drawn: the first pass may install a calibration, the second
+        serves it);
       - within the brute-force budget, Cq.Yannakakis and the
         tree-decomposition evaluator (Cq.Decomp_eval with a supplied
         decomposition) on the full-tree CQ, Cq.Decomp_eval on its
         projection onto the free variables (r_T), Algebra_eval, the three
         decision procedures of Theorems 6-9 on sampled probes, and
         Eval_projection_free on the projection-free variant of p;
-      - the full-tree plan: its certificate trail re-verifies (E007-E010),
-        its batched layout audits clean (E017-E020), and a count plus an
-        enumeration stay within its certified envelope (E021);
-      - with adaptation on: any swap certificate re-verifies (E025), the
-        genuine feedback view audits clean (E022-E026) and a drift injected
-        into a corrupted copy is caught as E022;
+      - the full-tree plan: its optimization trail re-verifies (E007-E010),
+        any swap certificate cached for it re-verifies (E025), its batched
+        layout audits clean (E017-E020), a count plus an enumeration stay
+        within its certified envelope (E021), and its unoptimized original
+        (Engine.Inspect.base) enumerates exactly the naive answers;
+      - with the drift checks drawn: the genuine feedback view audits
+        clean (E022-E026) and a drift injected into a corrupted copy is
+        caught as E022;
       - within the delta budget: a standing view over 6 random batches of
         insertions, deletions and re-adds, checked after each refresh
         against full evaluation on Database.copy of D at both semantics
@@ -50,45 +51,40 @@ module Pt = Wdpt.Pattern_tree
 (* Run [f] under the given engine settings and restore the previous ones
    afterwards, whatever happens: an ambient WDPT_ENGINE_* setting keeps
    holding between instances. *)
-let with_engine ?checked ?morsel ?opt ?adapt f =
+let with_engine ?checked ?morsel f =
   let c0 = Engine.checked_enabled () and m0 = Engine.morsel_rows () in
-  let o0 = Engine.optimize_enabled () and a0 = Engine.adapt_enabled () in
   Option.iter Engine.set_checked checked;
   Option.iter Engine.set_morsel_rows morsel;
-  Option.iter Engine.set_optimize opt;
-  Option.iter Engine.set_adapt adapt;
   Fun.protect
     ~finally:(fun () ->
       Engine.set_checked c0;
-      Engine.set_morsel_rows m0;
-      Engine.set_optimize o0;
-      Engine.set_adapt a0)
+      Engine.set_morsel_rows m0)
     f
 
 type config = {
   checked : bool;
   morsel : int;
-  opt : bool;
-  adapt : bool;
+  drift : bool;
+      (** a second answer pass over any installed calibration, the feedback
+          audit and the E022 injection *)
   deletes : int;  (** standing-view delete weight, in quarters *)
 }
 
 let pick st l = List.nth l (Random.State.int st (List.length l))
 
-(* Checked mode and adaptation are on for one instance in four: either can
-   double the cost of a large instance's answer checks, and one in four
-   still runs each on about 1,500 instances of `wdpt_fuzz 6200 42`. *)
+(* Checked mode and the drift checks are on for one instance in four:
+   either can double the cost of a large instance's answer checks, and one
+   in four still runs each on about 1,500 instances of `wdpt_fuzz 6200 42`. *)
 let draw_config st =
   let checked = pick st [ false; false; false; true ] in
   let morsel = pick st [ 1; 2; 7; 1024 ] in
-  let opt = pick st [ false; true ] in
-  let adapt = pick st [ false; false; false; true ] in
+  let drift = pick st [ false; false; false; true ] in
   let deletes = pick st [ 1; 2 ] in
-  { checked; morsel; opt; adapt; deletes }
+  { checked; morsel; drift; deletes }
 
 let pp_config c =
-  Printf.sprintf "checked %b, morsel %d, opt %b, adapt %b, deletes %d/4"
-    c.checked c.morsel c.opt c.adapt c.deletes
+  Printf.sprintf "checked %b, morsel %d, drift %b, deletes %d/4" c.checked
+    c.morsel c.drift c.deletes
 
 let random_instance seed =
   let st = Random.State.make [| seed |] in
@@ -179,29 +175,28 @@ let check_brute fail db p q ~reference ~max_ref ~cq_ref =
       then fail "projection-free-eval")
     (probes pf_reference)
 
-(* The full-tree plan under the drawn configuration: certificate trail,
-   batch layout and resource envelope, and with adaptation on the swap
-   certificate, the feedback view and a drift injection. *)
-let check_plan fail ~adapt db atoms =
+(* The full-tree plan under the drawn configuration: certificate trail, swap
+   certificate, batch layout, resource envelope and the unoptimized
+   original's answers, and with the drift checks drawn the feedback view and
+   a drift injection. *)
+let check_plan fail ~drift db q ~cq_ref =
   let module I = Engine.Inspect in
   let fail_ds name = function [] -> () | ds -> fail (name ^ "-" ^ codes ds) in
+  let atoms = Cq.Query.body q in
   let plan = Engine.compile db atoms ~init:Mapping.empty in
   fail_ds "certificate-trail"
     (Analysis.Equiv.diagnostics (Analysis.Equiv.verify_trail plan));
   fail_ds "audit" (Analysis.Batch_audit.audit plan);
-  (* any calibration the adaptive passes installed must carry a certificate
-     that re-verifies from the uncalibrated before-plan *)
-  (if adapt then
-     match Engine.cached_swap plan with
-     | None -> ()
-     | Some cert ->
-         let before =
-           with_engine ~adapt:false (fun () ->
-               Engine.compile db atoms ~init:Mapping.empty)
-         in
-         fail_ds "swap-cert"
-           (Analysis.Feedback.verify_swap ~before:(I.plan before)
-              ~after:(I.plan plan) cert));
+  (* any calibration the earlier runs installed must carry a certificate
+     that re-verifies from the uncalibrated before-plan, compiled on a copy
+     whose store has learned nothing *)
+  (match Engine.cached_swap plan with
+  | None -> ()
+  | Some cert ->
+      let before = Engine.compile (Database.copy db) atoms ~init:Mapping.empty in
+      fail_ds "swap-cert"
+        (Analysis.Feedback.verify_swap ~before:(I.plan before)
+           ~after:(I.plan plan) cert));
   let resource = Analysis.Resource.of_plan plan in
   Engine.reset_batch_stats ();
   ignore (Engine.count_envs plan);
@@ -219,7 +214,17 @@ let check_plan fail ~adapt db atoms =
                      Printf.sprintf "%s-%d>%d" component measured certified
                  | _ -> "E021")
                ds)));
-  if adapt then begin
+  (* the unoptimized original, the fallback of Analysis.Equiv.accept *)
+  let base = I.base plan in
+  let head = Cq.Query.head_set q in
+  let base_ans = ref Mapping.Set.empty in
+  Engine.iter_envs base (fun env ->
+      base_ans :=
+        Mapping.Set.add
+          (Mapping.restrict head (Engine.mapping_of_env base env))
+          !base_ans);
+  if not (Mapping.Set.equal !base_ans cq_ref) then fail "base-plan-vs-naive";
+  if drift then begin
     (* a genuine feedback view audits clean... *)
     fail_ds "genuine-view" (Analysis.Feedback.audit plan);
     (* ...and a seeded drift injection into a corrupted copy is caught *)
@@ -319,9 +324,8 @@ let check_instance st c ~brute ~delta p db =
       (fun h -> not (Mapping.Set.exists (Mapping.strictly_subsumes h) reference))
       reference
   in
-  with_engine ~checked:c.checked ~morsel:c.morsel ~opt:c.opt ~adapt:c.adapt
-    (fun () ->
-      for pass = 1 to if c.adapt then 2 else 1 do
+  with_engine ~checked:c.checked ~morsel:c.morsel (fun () ->
+      for pass = 1 to if c.drift then 2 else 1 do
         let fail name = fail (if pass = 1 then name else name ^ "-pass-2") in
         if not (Mapping.Set.equal (Wdpt.Semantics.eval db p) reference) then
           fail "procedural-vs-reference";
@@ -331,7 +335,7 @@ let check_instance st c ~brute ~delta p db =
           fail "cq-eval-vs-naive"
       done;
       if brute then check_brute fail db p q ~reference ~max_ref ~cq_ref;
-      check_plan fail ~adapt:c.adapt db (Cq.Query.body q);
+      check_plan fail ~drift:c.drift db q ~cq_ref;
       if delta then check_stream fail st ~deletes:c.deletes p db);
   List.rev !failures
 
@@ -364,7 +368,7 @@ let () =
   in
   if count < 1 then usage (Printf.sprintf "COUNT must be at least 1, not %d" count);
   let n = ref 0 and bad = ref 0 and skipped = ref 0 in
-  let brute_n = ref 0 and opt_n = ref 0 and drift_n = ref 0 in
+  let brute_n = ref 0 and drift_n = ref 0 in
   let delta_n = [| 0; 0; 0 |] in
   let seed = ref seed0 in
   while !n < count do
@@ -377,8 +381,7 @@ let () =
       let brute = Workload.Budget.brute_force_feasible p db in
       let delta = Workload.Budget.delta_feasible p db in
       if brute then incr brute_n;
-      if c.opt then incr opt_n;
-      if c.adapt then incr drift_n;
+      if c.drift then incr drift_n;
       if delta then delta_n.(c.deletes) <- delta_n.(c.deletes) + 1;
       match check_instance st c ~brute ~delta p db with
       | [] -> ()
@@ -392,13 +395,13 @@ let () =
   Printf.printf
     "wdpt_fuzz: %d instance(s) from seed %d (%d oversized skipped; brute %d, \
      opt %d, batch %d, drift %d, delta 1/4 %d, delta 1/2 %d): %d failure(s)\n"
-    count seed0 !skipped !brute_n !opt_n count !drift_n delta_n.(1) delta_n.(2)
+    count seed0 !skipped !brute_n count count !drift_n delta_n.(1) delta_n.(2)
     !bad;
   (* machine-readable summary, same schema version as the analysis JSON *)
   Printf.printf
     "{\"schema\": %d, \"instances\": %d, \"seed\": %d, \"skipped\": %d, \
      \"families\": {\"brute\": %d, \"opt\": %d, \"batch\": %d, \"drift\": %d, \
      \"delta-1/4\": %d, \"delta-1/2\": %d}, \"failures\": %d}\n"
-    Analysis.Json.schema_version count seed0 !skipped !brute_n !opt_n count
+    Analysis.Json.schema_version count seed0 !skipped !brute_n count count
     !drift_n delta_n.(1) delta_n.(2) !bad;
   exit (if !bad = 0 then 0 else 1)

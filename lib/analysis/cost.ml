@@ -20,12 +20,10 @@ type t = Cq.Cost.t = {
   hom_bound : float;
   answer_bound : float;
   growth : growth;
-  drift : float;
 }
 
 let analyze = Cq.Cost.analyze
 let bound_count = Cq.Cost.bound_count
-let recalibrate = Cq.Cost.recalibrate
 
 (* ---- WDPT-level classification ------------------------------------------ *)
 

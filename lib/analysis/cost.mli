@@ -44,9 +44,6 @@ type t = Cq.Cost.t = {
   hom_bound : float;
   answer_bound : float;
   growth : growth;
-  drift : float;
-      (** observed selectivity drift folded in by {!recalibrate};
-          [0.] for a purely static analysis *)
 }
 
 (** [analyze db atoms ~free]: statistics are read from [db]; [free] names the
@@ -57,10 +54,6 @@ val analyze : Database.t -> Atom.t list -> free:string list -> t
 (** The answer bound as an integer ceiling ([max_int] beyond 10^18),
     comparable against a measured answer count. *)
 val bound_count : t -> int
-
-(** Re-export of {!Cq.Cost.recalibrate}: fold observed selectivity drift
-    (log10 decades, clamped to [>= 0.]) into the report for re-planning. *)
-val recalibrate : t -> drift:float -> t
 
 (** Least [(k, c)] with [p ∈ ℓ-TW(k) ∩ BI(c)] within the caps (defaults 3
     and 3), the paper's tractability condition (Theorem 1 / Proposition 2);

@@ -4,9 +4,10 @@
    before -> after slot and atom maps plus the facts justifying each rewrite)
    and this module re-derives every claim from the before/after IR views in
    O(plan). A rewrite the checker cannot justify produces an E-series
-   diagnostic (E007-E010) and the whole optimized plan is rejected —
-   [accept] then falls back to the unoptimized original the plan's
-   provenance still carries.
+   diagnostic (E007-E010) and the whole optimized plan is rejected:
+   [accept] then returns the unoptimized original the plan's provenance
+   still carries. Evaluation does not call this module; Engine.compile runs
+   the optimized plan as it is.
 
    The only check that needs more than the two views is a Ground_matched
    atom drop ("this all-Check atom is satisfied by stored row r"): views
@@ -615,4 +616,4 @@ let pp_report ppf r =
       r.r_steps;
   Format.fprintf ppf "  verdict: %s"
     (if r.r_verified then "all certificates verified"
-     else "rejected — falling back to the unoptimized plan")
+     else "rejected — the optimized plan is not justified")

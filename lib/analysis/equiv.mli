@@ -21,9 +21,11 @@
       surjectivity; pool, feasibility or version drift; unrecorded or bogus
       folds and drops; claimed scores that do not recompute).
 
-    A rejected trail is not an execution hazard by itself — {!accept} simply
-    falls back to the unoptimized original — but it is always an optimizer
-    bug, so the diagnostics are errors. *)
+    [Engine.compile] runs the optimized plan without verifying it; the
+    trail is checked only where a caller asks ([explain --opt], [wdpt_fuzz],
+    the tests). {!accept} falls back to the unoptimized original on a
+    rejected trail, but no evaluation path calls it. A rejected trail is
+    always an optimizer bug, so the diagnostics are errors. *)
 
 (** Verify one pass step. [probe] confirms [Ground_matched] drop claims
     against the stored relation (use

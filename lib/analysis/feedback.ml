@@ -359,10 +359,12 @@ let verify_swap ~(before : I.view) ~(after : I.view) (cert : Engine.swap_cert)
   end;
   List.rev !acc
 
-(* [accept_swap] is the trust boundary the engine's adaptive loop goes
-   through: the swapped plan is only adopted when its certificate
-   re-verifies; otherwise the before-plan is kept and the findings say
-   why. *)
+(* [accept_swap] returns the swapped plan only when its certificate
+   re-verifies, and otherwise the before-plan with the findings that say
+   why. The engine's adaptive loop does not go through it: [fb_commit]
+   stores its own swaps unverified, and the certificate is re-verified
+   only on demand ([verify_swap] in explain --drift, wdpt_fuzz and the
+   tests). *)
 let accept_swap ~(before : Engine.t) ~(after : Engine.t) cert =
   match
     verify_swap ~before:(I.plan before) ~after:(I.plan after) cert

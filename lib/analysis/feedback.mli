@@ -52,9 +52,10 @@ val verify_swap :
   Engine.swap_cert ->
   Diagnostic.t list
 
-(** The trust boundary for the adaptive loop: returns [after] when the
-    certificate re-verifies, otherwise [before] with the E025 findings
-    explaining the rejection. *)
+(** Returns [after] when the certificate re-verifies, otherwise [before]
+    with the E025 findings explaining the rejection. No evaluation path
+    calls it: the engine adopts its own swaps unverified, and a certificate
+    is checked only where a caller asks for it. *)
 val accept_swap :
   before:Engine.t ->
   after:Engine.t ->

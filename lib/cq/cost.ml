@@ -34,12 +34,6 @@ type t = {
   hom_bound : float;  (* min of the four: bound on homomorphism count *)
   answer_bound : float;  (* bound on answers = projections onto the free variables *)
   growth : growth;
-  drift : float;
-      (* log10 decades of observed-over-estimated selectivity drift folded
-         in by cardinality feedback; 0. for a purely static analysis. The
-         static bounds above stay untouched (they are sound regardless of
-         drift) — drift only biases strategy selection away from the
-         backtracking bounds the observations discredit. *)
 }
 
 (* ghw_at_most is exponential in the number of edges; keep the search tiny. *)
@@ -159,13 +153,7 @@ let analyze db atoms ~free =
     hom_bound;
     answer_bound;
     growth = classify ~nvars ~acyclic ~treewidth;
-    drift = 0.;
   }
-
-(* [recalibrate c ~drift] folds observed drift into the cost report for
-   re-planning; negative drift is clamped (overestimates never discredit
-   the static bounds). *)
-let recalibrate c ~drift = { c with drift = Float.max 0. drift }
 
 (* [bound_count c] turns a log10 bound back into an integer ceiling (capped at
    max_int) for direct comparison against measured answer counts. *)

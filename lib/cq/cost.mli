@@ -43,11 +43,6 @@ type t = {
   hom_bound : float;
   answer_bound : float;
   growth : growth;
-  drift : float;
-      (** log10 decades of observed-over-estimated selectivity drift folded
-          in by cardinality feedback ({!recalibrate}); [0.] for a purely
-          static analysis. The sound bounds above are never modified —
-          drift only biases strategy selection. *)
 }
 
 (** [analyze db atoms ~free]: statistics are read from [db]; [free] names the
@@ -63,10 +58,3 @@ val bound_count : t -> int
     a tree-decomposition evaluation pays — the quantity strategy selection
     compares against the backtracking bounds. *)
 val decomp_eval_bound : t -> float
-
-(** [recalibrate c ~drift] folds observed selectivity drift (log10 decades,
-    clamped to [>= 0.]) into the report. [Wdpt.Optimizer.replan] feeds the
-    drift the engine's cardinality feedback measured; strategy selection
-    then penalizes the backtracking-side bounds the observations
-    discredited. *)
-val recalibrate : t -> drift:float -> t

@@ -787,18 +787,6 @@ let pass_reorder (p : t) =
   let p' = if order = p.order then p else { p with order } in
   (p', { (identity_cert "selectivity-reorder" p') with cert_reorders = true })
 
-(* Global engine toggles are atomics, read exactly once per top-level
-   enumeration, so a concurrent set_checked/set_optimize from another
-   domain can never tear an in-flight run. *)
-let optimize_flag =
-  Atomic.make
-    (match Sys.getenv_opt "WDPT_ENGINE_OPT" with
-    | Some ("0" | "false" | "no") -> false
-    | _ -> true)
-
-let set_optimize b = Atomic.set optimize_flag b
-let optimize_enabled () = Atomic.get optimize_flag
-
 let optimize p =
   match p.provenance with
   | Optimized _ -> p
@@ -823,20 +811,10 @@ let optimize p =
 (* Verified adaptive re-planning                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Adaptation recalibrates the static selectivity scores from the observed
+(* Adaptation re-calibrates the static selectivity scores from the observed
    per-atom counters and re-sorts the static order for the NEXT compile of
    the same atom list. Every swap emits a plain-data certificate that
-   Analysis.Feedback independently re-verifies (E025): nothing the loop
-   learns is trusted. Gated by WDPT_ENGINE_ADAPT / --adapt. *)
-
-let adapt_flag =
-  Atomic.make
-    (match Sys.getenv_opt "WDPT_ENGINE_ADAPT" with
-    | Some ("1" | "true" | "yes") -> true
-    | _ -> false)
-
-let set_adapt b = Atomic.set adapt_flag b
-let adapt_enabled () = Atomic.get adapt_flag
+   Analysis.Feedback can re-verify (E025) from the before-plan alone. *)
 
 (* drift beyond this many log10 decades between the calibrated estimate and
    the observed per-context survival triggers re-calibration (and E022) *)
@@ -864,7 +842,7 @@ type swap_cert = {
 }
 
 (* [replan p]: inspect the accumulated counters; on E022-level drift return
-   the recalibrated plan and its certificate. The drift baseline is the
+   the re-calibrated plan and its certificate. The drift baseline is the
    CALIBRATED score, so a well-calibrated plan observes obs ≈ est and never
    re-triggers on its own evidence. One-sided: only underestimates (more
    survivors than predicted) force a swap — overestimates only make the
@@ -942,42 +920,44 @@ let store_adapt (p : t) cert =
   Hashtbl.replace t p.src_atoms
     { ad_epoch = cert.sw_epoch; ad_calib = cert.sw_calib; ad_cert = cert }
 
-let find_adapt (p : t) = Hashtbl.find_opt (adapt_tbl p.cdb) p.src_atoms
+(* a store that never learned a calibration has no table: the lookup
+   neither allocates one nor hashes the atom list *)
+let find_adapt (p : t) =
+  match p.cdb.Db.adapts with
+  | Adapts t when Hashtbl.length t > 0 -> Hashtbl.find_opt t p.src_atoms
+  | _ -> None
+
 let cached_swap (p : t) = Option.map (fun e -> e.ad_cert) (find_adapt p)
 
 (* apply a cached calibration to a freshly compiled plan. An entry learned
    under an older stats epoch than the store now carries is stale (the
    E024 shape): it is evicted and the plan compiles uncalibrated. *)
 let apply_adapt (p : t) =
-  if not (Atomic.get adapt_flag) then p
-  else
-    match find_adapt p with
-    | None -> p
-    | Some e ->
-        if
-          e.ad_epoch <> p.cdb.Db.db_version
-          || Array.length e.ad_calib <> max 1 (Array.length p.atoms)
-          || not p.feasible
-        then begin
-          Hashtbl.remove (adapt_tbl p.cdb) p.src_atoms;
-          p
-        end
-        else begin
-          let p1 = { p with calib = e.ad_calib; costed_at = e.ad_epoch } in
-          let key ai = calibrated_key p1 ai in
-          let order =
-            Array.of_list
-              (List.stable_sort
-                 (fun a b -> compare (key a) (key b))
-                 (Array.to_list p1.order))
-          in
-          { p1 with order }
-        end
+  match find_adapt p with
+  | None -> p
+  | Some e ->
+      if
+        e.ad_epoch <> p.cdb.Db.db_version
+        || Array.length e.ad_calib <> max 1 (Array.length p.atoms)
+        || not p.feasible
+      then begin
+        Hashtbl.remove (adapt_tbl p.cdb) p.src_atoms;
+        p
+      end
+      else begin
+        let p1 = { p with calib = e.ad_calib; costed_at = e.ad_epoch } in
+        let key ai = calibrated_key p1 ai in
+        let order =
+          Array.of_list
+            (List.stable_sort
+               (fun a b -> compare (key a) (key b))
+               (Array.to_list p1.order))
+        in
+        { p1 with order }
+      end
 
 let compile db atom_list ~init =
-  let p = compile_base db atom_list ~init in
-  let p = apply_adapt p in
-  if Atomic.get optimize_flag then optimize p else p
+  compile_base db atom_list ~init |> apply_adapt |> optimize
 
 let slot_count p = Interner.size p.vars
 let value_of p id = Interner.get p.cdb.Db.pool id
@@ -1046,7 +1026,7 @@ let select_first p =
 
 (* Commit one completed enumeration's counters into the plan:
    the top-level atom gets its single probe context (one per run), the
-   record is folded into the plan's accumulator, and under adaptation the
+   record is folded into the plan's accumulator, and the accumulated
    evidence is re-examined for E022-level drift. *)
 let fb_commit p fc fb =
   let top = p.order.(fc.fc_pos) in
@@ -1056,10 +1036,9 @@ let fb_commit p fc fb =
   (match p.feedback with
   | Some dst -> fb_add dst fb
   | None -> p.feedback <- Some fb);
-  if Atomic.get adapt_flag then
-    match replan p with
-    | None -> ()
-    | Some (_, cert) -> store_adapt p cert
+  match replan p with
+  | None -> ()
+  | Some (_, cert) -> store_adapt p cert
 
 (* ------------------------------------------------------------------ *)
 (* Batched (vectorized) execution                                       *)
@@ -1950,6 +1929,9 @@ exception Check_failure of string
 
 let check_fail fmt = Format.kasprintf (fun s -> raise (Check_failure s)) fmt
 
+(* Global engine toggles are atomics, read exactly once per top-level
+   enumeration, so a concurrent set_checked from another domain can never
+   tear an in-flight run. *)
 let checked =
   Atomic.make
     (match Sys.getenv_opt "WDPT_ENGINE_CHECKED" with

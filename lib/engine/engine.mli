@@ -38,10 +38,12 @@ type op =
   | Slot of int
 
 (** [compile db atoms ~init] builds a plan for the homomorphisms of [atoms]
-    into [db] extending [init]. When optimization is enabled (the default,
-    see {!set_optimize}) the plan is additionally run through the
-    optimization pass pipeline; every pass records a certificate in the
-    plan's provenance ({!Inspect.trail}). *)
+    into [db] extending [init] in one path: the base plan, then any
+    calibration the adaptive loop learned for [atoms] on [db]'s store
+    (below), then the optimization pass pipeline ({!optimize}); every pass
+    records a certificate in the plan's provenance ({!Inspect.trail}).
+    Neither step has a switch: both only reorder or prune the plan, never
+    change its answer set. *)
 val compile : Database.t -> Atom.t list -> init:Mapping.t -> t
 
 (** {2 Selectivity scoring}
@@ -71,9 +73,11 @@ val order_key : rows:int -> dcounts:int array -> op array -> int * float
     (untouched slots dropped, survivors renumbered), [check-hoist] (ground
     atoms stable-partitioned to the front of the static order) and
     [selectivity-reorder] (full static-order invariant re-established).
-    Every pass emits a {!cert}; [Analysis.Equiv] re-verifies the whole trail
-    in O(plan) and rejects the optimized plan ({!Inspect.base} is the
-    fallback) if any certificate fails. *)
+    Every pass emits a {!cert}. [compile] runs the optimized plan without
+    verifying it; [Analysis.Equiv.verify_trail] re-verifies the whole trail
+    in O(plan) on demand ([explain --opt], [wdpt_fuzz] on every instance,
+    the test suite), and [Analysis.Equiv.accept] returns {!Inspect.base},
+    the unoptimized original, when a certificate fails. *)
 
 (** Why a pass dropped an atom: exact duplicate of a kept before-atom, or an
     all-[Check] atom satisfied by the named stored row. *)
@@ -95,38 +99,33 @@ type cert = {
 }
 
 (** Run the pass pipeline on a plan (no-op on infeasible or already-optimized
-    plans). [compile] applies this automatically when enabled; it is exposed
-    so benches can time the pipeline in isolation. *)
+    plans). [compile] always applies it; it is exposed so benches can time
+    the pipeline in isolation on {!Inspect.base}. *)
 val optimize : t -> t
-
-(** Toggle the pipeline for subsequent [compile] calls (differential
-    testing). Defaults to enabled; [WDPT_ENGINE_OPT=0] disables. *)
-val set_optimize : bool -> unit
-
-val optimize_enabled : unit -> bool
 
 (** {2 Verified adaptive re-planning}
 
     Every completed (uncancelled) enumeration accumulates cheap per-atom
     counters into its plan — probe contexts entered, candidate rows probed,
     rows surviving all checks — exposed as plain data by
-    {!Inspect.feedback}. When adaptation is enabled ([WDPT_ENGINE_ADAPT=1]
-    or {!set_adapt}) and an atom's observed log10 selectivity drifts more
-    than {!drift_threshold} decades above its calibrated estimate (with at
-    least {!drift_min_probed} rows of evidence), the engine recalibrates:
-    the drift is folded into a per-atom calibration term, the static order
-    re-sorted by the calibrated key, and the result cached keyed by the
-    source atom list and the stats epoch (store version) it was costed at.
-    The next [compile] of the same atom list picks the calibration up —
-    entries from an older epoch are evicted, never applied (the E024
-    discipline). Every swap emits a {!swap_cert} that [Analysis.Feedback]
-    independently re-verifies (E025); an invalid certificate keeps the old
-    plan. Calibration only reorders the static atom order — the answer set
-    is order-independent, so adaptive and non-adaptive runs agree
-    answer-for-answer ([wdpt_fuzz] checks this). *)
-
-val set_adapt : bool -> unit
-val adapt_enabled : unit -> bool
+    {!Inspect.feedback}; checked runs commit none. After each committed
+    run, when an atom's observed log10 selectivity drifts more than
+    {!drift_threshold} decades above its calibrated estimate (with at least
+    {!drift_min_probed} rows of evidence), the engine re-calibrates: the
+    drift is folded into a per-atom calibration term, the static order
+    re-sorted by the calibrated key, and the result cached on the compiled
+    store, keyed by the source atom list and the stats epoch (store
+    version) it was costed at. The running plan keeps its order; a later
+    [compile] of the same atom list on the same store may run the
+    calibrated order instead, with the same answer set — calibration only
+    reorders the static atom order, and the answer set is order-independent
+    ([wdpt_fuzz] checks this). Entries from an older epoch are evicted,
+    never applied (the E024 discipline). A store without calibrations
+    ([Database.copy], or any store before its first run) compiles the
+    static order. Every swap emits a {!swap_cert}; the engine adopts its
+    own swaps without verifying them, and [Analysis.Feedback.verify_swap]
+    re-verifies a certificate from the before-plan on demand (E025:
+    [explain --drift], [wdpt_fuzz], the test suite). *)
 
 (** Drift threshold in log10 decades (default 2.0, clamped to [>= 0.1]):
     re-calibration (and the E022 diagnostic) trigger when the observed
@@ -156,14 +155,14 @@ type swap_cert = {
 }
 
 (** [replan p]: examine [p]'s accumulated counters; on E022-level drift
-    return the recalibrated plan and its certificate, [None] otherwise
+    return the re-calibrated plan and its certificate, [None] otherwise
     (no evidence, no drift, or infeasible). Pure with respect to the
     adapt cache — [compile] + the commit hook drive the cache itself. *)
 val replan : t -> (t * swap_cert) option
 
 (** The cached swap certificate for [p]'s atom list, if an adaptive swap
     has been stored for it on [p]'s compiled store ([None] otherwise) —
-    what [Analysis.Feedback] re-verifies as E025. *)
+    what [Analysis.Feedback.verify_swap] re-verifies as E025. *)
 val cached_swap : t -> swap_cert option
 
 (** {2 Batched (vectorized) execution}
@@ -459,8 +458,9 @@ module Inspect : sig
       building {!row_matches} probes per stage). *)
   val stage_plans : t -> t list
 
-  (** The unoptimized original of an optimized plan (itself otherwise) —
-      the fallback when certificate verification rejects the trail. *)
+  (** The unoptimized original of an optimized plan (itself otherwise):
+      what [Analysis.Equiv.accept] falls back to when the trail does not
+      verify, and the reference the optimized plan is tested against. *)
   val base : t -> t
 
   (** [row_matches p ~atom ~row]: stored tuple [row] of [atom]'s relation

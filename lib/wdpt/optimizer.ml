@@ -28,11 +28,7 @@ type plan = {
 let choose_exec (c : Cq.Cost.t) =
   if c.acyclic then Yannakakis
   else if
-    (* observed drift inflates the backtracking side: the variable-domain /
-       relation-product bounds are what the feedback discredited, the bag
-       bound depends only on |adom| and the width *)
-    Cq.Cost.decomp_eval_bound c
-    < Float.min c.vardom_bound c.product_bound +. c.drift
+    Cq.Cost.decomp_eval_bound c < Float.min c.vardom_bound c.product_bound
   then Decomposition
   else Backtracking
 
@@ -83,17 +79,6 @@ let plan ?db ~k p =
   let exec = match cost with None -> Backtracking | Some c -> choose_exec c in
   { query = q; source = p; rewrites; k; bounded_interface = c; strategy;
     exec; cost }
-
-(* [replan pl ~drift] folds measured selectivity drift (from the engine's
-   cardinality feedback, log10 decades) into the plan's cost report and
-   re-runs strategy selection. Answers are unaffected — all three engines
-   compute the same set — only the engine choice moves. *)
-let replan pl ~drift =
-  match pl.cost with
-  | None -> pl
-  | Some c ->
-      let c = Cq.Cost.recalibrate c ~drift in
-      { pl with cost = Some c; exec = choose_exec c }
 
 let describe_exec = function
   | Backtracking -> "backtracking search"

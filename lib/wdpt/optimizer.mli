@@ -50,18 +50,10 @@ type plan = private {
     so all answers below are still those of [p]), then classifies the result
     and picks a strategy. With [?db] it additionally analyzes the full-tree
     query's cost against that database's statistics and selects the execution
-    engine ([exec]) per instance. *)
+    engine ([exec]) per instance. That cost analysis is memoized per (body,
+    database, version): a version bump ([Database.add]) misses the memo
+    rather than serving stale statistics. *)
 val plan : ?db:Database.t -> k:int -> Pattern_tree.t -> plan
-
-(** [replan pl ~drift] folds measured selectivity drift (log10 decades, from
-    the engine's cardinality feedback) into the plan's cost report via
-    {!Cq.Cost.recalibrate} and re-runs execution-engine selection. A no-op
-    on plans without cost bounds. Answers are unaffected — only [exec] (and
-    the recorded [cost]) can change. The underlying full-tree cost analysis
-    is memoized per (body, database, version): re-planning under an
-    unchanged stats epoch is O(1), and a version bump ([Database.add])
-    misses the memo rather than serving stale statistics. *)
-val replan : plan -> drift:float -> plan
 
 val describe : plan -> string
 

@@ -22,12 +22,9 @@ let db3u () =
    (dead-slot) and leaves an order for the reorder passes to re-establish. *)
 let opt_plan () =
   let db = db3u () in
-  let p =
-    Engine.compile db
-      [ e "x" "y"; e "y" "z"; atom "U" [ v "x" ] ]
-      ~init:(mapping [ ("x", 1) ])
-  in
-  Engine.optimize p (* no-op if compile already optimized (the default) *)
+  Engine.compile db
+    [ e "x" "y"; e "y" "z"; atom "U" [ v "x" ] ]
+    ~init:(mapping [ ("x", 1) ])
 
 (* The verification inputs of each pass step: before view, after view,
    certificate, and the stored-row probe of the plan the pass ran on. *)
@@ -229,20 +226,20 @@ let test_dataflow_infeasible () =
 
 (* ---- qcheck properties -------------------------------------------------- *)
 
-(* (a) the optimized engine enumerates exactly the unoptimized answers *)
+(* (a) the optimized plan enumerates exactly the answers of its unoptimized
+   original *)
 let prop_opt_preserves_answers =
   qtest ~count:300 "optimized plans answer exactly like unoptimized ones"
     (QCheck.pair arbitrary_cq arbitrary_db) (fun (q, db) ->
-      let collect () =
-        List.sort_uniq Mapping.compare
-          (Cq.Eval.homomorphisms db (Cq.Query.body q) ~init:Mapping.empty)
+      let collect p =
+        let out = ref [] in
+        Engine.iter_envs p (fun env ->
+            out := Engine.mapping_of_env p env :: !out);
+        List.sort_uniq Mapping.compare !out
       in
-      let was = Engine.optimize_enabled () in
-      Engine.set_optimize false;
-      let plain = collect () in
-      Engine.set_optimize true;
-      let opt = collect () in
-      Engine.set_optimize was;
+      let p = Engine.compile db (Cq.Query.body q) ~init:Mapping.empty in
+      let plain = collect (I.base p) in
+      let opt = collect p in
       List.length plain = List.length opt
       && List.for_all2 (fun a b -> Mapping.equal a b) plain opt)
 
@@ -250,10 +247,7 @@ let prop_opt_preserves_answers =
 let prop_trails_verify =
   qtest ~count:300 "every pass certificate verifies on random plans"
     (QCheck.pair arbitrary_cq arbitrary_db) (fun (q, db) ->
-      let p =
-        Engine.optimize
-          (Engine.compile db (Cq.Query.body q) ~init:Mapping.empty)
-      in
+      let p = Engine.compile db (Cq.Query.body q) ~init:Mapping.empty in
       (Equiv.verify_trail p).Equiv.r_verified)
 
 (* (c) dataflow facts are sound: every enumerated environment lies inside

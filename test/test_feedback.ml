@@ -12,25 +12,23 @@ module D = Analysis.Diagnostic
 module I = Engine.Inspect
 module F = Analysis.Feedback
 
-(* every test restores the ambient adaptive configuration (the CI runs one
-   leg under WDPT_ENGINE_ADAPT=1, so "off" is not a safe default to restore
-   to). Checked runs commit no counters — their
-   per-group replay would double-count the genuine run's probes — so every
-   test here runs unchecked, also in the WDPT_ENGINE_CHECKED=1 leg. *)
-let with_config ?adapt ?threshold ?min_probed ?morsel () f =
-  let adapt0 = Engine.adapt_enabled () in
+(* every test restores the ambient engine configuration. Checked runs
+   commit no counters — their per-group replay would double-count the
+   genuine run's probes — so every test here runs unchecked, also in the
+   WDPT_ENGINE_CHECKED=1 leg. Adaptation is always on: a static baseline
+   is a plan compiled before any run, or one compiled on a Database.copy,
+   whose store has learned no calibration. *)
+let with_config ?threshold ?min_probed ?morsel () f =
   let thr0 = Engine.drift_threshold () in
   let mp0 = Engine.drift_min_probed () in
   let morsel0 = Engine.morsel_rows () in
   let checked0 = Engine.checked_enabled () in
   Engine.set_checked false;
-  Option.iter Engine.set_adapt adapt;
   Option.iter Engine.set_drift_threshold threshold;
   Option.iter Engine.set_drift_min_probed min_probed;
   Option.iter Engine.set_morsel_rows morsel;
   Fun.protect
     ~finally:(fun () ->
-      Engine.set_adapt adapt0;
       Engine.set_drift_threshold thr0;
       Engine.set_drift_min_probed mp0;
       Engine.set_morsel_rows morsel0;
@@ -77,7 +75,7 @@ let check_codes name expected ds =
 (* ---- clean genuine views ------------------------------------------------ *)
 
 let test_clean () =
-  with_config ~adapt:false () (fun () ->
+  with_config () (fun () ->
       let p = ran_plan (db_of_edges [ (1, 2); (2, 3); (3, 4) ]) [ e "x" "y"; e "y" "z" ] in
       check_codes "genuine view audits clean" [] (F.audit p);
       (* a never-run plan has no evidence and audits clean too *)
@@ -100,7 +98,7 @@ let corrupt_atom (v : I.feedback_view) i f =
 let test_e022 () =
   (* E022 needs no corruption: lower the threshold below the genuine drift
      of the skewed instance and the auditor fires on the real counters *)
-  with_config ~adapt:false ~threshold:0.5 ~min_probed:1 ()
+  with_config ~threshold:0.5 ~min_probed:1 ()
     (fun () ->
       let p = ran_plan (skew_db ()) skew_atoms in
       match F.audit p with
@@ -123,7 +121,7 @@ let test_e022 () =
       | ds -> Alcotest.failf "expected one E022, got: %s" (String.concat "," (codes ds)))
 
 let test_e023 () =
-  with_config ~adapt:false () (fun () ->
+  with_config () (fun () ->
       let p = ran_plan (skew_db ()) skew_atoms in
       let view = I.feedback p in
       (* negative counter *)
@@ -174,7 +172,7 @@ let test_e023 () =
       | ds -> Alcotest.failf "negative runs: got %s" (String.concat "," (codes ds))))
 
 let test_e024 () =
-  with_config ~adapt:false () (fun () ->
+  with_config () (fun () ->
       let p = ran_plan (skew_db ()) skew_atoms in
       let view = I.feedback p in
       (* a CALIBRATED view whose costing epoch predates the store version *)
@@ -196,7 +194,7 @@ let test_e024 () =
       check_codes "uncalibrated stale epoch is exempt" [] (F.audit_view uncalibrated))
 
 let test_e026 () =
-  with_config ~adapt:false () (fun () ->
+  with_config () (fun () ->
       let p = ran_plan (skew_db ()) skew_atoms in
       let view = I.feedback p in
       (* survivors far above runs x the product of stored row counts, with
@@ -222,7 +220,7 @@ let test_e026 () =
 (* ---- E025: swap certificates -------------------------------------------- *)
 
 let test_e025 () =
-  with_config ~adapt:false ~threshold:0.5 ~min_probed:1 ()
+  with_config ~threshold:0.5 ~min_probed:1 ()
     (fun () ->
       let db = skew_db () in
       let p = ran_plan db skew_atoms in
@@ -279,7 +277,7 @@ let test_morsel_grouping () =
   in
   let atoms = [ e "x" "y"; e "y" "z" ] in
   let counters morsel =
-    with_config ~adapt:false ~morsel () (fun () ->
+    with_config ~morsel () (fun () ->
         let p = ran_plan db atoms in
         Engine.iter_envs p (fun _ -> ());
         let v = I.feedback p in
@@ -304,13 +302,12 @@ let test_morsel_grouping () =
 (* ---- the adaptive cache across epochs ------------------------------------ *)
 
 let test_adapt_cache () =
-  with_config ~adapt:true ~threshold:0.5 ~min_probed:1 ()
+  with_config ~threshold:0.5 ~min_probed:1 ()
     (fun () ->
       let db = skew_db () in
       let static =
-        with_config ~adapt:false () (fun () ->
-            let p = Engine.compile db skew_atoms ~init:Mapping.empty in
-            Engine.count_envs p)
+        Engine.count_envs
+          (Engine.compile (Database.copy db) skew_atoms ~init:Mapping.empty)
       in
       (* run 1 collects the evidence and installs the calibration *)
       let p1 = ran_plan db skew_atoms in
@@ -354,7 +351,7 @@ let test_schema () =
   | Analysis.Json.Obj (("schema", Analysis.Json.Int 4) :: ("version", Analysis.Json.Int 1) :: _) -> ()
   | _ -> Alcotest.fail "diagnostic reports must lead with the schema version");
   (* the feedback view JSON is keyed for the explain --drift consumer *)
-  with_config ~adapt:false () (fun () ->
+  with_config () (fun () ->
       let p = ran_plan (skew_db ()) skew_atoms in
       match F.view_json (I.feedback p) with
       | Analysis.Json.Obj fields ->
@@ -372,7 +369,7 @@ let prop_genuine_clean =
   qtest ~count:60 "genuine feedback views audit clean"
     QCheck.(pair arbitrary_db arbitrary_cq)
     (fun (db, q) ->
-      with_config ~adapt:false () (fun () ->
+      with_config () (fun () ->
           let p = Engine.compile db (Cq.Query.body q) ~init:Mapping.empty in
           ignore (Engine.count_envs p);
           Engine.iter_envs p (fun _ -> ());
@@ -382,11 +379,10 @@ let prop_adaptive_answers =
   qtest ~count:60 "adaptive re-planning never changes answers"
     QCheck.(pair arbitrary_db arbitrary_cq)
     (fun (db, q) ->
-      (* aggressive thresholds so small random instances re-plan for real *)
-      let base =
-        with_config ~adapt:false () (fun () -> Cq.Eval.answers db q)
-      in
-      with_config ~adapt:true ~threshold:0.1 ~min_probed:1 () (fun () ->
+      (* aggressive thresholds so small random instances re-plan for real;
+         the baseline runs on a copy, whose store has learned nothing *)
+      let base = Cq.Eval.answers (Database.copy db) q in
+      with_config ~threshold:0.1 ~min_probed:1 () (fun () ->
           Mapping.Set.equal (Cq.Eval.answers db q) base
           && Mapping.Set.equal (Cq.Eval.answers db q) base))
 
