@@ -29,6 +29,11 @@
         projection onto the free variables (r_T), Algebra_eval, the three
         decision procedures of Theorems 6-9 on sampled probes, and
         Eval_projection_free on the projection-free variant of p;
+      - the full-tree CQ prepared for a random subset of its free
+        variables and bound under up to three answers restricted to it and
+        one binding that is none: every bound plan's re-derived trail
+        re-verifies (E007-E010) and it answers like Cq.Eval.Naive under
+        the same init;
       - the full-tree plan: its optimization trail re-verifies (E007-E010),
         any swap certificate cached for it re-verifies (E025), its batched
         layout audits clean (E017-E020), a count plus an enumeration stay
@@ -179,13 +184,45 @@ let check_brute fail db p q ~reference ~max_ref ~cq_ref =
    certificate, batch layout, resource envelope and the unoptimized
    original's answers, and with the drift checks drawn the feedback view and
    a drift injection. *)
-let check_plan fail ~drift db q ~cq_ref =
+let check_plan fail st ~drift db q ~cq_ref =
   let module I = Engine.Inspect in
   let fail_ds name = function [] -> () | ds -> fail (name ^ "-" ^ codes ds) in
   let atoms = Cq.Query.body q in
   let plan = Engine.compile db atoms ~init:Mapping.empty in
   fail_ds "certificate-trail"
     (Analysis.Equiv.diagnostics (Analysis.Equiv.verify_trail plan));
+  (* the CQ prepared once for a random subset of its free variables and
+     bound under up to three answers restricted to it, plus one binding
+     that is no such restriction: each bound plan's re-derived trail must
+     verify, and its answers are Naive's under the same init. An empty
+     subset binds nothing the compiled plan above did not already check. *)
+  let head = Cq.Query.head_set q in
+  let bound = List.filter (fun _ -> Random.State.bool st) (Cq.Query.head q) in
+  let prepared = Engine.prepare db atoms ~bound in
+  let values_of h = List.map (fun x -> Option.get (Mapping.find x h)) bound in
+  let inside = List.map values_of (take 3 (Mapping.Set.elements cq_ref)) in
+  let outside =
+    let drawn = List.map (fun _ -> Value.int (Random.State.int st 8)) bound in
+    if List.mem drawn (List.map values_of (Mapping.Set.elements cq_ref)) then []
+    else [ drawn ]
+  in
+  List.iter
+    (fun values ->
+      let p = Engine.bind prepared values in
+      fail_ds "bound-trail"
+        (Analysis.Equiv.diagnostics (Analysis.Equiv.verify_trail p));
+      let init = Mapping.of_list (List.combine bound values) in
+      let got = ref Mapping.Set.empty in
+      Engine.iter_envs p (fun env ->
+          let h = Mapping.restrict head (Engine.mapping_of_env p env) in
+          got := Mapping.Set.add h !got);
+      let want =
+        Mapping.Set.of_list
+          (List.map (Mapping.restrict head)
+             (Cq.Eval.Naive.homomorphisms db atoms ~init))
+      in
+      if not (Mapping.Set.equal !got want) then fail "bound-plan-vs-naive")
+    (if bound = [] then [] else inside @ outside);
   fail_ds "audit" (Analysis.Batch_audit.audit plan);
   (* any calibration the earlier runs installed must carry a certificate
      that re-verifies from the uncalibrated before-plan, compiled on a copy
@@ -214,7 +251,7 @@ let check_plan fail ~drift db q ~cq_ref =
                      Printf.sprintf "%s-%d>%d" component measured certified
                  | _ -> "E021")
                ds)));
-  (* the unoptimized original, the fallback of Analysis.Equiv.accept *)
+  (* the unoptimized original *)
   let base = I.base plan in
   let head = Cq.Query.head_set q in
   let base_ans = ref Mapping.Set.empty in
@@ -335,7 +372,7 @@ let check_instance st c ~brute ~delta p db =
           fail "cq-eval-vs-naive"
       done;
       if brute then check_brute fail db p q ~reference ~max_ref ~cq_ref;
-      check_plan fail ~drift:c.drift db q ~cq_ref;
+      check_plan fail (Random.State.copy st) ~drift:c.drift db q ~cq_ref;
       if delta then check_stream fail st ~deletes:c.deletes p db);
   List.rev !failures
 

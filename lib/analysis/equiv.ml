@@ -4,10 +4,9 @@
    before -> after slot and atom maps plus the facts justifying each rewrite)
    and this module re-derives every claim from the before/after IR views in
    O(plan). A rewrite the checker cannot justify produces an E-series
-   diagnostic (E007-E010) and the whole optimized plan is rejected:
-   [accept] then returns the unoptimized original the plan's provenance
-   still carries. Evaluation does not call this module; Engine.compile runs
-   the optimized plan as it is.
+   diagnostic (E007-E010) and the whole optimized plan is rejected.
+   Evaluation does not call this module; Engine.compile runs the optimized
+   plan as it is.
 
    The only check that needs more than the two views is a Ground_matched
    atom drop ("this all-Check atom is satisfied by stored row r"): views
@@ -495,7 +494,7 @@ let verify_step ?probe ~(before : I.view) ~(after : I.view) (c : Engine.cert)
            (check_atoms pass ~before ~after ~probe c
               (check_slots pass ~before ~after c [])))
 
-(* ---- whole-trail verification and the accept/fallback wrapper ---------- *)
+(* ---- whole-trail verification ------------------------------------------ *)
 
 type step_report = {
   sr_pass : string;
@@ -535,10 +534,6 @@ let verify_trail p =
     r_verified = List.for_all (fun s -> s.sr_diagnostics = []) steps }
 
 let diagnostics r = List.concat_map (fun s -> s.sr_diagnostics) r.r_steps
-
-let accept p =
-  let r = verify_trail p in
-  if r.r_verified then (p, r) else (I.base p, r)
 
 (* ---- rendering --------------------------------------------------------- *)
 

@@ -21,11 +21,12 @@
       surjectivity; pool, feasibility or version drift; unrecorded or bogus
       folds and drops; claimed scores that do not recompute).
 
-    [Engine.compile] runs the optimized plan without verifying it; the
-    trail is checked only where a caller asks ([explain --opt], [wdpt_fuzz],
-    the tests). {!accept} falls back to the unoptimized original on a
-    rejected trail, but no evaluation path calls it. A rejected trail is
-    always an optimizer bug, so the diagnostics are errors. *)
+    [Engine.compile] and [Engine.bind] run the optimized plan without
+    verifying it; the trail is checked only where a caller asks
+    ([explain --opt], [wdpt_fuzz], the tests). A bound plan's trail is
+    re-derived on demand and ends at the bound plan itself, so it also
+    checks [Engine.bind] against the passes. A rejected trail is always an
+    optimizer bug, so the diagnostics are errors. *)
 
 (** Verify one pass step. [probe] confirms [Ground_matched] drop claims
     against the stored relation (use
@@ -60,10 +61,6 @@ val verify_trail : Engine.t -> report
 
 (** All diagnostics of a report, in pass order. *)
 val diagnostics : report -> Diagnostic.t list
-
-(** [accept p] returns [p] itself when its trail verifies, and the
-    unoptimized original ({!Engine.Inspect.base}) otherwise. *)
-val accept : Engine.t -> Engine.t * report
 
 (** One-line summary of a certificate's effects. *)
 val cert_summary : Engine.cert -> string

@@ -359,19 +359,6 @@ let verify_swap ~(before : I.view) ~(after : I.view) (cert : Engine.swap_cert)
   end;
   List.rev !acc
 
-(* [accept_swap] returns the swapped plan only when its certificate
-   re-verifies, and otherwise the before-plan with the findings that say
-   why. The engine's adaptive loop does not go through it: [fb_commit]
-   stores its own swaps unverified, and the certificate is re-verified
-   only on demand ([verify_swap] in explain --drift, wdpt_fuzz and the
-   tests). *)
-let accept_swap ~(before : Engine.t) ~(after : Engine.t) cert =
-  match
-    verify_swap ~before:(I.plan before) ~after:(I.plan after) cert
-  with
-  | [] -> (after, [])
-  | ds -> (before, ds)
-
 (* ---- rendering (consumed by the explain CLI) ---------------------------- *)
 
 let view_json (v : I.feedback_view) =

@@ -52,16 +52,6 @@ val verify_swap :
   Engine.swap_cert ->
   Diagnostic.t list
 
-(** Returns [after] when the certificate re-verifies, otherwise [before]
-    with the E025 findings explaining the rejection. No evaluation path
-    calls it: the engine adopts its own swaps unverified, and a certificate
-    is checked only where a caller asks for it. *)
-val accept_swap :
-  before:Engine.t ->
-  after:Engine.t ->
-  Engine.swap_cert ->
-  Engine.t * Diagnostic.t list
-
 (** The estimate-vs-actual table as JSON (the [explain --drift]
     ["feedback"] key). *)
 val view_json : Engine.Inspect.feedback_view -> Json.t

@@ -14,10 +14,7 @@ let homomorphism q q' =
   in
   if not (String_set.subset (Query.head_set q) (String_set.of_list (Query.head q')))
   then None
-  else
-    match Eval.homomorphisms db (Query.body q) ~init with
-    | h :: _ -> Some h
-    | [] -> None
+  else Eval.first_homomorphism db (Query.body q) ~init
 
 let contained q q' =
   String_set.equal (Query.head_set q) (Query.head_set q')

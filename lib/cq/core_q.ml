@@ -21,15 +21,15 @@ let proper_retraction q =
         (fun f -> not (List.exists (Value.equal fv) (Fact.tuple f)))
         (Database.facts db)
     in
-    match Eval.homomorphisms (Database.of_list facts) (Query.body q) ~init with
-    | h :: _ ->
+    match Eval.first_homomorphism (Database.of_list facts) (Query.body q) ~init with
+    | Some h ->
         (* translate the frozen-constant image back into a variable map *)
         Some
           (fun x ->
             match Mapping.find x h with
             | Some value -> var_of_value value
             | None -> x)
-    | [] -> None
+    | None -> None
   in
   List.find_map avoid exi
 

@@ -355,18 +355,6 @@ type cert = {
   cert_scores : float array;   (* claimed selectivity per after-atom *)
 }
 
-(* the init-independent part of a plan, cached on the compiled database
-   keyed by the atom list — repeated evaluation of the same body under
-   different partial bindings (the shape of every loop in lib/wdpt) pays
-   for instruction selection once *)
-type core = {
-  c_vars : string Interner.t;
-  c_atoms : atom_plan array;  (* [||] when statically infeasible *)
-  c_order : int array;        (* static atom order: ground first, then
-                                 ascending selectivity score *)
-  c_feasible : bool;
-}
-
 (* Per-atom runtime cardinality counters. A [context] is one entry into an
    atom's candidate loop (one partial environment the atom was probed
    under), [probed] counts the candidate rows the loop considered, and
@@ -403,7 +391,7 @@ type t = {
   order : int array;         (* initial arrangement of [remaining] *)
   init_env : int array;      (* slot -> value id, -1 = unbound *)
   feasible : bool;           (* false: some atom can never match *)
-  init : Mapping.t;
+  init : Mapping.t Lazy.t;   (* the binding, built on demand for read-back *)
   src_atoms : Atom.t list;   (* the compiled atom list, for inspection *)
   src_db : Database.t;       (* the database the plan was compiled against *)
   compiled_at : int;         (* database version at compile time; the cdb may
@@ -416,13 +404,65 @@ type t = {
   provenance : provenance;
 }
 
-(* how the plan came to be: straight out of [compile], or rewritten by the
-   optimization pipeline. Each stage records the plan BEFORE that pass ran
-   together with the pass's certificate, so Analysis.Equiv can replay the
-   whole trail and the engine can fall back to the unoptimized original. *)
+(* how the plan came to be: unoptimized, rewritten by the optimization
+   pipeline, or bound from a prepared plan. Each stage of an [Optimized]
+   plan records the plan BEFORE that pass ran together with the pass's
+   certificate, so Analysis.Equiv can replay the whole trail. A [Bound]
+   plan carries no trail: [Inspect.trail] re-derives it on demand from the
+   prepared base and the interned binding [ids] (one id per parameter). *)
 and provenance =
   | Compiled
   | Optimized of { stages : (t * cert) list }
+  | Bound of { prep : prepared; ids : int array }
+
+(* A plan prepared for one (compiled store, atom list, bound variables): the
+   pass pipeline has run once over a base plan whose bound slots hold
+   parameter markers instead of ids ([param_id]), so the folded checks of
+   [pr_plan] name parameters. [bind] substitutes the interned values. *)
+and prepared = {
+  pr_db : Database.t;
+  pr_cdb : Db.t;
+  pr_version : int;            (* store version the pipeline ran at *)
+  pr_atoms : Atom.t list;
+  pr_bound : string list;      (* the bound variables, in [bind]'s order *)
+  pr_slots : int array;        (* per bound variable: its base slot, -1 when
+                                  no atom mentions it *)
+  pr_adapt : adapt_entry option;  (* the calibration the base applied *)
+  pr_base : t;                 (* calibrated base plan, markers in init_env *)
+  pr_plan : t;                 (* optimized plan, markers in its checks *)
+  pr_subst : int array;        (* atoms of [pr_plan] with a parameter check *)
+  pr_ground : int array;       (* of those, the all-Check atoms: matched by a
+                                  stored row or not depending on the values *)
+  pr_pairs : (int * int) array;
+      (* (j, i), j < i: atoms that are equal under some binding but not
+         under every one — their duplicate test waits for the values *)
+  pr_table : (int * string) array Lazy.t;  (* read-back table of [pr_plan] *)
+}
+
+(* the stats-epoch-keyed calibration cache, living on the compiled database
+   beside the plan cores but with a different lifetime: Db.sync discards
+   cores eagerly but leaves these entries to be epoch-evicted at lookup *)
+and adapt_entry = {
+  ad_epoch : int;          (* store version the calibration was costed at *)
+  ad_calib : float array;
+  ad_cert : swap_cert;     (* the justifying swap, re-verifiable by audit *)
+}
+
+(* certificate of one plan swap: enough to recompute the calibration and
+   the re-sorted order from the before-plan and re-verify both *)
+and swap_cert = {
+  sw_epoch : int;     (* stats epoch (store version) the swap was costed at *)
+  sw_runs : int;      (* completed runs the evidence covers *)
+  sw_drift : (int * float * float) array;
+      (* (atom, calibrated estimate, observed log10 selectivity) per
+         drifted atom — the E022-level evidence justifying the swap *)
+  sw_calib : float array;  (* full per-atom calibration after the swap *)
+}
+
+(* parameter [k] of a prepared plan, as it sits in a [Check] or an
+   [init_env] entry: below -1, so it is neither an interned id nor the
+   unbound marker *)
+let param_id k = -2 - k
 
 (* calibrated selectivity: the static score shifted by the plan's learned
    per-atom log10 adjustment. Zero on fresh plans, so every calibrated key
@@ -432,6 +472,21 @@ let calibrated_score (p : t) i = atom_score p.atoms.(i) +. calib_of p i
 
 let calibrated_key (p : t) i =
   ((if ground p.atoms.(i).a_ops then 0 else 1), calibrated_score p i)
+
+(* the init-independent part of a plan, cached on the compiled database
+   keyed by the atom list — repeated evaluation of the same body under
+   different partial bindings (the shape of every loop in lib/wdpt) pays
+   for instruction selection once, and for the pass pipeline once per set
+   of bound variables ([c_prepared]) *)
+type core = {
+  c_vars : string Interner.t;
+  c_atoms : atom_plan array;  (* [||] when statically infeasible *)
+  c_order : int array;        (* static atom order: ground first, then
+                                 ascending selectivity score *)
+  c_feasible : bool;
+  mutable c_prepared : (string list * prepared) list;
+      (* keyed by the bound variables, most recent first *)
+}
 
 type plan_tbl = {
   p_tbl : (Atom.t list, core) Hashtbl.t;
@@ -489,7 +544,11 @@ let build_core cdb atom_list =
          (fun a b -> compare (key a) (key b))
          (List.init (Array.length atoms) Fun.id))
   in
-  { c_vars = vars; c_atoms = atoms; c_order = order; c_feasible = !feasible }
+  { c_vars = vars;
+    c_atoms = atoms;
+    c_order = order;
+    c_feasible = !feasible;
+    c_prepared = [] }
 
 let core_of cdb atom_list =
   let pt =
@@ -518,48 +577,54 @@ let core_of cdb atom_list =
       pt.p_last <- Some core;
       core
 
-let compile_base db atom_list ~init =
-  let cdb = Db.of_database db in
-  let core = core_of cdb atom_list in
-  let feasible = ref core.c_feasible in
+(* The unoptimized plan of [atom_list] with the variables [bound] held as
+   parameters: the init_env entry of a bound slot is its parameter's marker
+   ([param_id]). Also returns the slot of each bound variable, -1 for a
+   variable no atom mentions (it passes through to read-back only). *)
+let param_base db cdb core atom_list bound =
   let nslots = Interner.size core.c_vars in
   let init_env = Array.make (max 1 nslots) (-1) in
-  List.iter
-    (fun (x, v) ->
-      match Interner.find core.c_vars x with
-      | None -> ()  (* bound variable not mentioned by any atom: passes through *)
-      | Some slot -> (
-          match Interner.find cdb.Db.pool v with
-          | Some id -> init_env.(slot) <- id
-          | None ->
-              (* the variable must match a database value equal to a value
-                 that occurs in no fact *)
-              feasible := false))
-    (Mapping.bindings init);
-  let atoms = if !feasible then core.c_atoms else [||] in
-  { cdb;
-    vars = core.c_vars;
-    atoms;
-    order = (if !feasible then core.c_order else [||]);
-    init_env;
-    feasible = !feasible;
-    init;
-    src_atoms = atom_list;
-    src_db = db;
-    compiled_at = cdb.Db.db_version;
-    calib = Array.make (max 1 (Array.length atoms)) 0.;
-    costed_at = cdb.Db.db_version;
-    feedback = None;
-    provenance = Compiled }
+  let slots =
+    Array.of_list
+      (List.mapi
+         (fun k x ->
+           match Interner.find core.c_vars x with
+           | None -> -1
+           | Some slot ->
+               init_env.(slot) <- param_id k;
+               slot)
+         bound)
+  in
+  let feasible = core.c_feasible in
+  let atoms = if feasible then core.c_atoms else [||] in
+  let plan =
+    { cdb;
+      vars = core.c_vars;
+      atoms;
+      order = (if feasible then core.c_order else [||]);
+      init_env;
+      feasible;
+      init = Lazy.from_val Mapping.empty;
+      src_atoms = atom_list;
+      src_db = db;
+      compiled_at = cdb.Db.db_version;
+      calib = Array.make (max 1 (Array.length atoms)) 0.;
+      costed_at = cdb.Db.db_version;
+      feedback = None;
+      provenance = Compiled }
+  in
+  (plan, slots)
 
 (* ------------------------------------------------------------------ *)
 (* Optimization passes                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Each pass maps a plan to a rewritten plan plus a certificate. Passes never
-   mutate their input (plan cores are shared through the per-atom-list cache,
-   so every changed array is freshly allocated) and each one is O(plan) —
-   compile-time work must stay flat in |D|. *)
+(* Each pass maps a plan to a rewritten plan plus a certificate, built only
+   when forced: a prepared plan keeps none, and a bound plan's trail
+   re-runs the passes on demand. Passes never mutate their input (plan
+   cores are shared through the per-atom-list cache, so every changed
+   array is freshly allocated) and each one is O(plan) — compile-time work
+   must stay flat in |D|. *)
 
 let identity_map n = Array.init n Fun.id
 
@@ -577,7 +642,8 @@ let identity_cert name (p : t) =
 (* constant folding: a slot bound by [init] always holds the same id, so a
    [Slot s] instruction on it is equivalent to [Check init_env.(s)]. Sound
    for read-back because init-bound names are never read out of the
-   environment (see [conversion_table]). *)
+   environment (see [conversion_table]). A parameter marker folds like an
+   id: the check then names the parameter, and [bind] fills in its value. *)
 let pass_fold (p : t) =
   let folds = ref [] in
   let changed = ref false in
@@ -586,7 +652,7 @@ let pass_fold (p : t) =
       (fun ap ->
         let any =
           Array.exists
-            (function Slot s -> p.init_env.(s) >= 0 | Check _ -> false)
+            (function Slot s -> p.init_env.(s) <> -1 | Check _ -> false)
             ap.a_ops
         in
         if not any then ap
@@ -595,7 +661,7 @@ let pass_fold (p : t) =
           let ops =
             Array.map
               (function
-                | Slot s when p.init_env.(s) >= 0 ->
+                | Slot s when p.init_env.(s) <> -1 ->
                     if not (List.mem_assoc s !folds) then
                       folds := (s, p.init_env.(s)) :: !folds;
                     Check p.init_env.(s)
@@ -608,8 +674,9 @@ let pass_fold (p : t) =
   in
   let p' = if !changed then { p with atoms } else p in
   let cert =
-    { (identity_cert "constant-fold" p') with
-      cert_folds = Array.of_list (List.rev !folds) }
+    lazy
+      { (identity_cert "constant-fold" p') with
+        cert_folds = Array.of_list (List.rev !folds) }
   in
   (p', cert)
 
@@ -660,16 +727,47 @@ let ground_witness_row (ap : atom_plan) =
           scan 0
   end
 
+(* [p] without the atoms marked in [dead]: survivors keep their relative
+   order and calibration, the static order is filtered. Returns the atom
+   map (old -> new, -1 dropped) too. *)
+let drop_atoms (p : t) dead =
+  let atom_map = Array.make (Array.length p.atoms) (-1) in
+  let nkept = ref 0 in
+  Array.iteri
+    (fun i d ->
+      if not d then begin
+        atom_map.(i) <- !nkept;
+        incr nkept
+      end)
+    dead;
+  let kept = Array.make !nkept 0 in
+  Array.iteri (fun i j -> if j >= 0 then kept.(j) <- i) atom_map;
+  let order = Array.make !nkept 0 and k = ref 0 in
+  Array.iter
+    (fun ai ->
+      if atom_map.(ai) >= 0 then begin
+        order.(!k) <- atom_map.(ai);
+        incr k
+      end)
+    p.order;
+  let atoms = Array.map (fun i -> p.atoms.(i)) kept in
+  let src_atoms = List.filteri (fun i _ -> not dead.(i)) p.src_atoms in
+  let calib =
+    if !nkept = 0 then [| 0. |] else Array.map (fun i -> calib_of p i) kept
+  in
+  ({ p with atoms; order; src_atoms; calib }, atom_map)
+
 (* dead-instruction elimination: an atom that exactly duplicates an earlier
    kept atom constrains nothing new; an all-Check atom satisfied by some
    stored row (the certificate names the witness row) is always satisfied.
    Unmatched ground atoms are deliberately left in place: proving emptiness
    is O(data), and the top-level choice already kills such enumerations: an
    unmatched ground atom has zero candidates, so the smallest top-level
-   candidate range is empty. *)
+   candidate range is empty. On a prepared plan, a check naming a parameter
+   has no index cell, so an atom holding one is never witnessed here, and
+   parameters only equal themselves: both tests are completed by [bind]. *)
 let pass_dead_instruction (p : t) =
   let n = Array.length p.atoms in
-  let atom_map = Array.make n (-1) in
   let drops = ref [] and kept_rev = ref [] in
   for i = 0 to n - 1 do
     let ap = p.atoms.(i) in
@@ -687,28 +785,16 @@ let pass_dead_instruction (p : t) =
         | Some row -> drops := (i, Ground_matched row) :: !drops
         | None -> kept_rev := i :: !kept_rev)
   done;
-  let kept = Array.of_list (List.rev !kept_rev) in
-  Array.iteri (fun new_i old_i -> atom_map.(old_i) <- new_i) kept;
-  if Array.length kept = n then (p, identity_cert "dead-instruction" p)
+  if !drops = [] then (p, lazy (identity_cert "dead-instruction" p))
   else begin
-    let atoms = Array.map (fun i -> p.atoms.(i)) kept in
-    let order =
-      Array.of_list
-        (List.filter_map
-           (fun ai -> if atom_map.(ai) >= 0 then Some atom_map.(ai) else None)
-           (Array.to_list p.order))
-    in
-    let src = Array.of_list p.src_atoms in
-    let src_atoms = Array.to_list (Array.map (fun i -> src.(i)) kept) in
-    let calib =
-      if Array.length kept = 0 then [| 0. |]
-      else Array.map (fun i -> calib_of p i) kept
-    in
-    let p' = { p with atoms; order; src_atoms; calib } in
+    let dead = Array.make n true in
+    List.iter (fun i -> dead.(i) <- false) !kept_rev;
+    let p', atom_map = drop_atoms p dead in
     let cert =
-      { (identity_cert "dead-instruction" p') with
-        cert_atom_map = atom_map;
-        cert_drops = Array.of_list (List.rev !drops) }
+      lazy
+        { (identity_cert "dead-instruction" p') with
+          cert_atom_map = atom_map;
+          cert_drops = Array.of_list (List.rev !drops) }
     in
     (p', cert)
   end
@@ -731,7 +817,7 @@ let pass_dead_slot (p : t) =
   for s = 0 to nv - 1 do
     if not touched.(s) then all := false
   done;
-  if !all then (p, identity_cert "dead-slot" p)
+  if !all then (p, lazy (identity_cert "dead-slot" p))
   else begin
     let vars = Interner.create ~capacity:(max 16 nv) () in
     let slot_map =
@@ -755,8 +841,7 @@ let pass_dead_slot (p : t) =
         p.atoms
     in
     let p' = { p with vars; atoms; init_env } in
-    let cert = { (identity_cert "dead-slot" p') with cert_slot_map = slot_map } in
-    (p', cert)
+    (p', lazy { (identity_cert "dead-slot" p') with cert_slot_map = slot_map })
   end
 
 (* check hoisting: stable-partition the static order so fully-ground atoms
@@ -769,7 +854,7 @@ let pass_hoist (p : t) =
   in
   let order = Array.of_list (g @ ng) in
   let p' = if order = p.order then p else { p with order } in
-  (p', { (identity_cert "check-hoist" p') with cert_reorders = true })
+  (p', lazy { (identity_cert "check-hoist" p') with cert_reorders = true })
 
 (* selectivity-aware reordering: re-establish the full static-order invariant
    (ground first, ascending calibrated selectivity) that constant folding
@@ -785,26 +870,35 @@ let pass_reorder (p : t) =
          (Array.to_list p.order))
   in
   let p' = if order = p.order then p else { p with order } in
-  (p', { (identity_cert "selectivity-reorder" p') with cert_reorders = true })
+  ( p',
+    lazy { (identity_cert "selectivity-reorder" p') with cert_reorders = true }
+  )
+
+(* the five passes over a feasible plan: the optimized plan, and per pass
+   the plan before it with its certificate, built only when forced *)
+let run_passes p =
+  let stages = ref [] in
+  let step pass q =
+    let q', cert = pass q in
+    stages := (q, cert) :: !stages;
+    q'
+  in
+  let q = step pass_fold p in
+  let q = step pass_dead_instruction q in
+  let q = step pass_dead_slot q in
+  let q = step pass_hoist q in
+  let q = step pass_reorder q in
+  (q, List.rev !stages)
 
 let optimize p =
   match p.provenance with
-  | Optimized _ -> p
+  | Optimized _ | Bound _ -> p
   | Compiled ->
       if not p.feasible then p
       else begin
-        let stages = ref [] in
-        let step pass q =
-          let q', cert = pass q in
-          stages := (q, cert) :: !stages;
-          q'
-        in
-        let q = step pass_fold p in
-        let q = step pass_dead_instruction q in
-        let q = step pass_dead_slot q in
-        let q = step pass_hoist q in
-        let q = step pass_reorder q in
-        { q with provenance = Optimized { stages = List.rev !stages } }
+        let q, stages = run_passes p in
+        let stages = List.map (fun (q, cert) -> (q, Lazy.force cert)) stages in
+        { q with provenance = Optimized { stages } }
       end
 
 (* ------------------------------------------------------------------ *)
@@ -829,17 +923,6 @@ let drift_threshold () = Atomic.get drift_threshold_flag
 let drift_min_probed_flag = Atomic.make 64
 let set_drift_min_probed n = Atomic.set drift_min_probed_flag (max 1 n)
 let drift_min_probed () = Atomic.get drift_min_probed_flag
-
-(* certificate of one plan swap: enough to recompute the calibration and
-   the re-sorted order from the before-plan and re-verify both *)
-type swap_cert = {
-  sw_epoch : int;     (* stats epoch (store version) the swap was costed at *)
-  sw_runs : int;      (* completed runs the evidence covers *)
-  sw_drift : (int * float * float) array;
-      (* (atom, calibrated estimate, observed log10 selectivity) per
-         drifted atom — the E022-level evidence justifying the swap *)
-  sw_calib : float array;  (* full per-atom calibration after the swap *)
-}
 
 (* [replan p]: inspect the accumulated counters; on E022-level drift return
    the re-calibrated plan and its certificate. The drift baseline is the
@@ -895,15 +978,6 @@ let replan (p : t) =
             Some (p', cert)
       end
 
-(* the stats-epoch-keyed calibration cache, living on the compiled database
-   beside the plan cores but with a different lifetime: Db.sync discards
-   cores eagerly but leaves these entries to be epoch-evicted at lookup *)
-type adapt_entry = {
-  ad_epoch : int;          (* store version the calibration was costed at *)
-  ad_calib : float array;
-  ad_cert : swap_cert;     (* the justifying swap, re-verifiable by audit *)
-}
-
 type Db.adapt_store += Adapts of (Atom.t list, adapt_entry) Hashtbl.t
 
 let adapt_tbl (cdb : Db.t) =
@@ -922,19 +996,22 @@ let store_adapt (p : t) cert =
 
 (* a store that never learned a calibration has no table: the lookup
    neither allocates one nor hashes the atom list *)
-let find_adapt (p : t) =
-  match p.cdb.Db.adapts with
-  | Adapts t when Hashtbl.length t > 0 -> Hashtbl.find_opt t p.src_atoms
+let find_adapt_of (cdb : Db.t) atom_list =
+  match cdb.Db.adapts with
+  | Adapts t when Hashtbl.length t > 0 -> Hashtbl.find_opt t atom_list
   | _ -> None
+
+let find_adapt (p : t) = find_adapt_of p.cdb p.src_atoms
 
 let cached_swap (p : t) = Option.map (fun e -> e.ad_cert) (find_adapt p)
 
-(* apply a cached calibration to a freshly compiled plan. An entry learned
-   under an older stats epoch than the store now carries is stale (the
-   E024 shape): it is evicted and the plan compiles uncalibrated. *)
+(* apply a cached calibration to a freshly compiled plan, returning the
+   entry applied. An entry learned under an older stats epoch than the
+   store now carries is stale (the E024 shape): it is evicted and the plan
+   compiles uncalibrated. *)
 let apply_adapt (p : t) =
   match find_adapt p with
-  | None -> p
+  | None -> (p, None)
   | Some e ->
       if
         e.ad_epoch <> p.cdb.Db.db_version
@@ -942,7 +1019,7 @@ let apply_adapt (p : t) =
         || not p.feasible
       then begin
         Hashtbl.remove (adapt_tbl p.cdb) p.src_atoms;
-        p
+        (p, None)
       end
       else begin
         let p1 = { p with calib = e.ad_calib; costed_at = e.ad_epoch } in
@@ -953,11 +1030,218 @@ let apply_adapt (p : t) =
                (fun a b -> compare (key a) (key b))
                (Array.to_list p1.order))
         in
-        { p1 with order }
+        ({ p1 with order }, Some e)
       end
 
+(* ------------------------------------------------------------------ *)
+(* Prepared plans: the pass pipeline once, bound per call                *)
+(* ------------------------------------------------------------------ *)
+
+(* read-back table: the slots to decode and the variable names they decode
+   to (names [init] binds are never overwritten) *)
+let read_back vars init =
+  let out = ref [] in
+  Interner.iter
+    (fun slot x -> if not (Mapping.mem x init) then out := (slot, x) :: !out)
+    vars;
+  Array.of_list !out
+
+let is_param = function Check id -> id < -1 | Slot _ -> false
+
+(* from position [pos] on, [ops] and [ops'] are equal under some binding
+   of the parameters (every position equal, or two checks of which one
+   names a parameter), and under not every one when [differ] or some such
+   check pair follows *)
+let rec collides ops ops' pos differ =
+  if pos = Array.length ops then differ
+  else
+    match (ops.(pos), ops'.(pos)) with
+    | Check x, Check y when x = y -> collides ops ops' (pos + 1) differ
+    | Check x, Check y when x < -1 || y < -1 -> collides ops ops' (pos + 1) true
+    | Slot s, Slot s' when s = s' -> collides ops ops' (pos + 1) differ
+    | _ -> false
+
+(* [a] and [b] are equal under some binding of the parameters but not under
+   every one *)
+let may_collide a b =
+  a.a_rel == b.a_rel
+  && Array.length a.a_ops = Array.length b.a_ops
+  && collides a.a_ops b.a_ops 0 false
+
+(* Everything the passes decide from the set of bound variables is fixed
+   here: fold positions, the (ground, selectivity) keys and with them the
+   static and hoisted order, dead slots, value-independent duplicates and
+   stored-row witnesses of constant-only ground atoms, and the read-back
+   table. What the values decide is left to [bind], in O(plan). *)
+let build_prepared db cdb core atom_list bound =
+  let base, slots = param_base db cdb core atom_list bound in
+  let base, adapt = apply_adapt base in
+  (* certificates are left unforced: a bound plan re-derives its trail *)
+  let plan = if base.feasible then fst (run_passes base) else base in
+  let n = Array.length plan.atoms in
+  let with_param =
+    Array.map (fun ap -> Array.exists is_param ap.a_ops) plan.atoms
+  in
+  let subst = ref [] and pairs = ref [] in
+  for i = n - 1 downto 0 do
+    if with_param.(i) then subst := i :: !subst;
+    for j = i - 1 downto 0 do
+      if
+        (with_param.(i) || with_param.(j))
+        && may_collide plan.atoms.(j) plan.atoms.(i)
+      then pairs := (j, i) :: !pairs
+    done
+  done;
+  let subst = !subst in
+  { pr_db = db;
+    pr_cdb = cdb;
+    pr_version = cdb.Db.db_version;
+    pr_atoms = atom_list;
+    pr_bound = bound;
+    pr_slots = slots;
+    pr_adapt = adapt;
+    pr_base = base;
+    pr_plan = plan;
+    pr_subst = Array.of_list subst;
+    pr_ground =
+      Array.of_list (List.filter (fun i -> ground plan.atoms.(i).a_ops) subst);
+    pr_pairs = Array.of_list !pairs;
+    pr_table = lazy (read_back plan.vars Mapping.empty) }
+
+let same_adapt a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> x == y
+  | _ -> false
+
+(* One prepared plan per (compiled store, atom list, bound variables),
+   cached on the atom list's core: [Db.sync] drops it with the cores, and
+   an entry whose calibration is no longer the store's current one is
+   prepared again. *)
+let prepare db atom_list ~bound =
+  let cdb = Db.of_database db in
+  let core = core_of cdb atom_list in
+  let adapt = find_adapt_of cdb atom_list in
+  match List.assoc_opt bound core.c_prepared with
+  | Some pr when same_adapt pr.pr_adapt adapt -> pr
+  | _ ->
+      let pr = build_prepared db cdb core atom_list bound in
+      let others = List.filter (fun (b, _) -> b <> bound) core.c_prepared in
+      (* one entry per distinct set of bound variables; a dumb reset bounds
+         the list like the core table *)
+      core.c_prepared <-
+        (bound, pr) :: (if List.length others >= 32 then [] else others);
+      pr
+
+(* [pr] itself while its store is unchanged and its calibration current,
+   else its replacement *)
+let current pr =
+  let cdb = Db.of_database pr.pr_db in
+  if
+    cdb == pr.pr_cdb
+    && cdb.Db.db_version = pr.pr_version
+    && same_adapt pr.pr_adapt (find_adapt_of cdb pr.pr_atoms)
+  then pr
+  else prepare pr.pr_db pr.pr_atoms ~bound:pr.pr_bound
+
+(* the base plan under binding [ids] (one id per parameter): parameter
+   markers become ids *)
+let instantiate pr ids init =
+  { pr.pr_base with
+    init_env =
+      Array.map (fun v -> if v < -1 then ids.(-2 - v) else v) pr.pr_base.init_env;
+    init }
+
+(* The value-dependent part of the pipeline, O(plan): substitute the ids
+   into the parameter checks, then drop what only the values decide, in
+   the order dead-instruction elimination would (an atom equal to an
+   earlier kept one, or an all-Check atom some stored row matches). A value
+   missing from the pool makes the plan infeasible, as at compile time.
+   No certificate is built: [Inspect.trail] re-derives the trail. *)
+let bind_with pr values init =
+  let nb = Array.length pr.pr_slots in
+  let ids = Array.make nb (-1) in
+  let missing = ref false in
+  let rec fill k = function
+    | [] -> if k <> nb then invalid_arg "Engine.bind: too few values"
+    | v :: rest ->
+        if k >= nb then invalid_arg "Engine.bind: too many values";
+        (if pr.pr_slots.(k) >= 0 then
+           match Interner.find pr.pr_cdb.Db.pool v with
+           | Some id -> ids.(k) <- id
+           | None -> missing := true);
+        fill (k + 1) rest
+  in
+  fill 0 values;
+  let s = pr.pr_plan in
+  if !missing || not s.feasible then
+    { (instantiate pr ids init) with
+      atoms = [||];
+      order = [||];
+      feasible = false;
+      calib = [| 0. |];
+      costed_at = s.compiled_at }
+  else begin
+    let atoms =
+      if Array.length pr.pr_subst = 0 then s.atoms
+      else begin
+        let atoms = Array.copy s.atoms in
+        let subst = function
+          | Check id when id < -1 -> Check ids.(-2 - id)
+          | op -> op
+        in
+        Array.iter
+          (fun i ->
+            let ap = atoms.(i) in
+            atoms.(i) <- { ap with a_ops = Array.map subst ap.a_ops })
+          pr.pr_subst;
+        atoms
+      end
+    in
+    let p =
+      { s with
+        atoms;
+        init;
+        feedback = None;
+        provenance = Bound { prep = pr; ids } }
+    in
+    if Array.length pr.pr_ground = 0 && Array.length pr.pr_pairs = 0 then p
+    else begin
+      let n = Array.length atoms in
+      let dead = Array.make n false in
+      for i = 0 to n - 1 do
+        (* with the values in, no check names a parameter: [collides]
+           from [differ = true] is plain equality *)
+        let dup =
+          Array.exists
+            (fun (j, i') ->
+              i' = i
+              && (not dead.(j))
+              && collides atoms.(j).a_ops atoms.(i).a_ops 0 true)
+            pr.pr_pairs
+        in
+        if
+          dup
+          || Array.mem i pr.pr_ground
+             && Option.is_some (ground_witness_row atoms.(i))
+        then dead.(i) <- true
+      done;
+      if Array.exists Fun.id dead then fst (drop_atoms p dead) else p
+    end
+  end
+
+let bind pr values =
+  let pr = current pr in
+  bind_with pr values
+    (lazy
+      (List.fold_left2
+         (fun m x v -> Mapping.add x v m)
+         Mapping.empty pr.pr_bound values))
+
 let compile db atom_list ~init =
-  compile_base db atom_list ~init |> apply_adapt |> optimize
+  let bindings = Mapping.bindings init in
+  let pr = prepare db atom_list ~bound:(List.map fst bindings) in
+  bind_with pr (List.map snd bindings) (Lazy.from_val init)
 
 let slot_count p = Interner.size p.vars
 let value_of p id = Interner.get p.cdb.Db.pool id
@@ -2486,28 +2770,41 @@ module Inspect = struct
           b_rows = fc.fc_count;
           b_groups = (fc.fc_count + m - 1) / m }
 
+  (* the pass stages behind [p]. A bound plan re-derives them on demand:
+     the five passes run over its prepared base under its binding, and the
+     trail still ends at [p] itself, so verifying it checks [bind]'s
+     shortcut against the passes *)
+  let stages (p : t) =
+    match p.provenance with
+    | Compiled -> []
+    | Optimized { stages } -> stages
+    | Bound { prep; ids } -> (
+        match (optimize (instantiate prep ids p.init)).provenance with
+        | Optimized { stages } -> stages
+        | Compiled | Bound _ -> [])
+
   (* the optimization trail: (view of the plan before each pass, certificate)
      per stage, plus the final view — everything Analysis.Equiv needs *)
   let trail (p : t) =
-    match p.provenance with
-    | Compiled -> ([], plan p)
-    | Optimized { stages } ->
-        (List.map (fun (q, c) -> (plan q, c)) stages, plan p)
+    (List.map (fun (q, c) -> (plan q, c)) (stages p), plan p)
 
   (* the plans before each pass, aligned with [trail]'s stages; used to
      build probes for ground-drop justifications *)
-  let stage_plans (p : t) =
-    match p.provenance with
-    | Compiled -> []
-    | Optimized { stages } -> List.map fst stages
+  let stage_plans (p : t) = List.map fst (stages p)
 
-  (* the unoptimized original: what the engine falls back to when a
-     certificate fails verification *)
+  (* the unoptimized original, the reference optimized plans are tested
+     against *)
   let base (p : t) =
     match p.provenance with
     | Compiled -> p
     | Optimized { stages } -> (
         match stages with (q, _) :: _ -> q | [] -> p)
+    | Bound { prep; ids } -> instantiate prep ids p.init
+
+  let prepared (p : t) =
+    match p.provenance with
+    | Bound { prep; _ } -> Some prep
+    | Compiled | Optimized _ -> None
 
   (* [row_matches p ~atom ~row]: the stored tuple [row] of [atom]'s relation
      satisfies the atom's (all-Check) instructions. O(arity); false for any
@@ -2538,17 +2835,15 @@ end
 (* Boundary conversions and the public evaluator API                    *)
 (* ------------------------------------------------------------------ *)
 
-(* conversion table computed once per plan: the slots to read back and the
-   variable names they decode to (init-bound names are never overwritten) *)
+(* conversion table: the slots to read back and the variable names they
+   decode to, fixed at prepare time for a bound plan *)
 let conversion_table p =
-  let out = ref [] in
-  Interner.iter
-    (fun slot x -> if not (Mapping.mem x p.init) then out := (slot, x) :: !out)
-    p.vars;
-  Array.of_list !out
+  match p.provenance with
+  | Bound { prep; _ } -> Lazy.force prep.pr_table
+  | Compiled | Optimized _ -> read_back p.vars (Lazy.force p.init)
 
 let mapping_of_env_with p table env =
-  let m = ref p.init in
+  let m = ref (Lazy.force p.init) in
   Array.iter
     (fun (slot, x) ->
       if env.(slot) >= 0 then m := Mapping.add x (value_of p env.(slot)) !m)
@@ -2594,7 +2889,7 @@ let projection_frame p onto =
       (fun acc x ->
         if List.mem_assoc x slotted then acc
         else
-          match Mapping.find x p.init with
+          match Mapping.find x (Lazy.force p.init) with
           | Some v -> Mapping.add x v acc
           | None -> acc)
       Mapping.empty onto

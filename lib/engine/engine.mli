@@ -15,8 +15,10 @@
     holds exactly the live facts, with exact row and distinct counts; its
     row order is first insertion, except that a fact removed in one window
     and re-added in a later one sits at the end. Plan cores (instruction
-    selection, slot assignment) are additionally cached per atom list, so
-    re-evaluating one body under many [~init] bindings compiles once.
+    selection, slot assignment) are additionally cached per atom list, and
+    prepared plans ({!prepare}) per atom list and set of bound variables,
+    so re-evaluating one body under many [~init] bindings compiles and
+    optimizes once and only binds per call.
 
     Every primitive runs sequentially on the calling domain: enumeration,
     counting, first-match and {!Rel.semijoin} alike.
@@ -37,13 +39,42 @@ type op =
   | Check of int
   | Slot of int
 
-(** [compile db atoms ~init] builds a plan for the homomorphisms of [atoms]
-    into [db] extending [init] in one path: the base plan, then any
-    calibration the adaptive loop learned for [atoms] on [db]'s store
-    (below), then the optimization pass pipeline ({!optimize}); every pass
-    records a certificate in the plan's provenance ({!Inspect.trail}).
-    Neither step has a switch: both only reorder or prune the plan, never
-    change its answer set. *)
+(** A plan prepared for one compiled store, atom list and set of bound
+    variables, waiting for their values. *)
+type prepared
+
+(** [prepare db atoms ~bound] runs the plan pipeline once for the
+    homomorphisms of [atoms] into [db] that extend some binding of the
+    (distinct) variables [bound]: the base plan, then any calibration the
+    adaptive loop learned for [atoms] on [db]'s store (below), then the
+    optimization pass pipeline ({!optimize}) over a base whose bound slots
+    hold parameters instead of values. Neither step has a switch: both
+    only reorder or prune the plan, never change its answer set.
+    Everything the passes decide from the set of bound variables alone is
+    fixed here: fold positions, the (ground, selectivity) keys, the static
+    and hoisted order, dead slots and the read-back table.
+
+    The result is cached beside the plan core of [atoms] on [db]'s compiled
+    store, keyed by [bound] as given. [Database.add] / [Database.remove]
+    drop it with the cores at the next sync, and a cached entry whose
+    applied calibration is no longer the store's current one is prepared
+    again, so a later [prepare] is never served stale. *)
+val prepare : Database.t -> Atom.t list -> bound:string list -> prepared
+
+(** [bind pr values] is the plan of [pr] under [bound] = [values] (same
+    order and length, else [Invalid_argument]), in O(plan): the interned
+    values fill the parameter checks, and what only the values decide is
+    done here: an all-[Check] atom a stored row matches is dropped, so is
+    an atom that equals an earlier one only once the values are in, and a
+    value the store never interned makes the plan infeasible. No
+    certificate is allocated; {!Inspect.trail} re-derives one on demand.
+    [bind] first re-prepares when [pr]'s store has synced changes or its
+    calibration was replaced since. Each bound plan accumulates its own
+    feedback counters. *)
+val bind : prepared -> Value.t list -> t
+
+(** [compile db atoms ~init] is [prepare db atoms ~bound |> bind] with
+    [bound] and the values taken from [init]: the one compile path. *)
 val compile : Database.t -> Atom.t list -> init:Mapping.t -> t
 
 (** {2 Selectivity scoring}
@@ -73,11 +104,12 @@ val order_key : rows:int -> dcounts:int array -> op array -> int * float
     (untouched slots dropped, survivors renumbered), [check-hoist] (ground
     atoms stable-partitioned to the front of the static order) and
     [selectivity-reorder] (full static-order invariant re-established).
-    Every pass emits a {!cert}. [compile] runs the optimized plan without
-    verifying it; [Analysis.Equiv.verify_trail] re-verifies the whole trail
-    in O(plan) on demand ([explain --opt], [wdpt_fuzz] on every instance,
-    the test suite), and [Analysis.Equiv.accept] returns {!Inspect.base},
-    the unoptimized original, when a certificate fails. *)
+    Every pass emits a {!cert}, built only when it is asked for. The
+    pipeline runs in {!prepare}, once per prepared plan, which keeps no
+    certificate; [compile] and {!bind} run the optimized plan without
+    verifying it, and [Analysis.Equiv.verify_trail] re-verifies the whole
+    trail of a bound plan in O(plan) on demand ([explain --opt],
+    [wdpt_fuzz] on every instance, the test suite). *)
 
 (** Why a pass dropped an atom: exact duplicate of a kept before-atom, or an
     all-[Check] atom satisfied by the named stored row. *)
@@ -98,9 +130,9 @@ type cert = {
   cert_scores : float array;
 }
 
-(** Run the pass pipeline on a plan (no-op on infeasible or already-optimized
-    plans). [compile] always applies it; it is exposed so benches can time
-    the pipeline in isolation on {!Inspect.base}. *)
+(** Run the pass pipeline on a plan (no-op on infeasible, already-optimized
+    or bound plans). {!prepare} always applies it; it is exposed so benches
+    can time the pipeline in isolation on {!Inspect.base}. *)
 val optimize : t -> t
 
 (** {2 Verified adaptive re-planning}
@@ -450,18 +482,27 @@ module Inspect : sig
   val batch : t -> batch_view
 
   (** The optimization trail: one [(view of the plan before the pass,
-      certificate)] pair per pass, plus the final view. [([], plan p)] for
-      unoptimized plans. *)
+      certificate)] pair per pass, plus the final view of the plan itself.
+      [([], plan p)] for unoptimized plans. A bound plan carries no
+      certificates: its trail is built on demand by running the five
+      passes over its prepared base under its binding ({!base}), and ends
+      at the bound plan, so a verified trail also checks that {!bind}
+      produced what the passes produce. *)
   val trail : t -> (view * cert) list * view
 
   (** The plans before each pass, aligned with [trail]'s stage list (for
       building {!row_matches} probes per stage). *)
   val stage_plans : t -> t list
 
-  (** The unoptimized original of an optimized plan (itself otherwise):
-      what [Analysis.Equiv.accept] falls back to when the trail does not
-      verify, and the reference the optimized plan is tested against. *)
+  (** The unoptimized original of an optimized plan (itself otherwise),
+      with the calibration it was prepared under: the reference the
+      optimized plan is tested against. *)
   val base : t -> t
+
+  (** The prepared plan a plan was bound from ([None] for an infeasible
+      binding, whose plan is unoptimized): every bind of one prepared plan
+      returns it, and shares its one run of the pass pipeline. *)
+  val prepared : t -> prepared option
 
   (** [row_matches p ~atom ~row]: stored tuple [row] of [atom]'s relation
       satisfies the atom's instructions, which must be all-[Check]. O(arity),

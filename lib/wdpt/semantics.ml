@@ -21,6 +21,11 @@ open Relational
    and streamed, never materialised, so a consumer that stops early (paging)
    stops the enumeration.
 
+   Each node's CQ is prepared once per extender and set of bound variables
+   (Engine.prepare), and every miss binds it straight from the key's values
+   and reads the deltas off the engine's slots: no init mapping is built and
+   nothing is optimized per key.
+
    The memo lives as long as the extender value: one enumeration, or one
    [Standing] refresh (built after the
    batch is applied; the database must not change while it is in use). It
@@ -46,6 +51,8 @@ type node = {
   vars : string list;         (* node variables, sorted *)
   kids : int list;
   memo : (string * Value.t) list list Key.t;  (* unused at the root *)
+  mutable plans : (string list * Engine.prepared) list;
+      (* the node CQ prepared once per set of bound variables *)
 }
 
 let extender db p =
@@ -54,7 +61,31 @@ let extender db p =
         { atoms = Pattern_tree.atoms p n;
           vars = String_set.elements (Pattern_tree.node_vars p n);
           kids = Pattern_tree.children p n;
-          memo = Key.create 16 })
+          memo = Key.create 16;
+          plans = [] })
+  in
+  (* the node CQ's homomorphisms extending [bound] = [values], each given
+     to [k] as its bindings of [fresh] (the unbound node variables, in
+     order), read straight off the engine's slots *)
+  let solve node bound values fresh k =
+    let prep =
+      match List.assoc_opt bound node.plans with
+      | Some prep -> prep
+      | None ->
+          let prep = Engine.prepare db node.atoms ~bound in
+          node.plans <- (bound, prep) :: node.plans;
+          prep
+    in
+    let plan = Engine.bind prep values in
+    (* an unbound node variable has a slot in every plan that can match *)
+    let slots =
+      lazy (List.map (fun x -> (x, Option.get (Engine.slot_of plan x))) fresh)
+    in
+    Engine.iter_envs plan (fun env ->
+        k
+          (List.map
+             (fun (x, s) -> (x, Engine.value_of plan env.(s)))
+             (Lazy.force slots)))
   in
   (* the shared CQ homomorphisms of non-root [node] under incoming [h] *)
   let deltas node h =
@@ -62,11 +93,16 @@ let extender db p =
     match Key.find_opt node.memo key with
     | Some ds -> ds
     | None ->
-        let fresh = List.filter (fun x -> not (Mapping.mem x h)) node.vars in
+        let bound, values, fresh =
+          List.fold_right2
+            (fun x o (bound, values, fresh) ->
+              match o with
+              | Some v -> (x :: bound, v :: values, fresh)
+              | None -> (bound, values, x :: fresh))
+            node.vars key ([], [], [])
+        in
         let out = ref [] in
-        Cq.Eval.iter_homomorphisms db node.atoms
-          ~init:(Mapping.restrict_list node.vars h) (fun g ->
-            out := List.map (fun x -> (x, Option.get (Mapping.find x g))) fresh :: !out);
+        solve node bound values fresh (fun d -> out := d :: !out);
         let ds = List.rev !out in
         Key.add node.memo key ds;
         ds
@@ -88,7 +124,10 @@ let extender db p =
   in
   let root = nodes.(Pattern_tree.root p) in
   fun ~init yield ->
-    Cq.Eval.iter_homomorphisms db root.atoms ~init (fun g -> branches g root.kids yield)
+    let bound, values = List.split (Mapping.bindings init) in
+    let fresh = List.filter (fun x -> not (Mapping.mem x init)) root.vars in
+    solve root bound values fresh (fun d ->
+        branches (extend init d) root.kids yield)
 
 let iter_maximal_homomorphisms db p yield = extender db p ~init:Mapping.empty yield
 

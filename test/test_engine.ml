@@ -605,6 +605,190 @@ let prop_incremental_equals_rebuild =
       Mapping.Set.equal incremental rebuilt
       && Mapping.Set.equal incremental recleared)
 
+(* ---- prepared plans ----------------------------------------------------- *)
+
+module I = Engine.Inspect
+
+let bound_answers p =
+  let out = ref [] in
+  Engine.iter_envs p (fun env -> out := Engine.mapping_of_env p env :: !out);
+  List.rev !out
+
+let same_prep a b =
+  match (I.prepared a, I.prepared b) with
+  | Some x, Some y -> x == y
+  | _ -> false
+
+(* what every bound plan must satisfy: the answers of Naive under the same
+   binding, the enumeration order of the five passes run on its base, and a
+   re-derived trail that verifies and ends at the plan itself *)
+let bind_ok db body bound pr values =
+  let p = Engine.bind pr values in
+  let init = Mapping.of_list (List.combine bound values) in
+  let got = bound_answers p in
+  Mapping.Set.equal (Mapping.Set.of_list got)
+    (Mapping.Set.of_list (Cq.Eval.Naive.homomorphisms db body ~init))
+  && List.equal Mapping.equal got
+       (bound_answers (Engine.optimize (I.base p)))
+  && (Analysis.Equiv.verify_trail p).Analysis.Equiv.r_verified
+
+(* one prepared plan per random bound subset (a variable no atom mentions
+   included), bound to restrictions of answers and to values from 0..8,
+   of which 6..8 occur in no store gen_db builds *)
+let prop_bind_agrees =
+  qtest ~count:300 "bind of one prepared plan = naive evaluation under init"
+    (QCheck.triple arbitrary_cq arbitrary_db QCheck.small_nat)
+    (fun (q, db, seed) ->
+      let st = Random.State.make [| seed |] in
+      let body = Cq.Query.body q in
+      let vars = String_set.elements (Cq.Query.vars q) @ [ "unused" ] in
+      let bound = List.filter (fun _ -> Random.State.bool st) vars in
+      let pr = Engine.prepare db body ~bound in
+      let of_answer h =
+        List.map
+          (fun x -> Option.value ~default:(Value.int 0) (Mapping.find x h))
+          bound
+      in
+      let answers =
+        List.filteri (fun i _ -> i < 3)
+          (Cq.Eval.Naive.homomorphisms db body ~init:Mapping.empty)
+      in
+      let drawn () =
+        List.map (fun _ -> Value.int (Random.State.int st 9)) bound
+      in
+      List.for_all (bind_ok db body bound pr)
+        (List.map of_answer answers @ List.init 3 (fun _ -> drawn ())))
+
+let test_bind_edge_cases () =
+  let db = db_of_edges [ (1, 2); (2, 3); (3, 4) ] in
+  Database.add db (Fact.make "U" [ Value.int 1 ]);
+  let count p = List.length (bound_answers p) in
+  let atoms_of p = Array.length (I.plan p).I.i_atoms in
+  let check_case name body bound values ~atoms ~answers =
+    let pr = Engine.prepare db body ~bound in
+    let p = Engine.bind pr (List.map Value.int values) in
+    check_int (name ^ ": atoms left") atoms (atoms_of p);
+    check_int (name ^ ": answers") answers (count p);
+    check_bool (name ^ ": agrees with naive") true
+      (bind_ok db body bound pr (List.map Value.int values))
+  in
+  (* a binding that makes U(?x) ground: matched it is dropped, unmatched it
+     stays and kills the enumeration *)
+  let ux = [ e "x" "y"; atom "U" [ v "x" ] ] in
+  check_case "ground and matched" ux [ "x" ] [ 1 ] ~atoms:1 ~answers:1;
+  check_case "ground and unmatched" ux [ "x" ] [ 2 ] ~atoms:2 ~answers:0;
+  (* two variables bound to one value: E(1,?y) twice collapses to one *)
+  let xz = [ e "x" "y"; e "z" "y" ] in
+  check_case "collision" xz [ "x"; "z" ] [ 1; 1 ] ~atoms:1 ~answers:1;
+  check_case "no collision" xz [ "x"; "z" ] [ 1; 2 ] ~atoms:2 ~answers:0;
+  (* a value the store never interned: infeasible, unoptimized, empty *)
+  let pr = Engine.prepare db ux ~bound:[ "x" ] in
+  let p = Engine.bind pr [ Value.int 99 ] in
+  check_bool "missing value: infeasible" false (I.plan p).I.i_feasible;
+  check_int "missing value: no answers" 0 (count p);
+  check_bool "missing value: no prepared plan behind it" true
+    (I.prepared p = None);
+  (* a bound variable no atom mentions passes through to every answer,
+     even with a value the store never interned *)
+  let pr = Engine.prepare db [ e "x" "y" ] ~bound:[ "w" ] in
+  let p = Engine.bind pr [ Value.str "elsewhere" ] in
+  check_int "unmentioned variable: all edges" 3 (count p);
+  check_bool "unmentioned variable: bound in every answer" true
+    (List.for_all
+       (fun h -> Mapping.find "w" h = Some (Value.str "elsewhere"))
+       (bound_answers p));
+  Alcotest.check_raises "too many values"
+    (Invalid_argument "Engine.bind: too many values") (fun () ->
+      ignore (Engine.bind pr [ Value.int 1; Value.int 2 ]))
+
+let test_binds_share_pipeline () =
+  let db = db_of_edges [ (1, 2); (2, 3); (3, 4) ] in
+  let body = [ e "x" "y"; e "y" "z" ] in
+  let pr = Engine.prepare db body ~bound:[ "x" ] in
+  let p1 = Engine.bind pr [ Value.int 1 ] in
+  let p2 = Engine.bind pr [ Value.int 2 ] in
+  check_bool "two binds, one prepared plan" true (same_prep p1 p2);
+  check_bool "prepare is served from the cache" true
+    (Engine.prepare db body ~bound:[ "x" ] == pr);
+  let p3 = Engine.compile db body ~init:(mapping [ ("x", 3) ]) in
+  check_bool "compile binds the cached prepared plan" true (same_prep p1 p3);
+  (* other bound variables, another pipeline run *)
+  let p4 = Engine.compile db body ~init:(mapping [ ("y", 2) ]) in
+  check_bool "another bound set, another prepared plan" false (same_prep p1 p4);
+  (* the binds keep their own feedback counters (checked runs commit none) *)
+  with_checked false (fun () -> ignore (Engine.count_envs p1));
+  check_int "p1 ran once" 1 (I.feedback p1).I.f_runs;
+  check_int "p2 never ran" 0 (I.feedback p2).I.f_runs
+
+(* after a write or a stored calibration, prepare builds afresh, and a bind
+   of the old prepared plan is served the new one *)
+let test_prepare_not_stale () =
+  let db = db_of_edges [ (1, 2); (2, 3); (3, 4) ] in
+  let body = [ e "x" "y"; e "y" "z" ] in
+  let clean name p =
+    Alcotest.(check (list string)) (name ^ ": audits clean") []
+      (List.map (fun d -> D.code_id d.D.code) (Analysis.Plan_audit.audit p))
+  in
+  let pr0 = Engine.prepare db body ~bound:[ "x" ] in
+  List.iteri
+    (fun i write ->
+      let name = Printf.sprintf "write %d" i in
+      let before = Engine.prepare db body ~bound:[ "x" ] in
+      write ();
+      let after = Engine.prepare db body ~bound:[ "x" ] in
+      check_bool (name ^ ": prepared afresh") false (before == after);
+      let p = Engine.bind pr0 [ Value.int 1 ] in
+      check_bool (name ^ ": old handle re-prepared") true
+        (match I.prepared p with Some x -> x == after | None -> false);
+      clean name p;
+      check_bool (name ^ ": agrees with naive") true
+        (bind_ok db body [ "x" ] pr0 [ Value.int 1 ]))
+    [ (fun () -> Database.add db (Fact.make "E" [ Value.int 2; Value.int 5 ]));
+      (fun () ->
+        Database.remove db (Fact.make "E" [ Value.int 1; Value.int 2 ]));
+      (fun () -> Database.add db (Fact.make "E" [ Value.int 1; Value.int 2 ])) ];
+  (* a calibration stored after prepare: the next prepare carries it *)
+  let thr0 = Engine.drift_threshold () and mp0 = Engine.drift_min_probed () in
+  Engine.set_drift_threshold 0.5;
+  Engine.set_drift_min_probed 1;
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.set_drift_threshold thr0;
+      Engine.set_drift_min_probed mp0)
+  @@ fun () ->
+  with_checked false (fun () ->
+      (* R's key 1 is hot: R(1, ?y) survives far above its estimate *)
+      let fact r args = Fact.make r (List.map Value.int args) in
+      let db =
+        Database.of_list
+          (List.concat
+             [ List.init 10 (fun i -> fact "S" [ i + 1 ]);
+               List.init 50 (fun j -> fact "R" [ 1; j + 1 ]);
+               List.init 20 (fun k -> fact "R" [ k + 2; 0 ]);
+               List.init 30 (fun j -> fact "C" [ j + 1; j + 1 ]) ])
+      in
+      let body =
+        [ atom "S" [ v "x" ]; atom "R" [ c 1; v "y" ]; atom "C" [ v "y"; v "z" ] ]
+      in
+      let calibs p =
+        Array.map (fun (av : I.atom_view) -> av.I.a_calib) (I.plan p).I.i_atoms
+      in
+      let pr = Engine.prepare db body ~bound:[] in
+      let p = Engine.bind pr [] in
+      check_bool "uncalibrated" true
+        (Array.for_all (fun c -> c = 0.) (calibs p));
+      ignore (Engine.count_envs p);
+      check_bool "the run stored a calibration" true
+        (Engine.cached_swap p <> None);
+      let pr' = Engine.prepare db body ~bound:[] in
+      check_bool "calibration: prepared afresh" false (pr == pr');
+      let p' = Engine.bind pr [] in
+      check_bool "calibration: old handle re-prepared" true
+        (match I.prepared p' with Some x -> x == pr' | None -> false);
+      check_bool "carries the calibration" true
+        (Array.exists (fun c -> c > 0.) (calibs p'));
+      clean "calibrated" p')
+
 let suite =
   [ Alcotest.test_case "interner" `Quick test_interner;
     Alcotest.test_case "paging boundaries" `Quick test_paging_boundaries;
@@ -635,4 +819,8 @@ let suite =
     Alcotest.test_case "incremental extension" `Quick test_incremental_extension;
     Alcotest.test_case "facts_since edge cases" `Quick test_facts_since_edges;
     Alcotest.test_case "E006 extended vs detached" `Quick test_e006_extended;
-    prop_incremental_equals_rebuild ]
+    prop_incremental_equals_rebuild;
+    prop_bind_agrees;
+    Alcotest.test_case "bind edge cases" `Quick test_bind_edge_cases;
+    Alcotest.test_case "binds share one pass run" `Quick test_binds_share_pipeline;
+    Alcotest.test_case "prepare is not served stale" `Quick test_prepare_not_stale ]

@@ -227,10 +227,16 @@ let test_e025 () =
       match Engine.replan p with
       | None -> Alcotest.fail "skewed instance must justify a re-plan"
       | Some (p', cert) ->
-          (* the genuine certificate re-verifies, and accept_swap adopts *)
+          (* a caller adopts a swap only when its certificate re-verifies *)
+          let adopt cert =
+            match F.verify_swap ~before:(I.plan p) ~after:(I.plan p') cert with
+            | [] -> (p', [])
+            | ds -> (p, ds)
+          in
+          (* the genuine certificate re-verifies, and the swap is adopted *)
           check_codes "genuine swap certificate verifies" []
             (F.verify_swap ~before:(I.plan p) ~after:(I.plan p') cert);
-          let adopted, ds = F.accept_swap ~before:p ~after:p' cert in
+          let adopted, ds = adopt cert in
           check_codes "genuine swap accepted" [] ds;
           check_bool "after-plan adopted" true (adopted == p');
           (* corrupted certificates are rejected and the before-plan kept *)
@@ -246,7 +252,7 @@ let test_e025 () =
                           | Some (D.Replan_of w) -> w.field = field
                           | _ -> false)
                      ds);
-                let kept, _ = F.accept_swap ~before:p ~after:p' bad in
+                let kept, _ = adopt bad in
                 check_bool (name ^ " keeps before-plan") true (kept == p)
           in
           reject "wrong epoch" { cert with Engine.sw_epoch = cert.Engine.sw_epoch + 1 } "epoch";
