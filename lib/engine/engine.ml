@@ -988,11 +988,47 @@ let adapt_tbl (cdb : Db.t) =
       cdb.Db.adapts <- Adapts t;
       t
 
+(* the atom list [p] was compiled from: a running plan's [src_atoms] may
+   have lost atoms to dead-instruction elimination or to [bind] *)
+let source_atoms (p : t) =
+  match p.provenance with
+  | Bound { prep; _ } -> prep.pr_atoms
+  | Optimized { stages = (q, _) :: _ } -> q.src_atoms
+  | Compiled | Optimized _ -> p.src_atoms
+
+(* per atom of [p], its index in [source_atoms p]. [drop_atoms] filters
+   [src_atoms] with the atoms' own mask, so the running list is a
+   subsequence of the source list, element for element; where one atom
+   value occurs twice, the passes and [bind] keep the earlier copy, so the
+   leftmost embedding is the one they took *)
+let source_positions (p : t) =
+  let pos = Array.make (List.length p.src_atoms) 0 in
+  let rec go i j src run =
+    match (src, run) with
+    | _, [] -> ()
+    | [], _ :: _ -> invalid_arg "Engine.source_positions"
+    | a :: src', b :: run' ->
+        if a == b then begin
+          pos.(i) <- j;
+          go (i + 1) (j + 1) src' run'
+        end
+        else go i (j + 1) src' run
+  in
+  go 0 0 (source_atoms p) p.src_atoms;
+  pos
+
+(* A calibration is keyed by the source atom list and indexed like the base
+   plan, which is what [prepare] looks up and [apply_adapt] applies; the
+   learning plan's per-atom calibration is mapped back through its source
+   positions (an atom the running plan dropped gets none). The certificate
+   stays in the learning plan's own atom indices. *)
 let store_adapt (p : t) cert =
+  let src = source_atoms p in
+  let calib = Array.make (max 1 (List.length src)) 0. in
+  Array.iteri (fun i j -> calib.(j) <- cert.sw_calib.(i)) (source_positions p);
   let t = adapt_tbl p.cdb in
   if Hashtbl.length t > 4096 then Hashtbl.reset t;
-  Hashtbl.replace t p.src_atoms
-    { ad_epoch = cert.sw_epoch; ad_calib = cert.sw_calib; ad_cert = cert }
+  Hashtbl.replace t src { ad_epoch = cert.sw_epoch; ad_calib = calib; ad_cert = cert }
 
 (* a store that never learned a calibration has no table: the lookup
    neither allocates one nor hashes the atom list *)
@@ -1001,7 +1037,7 @@ let find_adapt_of (cdb : Db.t) atom_list =
   | Adapts t when Hashtbl.length t > 0 -> Hashtbl.find_opt t atom_list
   | _ -> None
 
-let find_adapt (p : t) = find_adapt_of p.cdb p.src_atoms
+let find_adapt (p : t) = find_adapt_of p.cdb (source_atoms p)
 
 let cached_swap (p : t) = Option.map (fun e -> e.ad_cert) (find_adapt p)
 
@@ -1018,7 +1054,7 @@ let apply_adapt (p : t) =
         || Array.length e.ad_calib <> max 1 (Array.length p.atoms)
         || not p.feasible
       then begin
-        Hashtbl.remove (adapt_tbl p.cdb) p.src_atoms;
+        Hashtbl.remove (adapt_tbl p.cdb) (source_atoms p);
         (p, None)
       end
       else begin

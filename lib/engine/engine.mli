@@ -192,9 +192,13 @@ type swap_cert = {
     adapt cache — [compile] + the commit hook drive the cache itself. *)
 val replan : t -> (t * swap_cert) option
 
-(** The cached swap certificate for [p]'s atom list, if an adaptive swap
-    has been stored for it on [p]'s compiled store ([None] otherwise) —
-    what [Analysis.Feedback.verify_swap] re-verifies as E025. *)
+(** The cached swap certificate for the atom list [p] was compiled from
+    (before any atom was dropped), if an adaptive swap has been stored for
+    it on [p]'s compiled store ([None] otherwise) — what
+    [Analysis.Feedback.verify_swap] re-verifies as E025. The certificate
+    is in the atom indices of the plan that learned it; the calibration
+    the next [prepare] applies is the same one, indexed by the source atom
+    list. *)
 val cached_swap : t -> swap_cert option
 
 (** {2 Batched (vectorized) execution}

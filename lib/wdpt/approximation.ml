@@ -70,37 +70,53 @@ let candidates ~in_class p =
   explore p;
   !found
 
-let approximations ~in_class p =
-  let cands = candidates ~in_class p in
-  let maximal =
-    List.filter
-      (fun c ->
-        not
-          (List.exists
-             (fun c' ->
-               Subsumption.subsumes c c' && not (Subsumption.subsumes c' c))
-             cands))
-      cands
+(* The plain pairwise filter, with each candidate frozen at most once and
+   each ordered pair decided at most once. Self-pairs are not decided:
+   [c ⊑ c] always holds, so a candidate never strictly dominates itself.
+   Every other answer is the plain filter's, so the result is its list. *)
+let select cands =
+  let cands = Array.of_list cands in
+  let n = Array.length cands in
+  let canons = Array.map (fun c -> lazy (Subsumption.canon c)) cands in
+  let memo = Hashtbl.create 64 in
+  let sub i j =
+    i = j
+    ||
+    match Hashtbl.find_opt memo (i, j) with
+    | Some b -> b
+    | None ->
+        let b = Subsumption.subsumes_canon (Lazy.force canons.(i)) cands.(j) in
+        Hashtbl.add memo (i, j) b;
+        b
   in
+  let dominated i =
+    let rec scan j = j < n && ((sub i j && not (sub j i)) || scan (j + 1)) in
+    scan 0
+  in
+  let maximal = List.filter (fun i -> not (dominated i)) (List.init n Fun.id) in
   let rec dedup acc = function
-    | [] -> List.rev acc
-    | c :: rest ->
-        if List.exists (Subsumption.equivalent c) acc then dedup acc rest
-        else dedup (c :: acc) rest
+    | [] -> List.rev_map (fun i -> cands.(i)) acc
+    | i :: rest ->
+        if List.exists (fun j -> sub i j && sub j i) acc then dedup acc rest
+        else dedup (i :: acc) rest
   in
   dedup [] maximal
+
+let approximations ~in_class p = select (candidates ~in_class p)
 
 let wb_approximations ~width ~k p =
   approximations ~in_class:(Classes.in_wb ~width ~k) p
 
 let is_approximation ~in_class p' p =
   in_class p'
-  && Subsumption.subsumes p' p
+  &&
+  let c' = Subsumption.canon p' in
+  Subsumption.subsumes_canon c' p
   &&
   let cands = candidates ~in_class p in
   not
     (List.exists
-       (fun c -> Subsumption.subsumes p' c && not (Subsumption.subsumes c p'))
+       (fun c -> Subsumption.subsumes_canon c' c && not (Subsumption.subsumes c p'))
        cands)
 
 (* ---- Lemma 1 normalization (first phase) ------------------------------- *)

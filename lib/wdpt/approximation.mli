@@ -34,8 +34,14 @@ val apply : Pattern_tree.t -> move -> Pattern_tree.t option
     in-class results (sound for maximality because moves are ⊑-decreasing). *)
 val candidates : in_class:(Pattern_tree.t -> bool) -> Pattern_tree.t -> Pattern_tree.t list
 
-(** [approximations ~in_class p]: the ⊑-maximal candidates, deduplicated up
-    to ≡ₛ. *)
+(** [select cands]: the ⊑-maximal members of [cands] in their order, each
+    kept only when no member kept before it is ≡ₛ to it. Each candidate is
+    frozen at most once ({!Subsumption.canon}) and each ordered pair decided
+    at most once, shared by the maximality filter and the deduplication. *)
+val select : Pattern_tree.t list -> Pattern_tree.t list
+
+(** [approximations ~in_class p = select (candidates ~in_class p)]: the
+    ⊑-maximal candidates, deduplicated up to ≡ₛ. *)
 val approximations :
   in_class:(Pattern_tree.t -> bool) -> Pattern_tree.t -> Pattern_tree.t list
 

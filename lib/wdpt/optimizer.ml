@@ -62,10 +62,20 @@ let plan ?db ~k p =
     if Classes.locally_in ~width:Tw ~k q || Classes.in_wb ~width:Tw ~k q then
       Exact_tractable
     else
-      match Semantic_opt.wb_witness ~width:Tw ~k q with
+      (* one candidate enumeration serves the witness search and the
+         approximations *)
+      let cands =
+        lazy (Approximation.candidates ~in_class:(Classes.in_wb ~width:Tw ~k) q)
+      in
+      let witness =
+        match Semantic_opt.first_step ~width:Tw ~k q with
+        | Decided w -> w
+        | Search_candidates -> Semantic_opt.search_candidates (Lazy.force cands) q
+      in
+      match witness with
       | Some w -> Via_witness w
       | None -> (
-          match Approximation.wb_approximations ~width:Tw ~k q with
+          match Approximation.select (Lazy.force cands) with
           | [] -> Exact_exponential
           | apps -> Via_approximation apps)
   in

@@ -14,6 +14,28 @@
 val wb_witness :
   width:Classes.width -> k:int -> Pattern_tree.t -> Pattern_tree.t option
 
+(** {2 The steps of [wb_witness]}
+
+    [wb_witness ~width ~k p] is [w] when [first_step ~width ~k p] is
+    [Decided w], and otherwise [search_candidates cands p] over
+    [cands = Approximation.candidates ~in_class:(Classes.in_wb ~width ~k) p].
+    A caller that needs those candidates anyway ({!Optimizer.plan}, for
+    the approximations) enumerates them once and searches the same list. *)
+
+type step =
+  | Decided of Pattern_tree.t option
+      (** [p] itself, its Lemma-1 normalization, or (single node) the exact
+          core answer *)
+  | Search_candidates
+      (** a multi-node [p] outside the class even after normalization *)
+
+val first_step : width:Classes.width -> k:int -> Pattern_tree.t -> step
+
+(** [search_candidates cands p]: the first of [cands] subsumption-equivalent
+    to [p]. [p] is frozen once for the whole list. *)
+val search_candidates :
+  Pattern_tree.t list -> Pattern_tree.t -> Pattern_tree.t option
+
 (** [in_m_wb ~width ~k p] for single-node WDPTs (CQs): exact decision via the
     core.
     @raise Invalid_argument on multi-node WDPTs (use [wb_witness]). *)

@@ -71,6 +71,11 @@ let apply p = function
         (try Some (Pattern_tree.make ~free:(Pattern_tree.free p) spec)
          with Invalid_argument _ -> None)
 
+(* [a] folds when the node CQ q = (H, body) is equivalent to
+   q' = (H, body'), body' = body without one copy of [a]. q ⊆ q' always
+   holds: body' ⊆ body, so the identity is a homomorphism from q' into q
+   fixing H. Only q' ⊆ q needs a check: a homomorphism from body into the
+   frozen body', fixing H. *)
 let foldable p i a =
   let head = String_set.elements (shared_head p i) in
   let body = Pattern_tree.atoms p i in
@@ -82,42 +87,48 @@ let foldable p i a =
           String_set.empty body')
   &&
   try
-    Cq.Containment.equivalent
-      (Cq.Query.make ~head ~body)
+    Cq.Containment.contained
       (Cq.Query.make ~head ~body:body')
+      (Cq.Query.make ~head ~body)
   with Invalid_argument _ -> false
 
-let redundant_atoms p =
-  let out = ref [] in
-  List.iter
-    (fun i ->
-      let seen = ref [] in
-      List.iter
-        (fun a ->
-          let dup_here = List.exists (Atom.equal a) !seen in
-          seen := a :: !seen;
-          let reason =
-            if dup_here then Some Duplicate_in_node
-            else
-              match
-                List.find_opt
-                  (fun j -> List.exists (Atom.equal a) (Pattern_tree.atoms p j))
-                  (ancestors p i)
-              with
-              | Some j -> Some (Duplicate_in_ancestor j)
-              | None -> if foldable p i a then Some Foldable else None
-          in
-          match reason with
-          | Some r
-            when not
-                   (List.exists (fun (n, b, _) -> n = i && Atom.equal a b) !out)
-                 && Option.is_some (apply p (Drop_atom { node = i; atom = a; reason = r }))
-            ->
-              out := (i, a, r) :: !out
-          | _ -> ())
-        (Pattern_tree.atoms p i))
-    (Pattern_tree.all_nodes p);
-  List.rev !out
+(* node by node, atom by atom, the redundant atoms in [redundant_atoms]'s
+   order, each found only when the sequence is forced that far. An atom
+   already reported for its node is skipped before its reason is computed
+   (a foldability check is a containment test). *)
+let redundant p =
+  let node i =
+    let anc = ancestors p i in
+    let rec go seen reported atoms () =
+      match atoms with
+      | [] -> Seq.Nil
+      | a :: rest ->
+          let next reported = go (a :: seen) reported rest in
+          if List.exists (Atom.equal a) reported then next reported ()
+          else
+            let reason =
+              if List.exists (Atom.equal a) seen then Some Duplicate_in_node
+              else
+                match
+                  List.find_opt
+                    (fun j -> List.exists (Atom.equal a) (Pattern_tree.atoms p j))
+                    anc
+                with
+                | Some j -> Some (Duplicate_in_ancestor j)
+                | None -> if foldable p i a then Some Foldable else None
+            in
+            match reason with
+            | Some r
+              when Option.is_some
+                     (apply p (Drop_atom { node = i; atom = a; reason = r })) ->
+                Seq.Cons ((i, a, r), next (a :: reported))
+            | _ -> next reported ()
+    in
+    go [] [] (Pattern_tree.atoms p i)
+  in
+  Seq.concat_map node (List.to_seq (Pattern_tree.all_nodes p))
+
+let redundant_atoms p = List.of_seq (redundant p)
 
 let dead_branches p =
   let n = Pattern_tree.node_count p in
@@ -138,18 +149,24 @@ let dead_branches p =
     (Pattern_tree.all_nodes p)
   |> List.filter (fun i -> Option.is_some (apply p (Drop_subtree { node = i })))
 
+let drop_atom (node, atom, reason) = Drop_atom { node; atom; reason }
+
 let rewrites p =
   List.map (fun i -> Drop_subtree { node = i }) (dead_branches p)
-  @ List.map
-      (fun (node, atom, reason) -> Drop_atom { node; atom; reason })
-      (redundant_atoms p)
+  @ List.map drop_atom (redundant_atoms p)
+
+(* the head of [rewrites p], computing no redundant atom past the first *)
+let first_rewrite p =
+  match dead_branches p with
+  | i :: _ -> Some (Drop_subtree { node = i })
+  | [] -> Option.map (fun (r, _) -> drop_atom r) (Seq.uncons (redundant p))
 
 let simplify p =
   (* every step removes at least one atom or node, so this terminates *)
   let rec go p applied =
-    match rewrites p with
-    | [] -> (p, List.rev applied)
-    | r :: _ -> (
+    match first_rewrite p with
+    | None -> (p, List.rev applied)
+    | Some r -> (
         match apply p r with
         | Some p' -> go p' (r :: applied)
         | None -> (p, List.rev applied))

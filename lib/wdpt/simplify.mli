@@ -15,7 +15,9 @@
       (Chandra–Merlin) to the CQ without [a]: the set of [H]-bindings the
       node admits is unchanged under every context, children only depend on
       [H]-variables (well-designedness), and answers project to free
-      variables, which lie in [H];
+      variables, which lie in [H]. Only the homomorphism from the node's
+      body into the frozen body without [a] is searched; the other one is
+      the identity, the smaller body being a subset of the larger;
     - a {e dead branch} is a non-root node whose entire subtree mentions only
       variables of its ancestors: extending a homomorphism into it never
       enlarges the domain, so it contributes no answers and can be removed.
@@ -51,8 +53,9 @@ val rewrites : Pattern_tree.t -> rewrite list
     computed from). *)
 val apply : Pattern_tree.t -> rewrite -> Pattern_tree.t option
 
-(** Fixpoint: repeatedly apply rewrites until none remains; returns the
-    simplified tree and the rewrites applied, in order. *)
+(** Fixpoint: repeatedly apply the first of {!rewrites} until none remains;
+    returns the simplified tree and the rewrites applied, in order. Each
+    step computes rewrites only up to the first one. *)
 val simplify : Pattern_tree.t -> Pattern_tree.t * rewrite list
 
 val describe_rewrite : rewrite -> string

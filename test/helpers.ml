@@ -146,3 +146,26 @@ let arbitrary_small_wdpt =
 
 let qtest ?(count = 100) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
+
+(* WDPTs with two or three nodes: small random trees, and (one draw in two)
+   two-node trees with a triangle below the root, outside WB(1), so that
+   the approximation search has candidates to compare *)
+let gen_wdpt_2_3 =
+  QCheck.Gen.(
+    let base = gen_wdpt_sized ~max_depth:2 ~max_branch:2 ~interface:1 in
+    let rec small st =
+      let p = base st in
+      let n = Wdpt.Pattern_tree.node_count p in
+      if n >= 2 && n <= 3 then p else small st
+    in
+    let triangle =
+      let* seed = int_bound 1_000_000 in
+      let* free_per_node = int_range 1 2 in
+      return
+        (Workload.Gen_wdpt.random ~seed ~depth:1 ~branching:1 ~vars_per_node:2
+           ~interface:1 ~free_per_node ~style:(Clique 3) ~rel:"E")
+    in
+    oneof [ small; triangle ])
+
+let arbitrary_wdpt_2_3 =
+  QCheck.make ~print:(Format.asprintf "%a" Wdpt.Pattern_tree.pp) gen_wdpt_2_3

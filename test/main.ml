@@ -30,6 +30,7 @@ let () =
          ("approximation", Test_approximation.suite);
          ("semantic-opt", Test_semantic_opt.suite);
          ("optimizer", Test_optimizer.suite);
+         ("simplify", Test_simplify.suite);
          ("union", Test_union.suite);
          ("reductions", Test_reductions.suite);
          ("sparql", Test_sparql.suite);

@@ -79,6 +79,56 @@ let prop_candidates_sound =
       let cands = App.candidates ~in_class p in
       List.for_all (fun c -> in_class c && Sub.subsumes c p) cands)
 
+(* the pairwise filter as it reads in Section 5.2's terms: keep the
+   ⊑-maximal candidates, then drop each one ≡ₛ to one kept before it *)
+let reference_select cands =
+  let maximal =
+    List.filter
+      (fun c ->
+        not
+          (List.exists
+             (fun c' -> Sub.subsumes c c' && not (Sub.subsumes c' c))
+             cands))
+      cands
+  in
+  let rec dedup acc = function
+    | [] -> List.rev acc
+    | c :: rest ->
+        if List.exists (Sub.equivalent c) acc then dedup acc rest
+        else dedup (c :: acc) rest
+  in
+  dedup [] maximal
+
+let prop_select_reference =
+  qtest ~count:30 "approximations match the plain pairwise filter"
+    arbitrary_wdpt_2_3
+    (fun p ->
+      let in_class = Wdpt.Classes.in_wb ~width:Tw ~k:1 in
+      let keys = List.map Pt.canonical_key in
+      keys (App.approximations ~in_class p)
+      = keys (reference_select (App.candidates ~in_class p)))
+
+(* Optimizer.plan enumerates the candidates once for the witness search and
+   the approximations; its strategy must be the one the two separate entry
+   points give *)
+let prop_plan_reference =
+  qtest ~count:30 "plan strategy matches wb_witness, then wb_approximations"
+    arbitrary_wdpt_2_3
+    (fun p ->
+      let pl = Wdpt.Optimizer.plan ~k:1 p in
+      let q = pl.Wdpt.Optimizer.query in
+      let key = Pt.canonical_key in
+      match pl.Wdpt.Optimizer.strategy with
+      | Exact_tractable -> true
+      | Via_witness w ->
+          Option.map key (Wdpt.Semantic_opt.wb_witness ~width:Tw ~k:1 q) = Some (key w)
+      | Via_approximation apps ->
+          Wdpt.Semantic_opt.wb_witness ~width:Tw ~k:1 q = None
+          && List.map key (App.wb_approximations ~width:Tw ~k:1 q) = List.map key apps
+      | Exact_exponential ->
+          Wdpt.Semantic_opt.wb_witness ~width:Tw ~k:1 q = None
+          && App.wb_approximations ~width:Tw ~k:1 q = [])
+
 (* Figure 2 / Theorem 15 *)
 let test_figure2_blowup () =
   List.iter
@@ -103,4 +153,6 @@ let suite =
     Alcotest.test_case "normalization merges chains" `Quick test_normalize_keeps_free_paths;
     Alcotest.test_case "Figure 2 blow-up" `Quick test_figure2_blowup;
     prop_normalize_equivalent;
-    prop_candidates_sound ]
+    prop_candidates_sound;
+    prop_select_reference;
+    prop_plan_reference ]

@@ -349,6 +349,28 @@ let test_adapt_cache () =
       check_bool "clear_cache drops the calibration cache" true
         (Engine.cached_swap p5 = None))
 
+(* a repeated atom is dropped from the running plan: the calibration it
+   learns must still reach the next compile of the same atom list *)
+let test_adapt_cache_dropped_atom () =
+  with_config ~threshold:0.5 ~min_probed:1 () (fun () ->
+      let db = skew_db () in
+      let atoms = skew_atoms @ [ atom "S" [ v "x" ] ] in
+      let static =
+        Engine.count_envs
+          (Engine.compile (Database.copy db) atoms ~init:Mapping.empty)
+      in
+      let p1 = ran_plan db atoms in
+      check_int "the repeated atom is dropped" 3 (Array.length (I.plan p1).I.i_atoms);
+      check_bool "first run stored a swap certificate" true
+        (Engine.cached_swap p1 <> None);
+      let p2 = Engine.compile db atoms ~init:Mapping.empty in
+      let v2 = I.plan p2 in
+      check_bool "hot atom calibrated" true (v2.I.i_atoms.(1).I.a_calib > 0.);
+      check_int "skew inverted the static order" 0 v2.I.i_order.(0);
+      check_int "adaptive answers unchanged" static (Engine.count_envs p2);
+      check_codes "re-planned run audits clean" [] (F.audit p2);
+      check_bool "re-plan is idempotent" true (Engine.replan p2 = None))
+
 (* ---- schema stability ---------------------------------------------------- *)
 
 let test_schema () =
@@ -402,6 +424,8 @@ let suite =
     Alcotest.test_case "counters independent of morsel size" `Quick
       test_morsel_grouping;
     Alcotest.test_case "adaptive cache epochs" `Quick test_adapt_cache;
+    Alcotest.test_case "adaptive cache with a dropped atom" `Quick
+      test_adapt_cache_dropped_atom;
     Alcotest.test_case "JSON schema lock" `Quick test_schema;
     prop_genuine_clean;
     prop_adaptive_answers ]

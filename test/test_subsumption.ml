@@ -106,6 +106,25 @@ let prop_dropping_branch_subsumed =
       | [] -> true
       | leaf :: _ -> Sub.subsumes (Pt.drop_leaf p leaf) p)
 
+(* one canon of p1 reused against many partners, in an order that puts
+   checks after failed ones, must answer as a fresh [subsumes] does each
+   time; so must the canon of every move result, which is ⊑ p1 *)
+let prop_canon_reuse =
+  qtest ~count:40 "a reused canon agrees with subsumes"
+    (QCheck.pair arbitrary_wdpt_2_3
+       (QCheck.list_of_size (QCheck.Gen.return 3) arbitrary_wdpt_2_3))
+    (fun (p1, others) ->
+      let agrees p partners =
+        let c = Sub.canon p in
+        List.for_all (fun p2 -> Sub.subsumes_canon c p2 = Sub.subsumes p p2) partners
+      in
+      let moved =
+        List.filter_map (Wdpt.Approximation.apply p1) (Wdpt.Approximation.moves p1)
+      in
+      let moved = List.filteri (fun i _ -> i < 4) moved in
+      agrees p1 (others @ [ p1 ] @ moved @ others @ [ p1 ])
+      && List.for_all (fun p' -> agrees p' (others @ [ p1; p' ] @ others @ [ p1 ])) moved)
+
 let suite =
   [ Alcotest.test_case "reflexivity" `Quick test_reflexive;
     prop_subsumption_preorder;
@@ -115,4 +134,5 @@ let suite =
     Alcotest.test_case "Figure 2 subsumption" `Quick test_figure2;
     Alcotest.test_case "max-equivalence (Prop 5)" `Quick test_max_equivalence_via_prop5;
     prop_subsumption_semantics;
-    prop_equivalence_preserves_partial_and_max ]
+    prop_equivalence_preserves_partial_and_max;
+    prop_canon_reuse ]
