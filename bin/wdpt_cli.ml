@@ -584,33 +584,16 @@ let explain_cmd =
         max_mem
     in
     (* --drift: one counting evaluation over the plan collects the genuine
-       per-atom counters; the feedback view, its audit and the verdict on
-       the re-plan certificate those counters justify are reported. E022
+       per-atom counters; the feedback view and its audit are reported. E022
        findings are warnings, so a drift-y query exits 1, not 2. *)
     let feedback =
       if not drift then None
       else begin
         ignore (Engine.count_envs plan);
-        let fview = Engine.Inspect.feedback plan in
-        let fds = Analysis.Feedback.audit plan in
-        let swap =
-          Option.map
-            (fun (swapped, cert) ->
-              ( cert,
-                Analysis.Feedback.verify_swap
-                  ~before:(Engine.Inspect.plan plan)
-                  ~after:(Engine.Inspect.plan swapped) cert ))
-            (Engine.replan plan)
-        in
-        Some (fview, fds, swap)
+        Some (Engine.Inspect.feedback plan, Analysis.Feedback.audit plan)
       end
     in
-    let feedback_ds =
-      match feedback with
-      | None -> []
-      | Some (_, fds, swap) ->
-          fds @ (match swap with Some (_, sds) -> sds | None -> [])
-    in
+    let feedback_ds = match feedback with None -> [] | Some (_, fds) -> fds in
     let ds = lint_ds @ audit_ds @ equiv_ds @ batch_ds @ feedback_ds in
     let exit_code =
       match admitted with
@@ -636,26 +619,11 @@ let explain_cmd =
     let feedback_json =
       match feedback with
       | None -> Analysis.Json.Obj [ ("enabled", Analysis.Json.Bool false) ]
-      | Some (fview, fds, swap) ->
+      | Some (fview, fds) ->
           Analysis.Json.Obj
             [ ("enabled", Analysis.Json.Bool true);
               ("view", Analysis.Feedback.view_json fview);
-              ("audit", Analysis.Diagnostic.report_json fds);
-              ( "swap",
-                match swap with
-                | None ->
-                    Analysis.Json.Obj
-                      [ ("replanned", Analysis.Json.Bool false) ]
-                | Some (cert, sds) ->
-                    Analysis.Json.Obj
-                      [ ("replanned", Analysis.Json.Bool true);
-                        ("verified", Analysis.Json.Bool (sds = []));
-                        ("epoch", Analysis.Json.Int cert.Engine.sw_epoch);
-                        ("runs", Analysis.Json.Int cert.Engine.sw_runs);
-                        ( "drifted-atoms",
-                          Analysis.Json.Int (Array.length cert.Engine.sw_drift)
-                        );
-                        ("audit", Analysis.Diagnostic.report_json sds) ] ) ]
+              ("audit", Analysis.Diagnostic.report_json fds) ]
     in
     let tree_growth = Analysis.Cost.tree_growth p in
     (match format with
@@ -722,21 +690,9 @@ let explain_cmd =
         | _ -> ());
         (match feedback with
         | None -> ()
-        | Some (fview, fds, swap) ->
+        | Some (fview, fds) ->
             Format.printf "@[<v>%a@]@." Analysis.Feedback.pp_view fview;
-            Format.printf "@[<v>%a@]@." Analysis.Feedback.pp_report fds;
-            (match swap with
-            | None ->
-                Format.printf
-                  "adaptive: no re-plan (drift below threshold or \
-                   insufficient evidence)@."
-            | Some (cert, sds) ->
-                Format.printf
-                  "adaptive: re-planned at epoch %d over %d run(s), %d \
-                   drifted atom(s) — certificate %s@."
-                  cert.Engine.sw_epoch cert.Engine.sw_runs
-                  (Array.length cert.Engine.sw_drift)
-                  (if sds = [] then "verified" else "REJECTED (E025)")));
+            Format.printf "@[<v>%a@]@." Analysis.Feedback.pp_report fds);
         Format.printf "tree: %a%s@." Analysis.Cost.pp_growth tree_growth
           (match Analysis.Cost.tree_class p with
           | Some (k, c) ->
@@ -763,11 +719,10 @@ let explain_cmd =
              ~doc:"Run one counting evaluation over the plan to collect \
                    per-atom cardinality feedback, then print the \
                    estimate-vs-actual selectivity table and the feedback \
-                   audit verdict (E022-E026), plus the re-plan a confirmed \
-                   drift triggers and its re-verified swap certificate \
-                   (E025); in JSON the report lands under \
-                   the schema-stable $(b,feedback) key. Estimate-drift \
-                   findings (E022) are warnings: exit 1, not 2.")
+                   audit verdict (E022, E023, E026); in JSON the report \
+                   lands under the schema-stable $(b,feedback) key. \
+                   Estimate-drift findings (E022) are warnings: exit 1, \
+                   not 2.")
   in
   Cmd.v
     (Cmd.info "explain"
@@ -780,10 +735,9 @@ let explain_cmd =
              batched layout (E017-E020) and certifies a resource \
              envelope for admission control ($(b,--max-mem)). With \
              $(b,--drift), collects runtime cardinality feedback and audits \
-             it (E022-E026); a confirmed drift re-plans the query and the \
-             swap certificate is re-verified (a rejected one is E025). \
-             Exit codes match $(b,lint): 0 = clean, 1 = warnings, 2 = \
-             errors; 3 = rejected by $(b,--max-mem).")
+             it (E022, E023, E026). Exit codes match $(b,lint): 0 = \
+             clean, 1 = warnings, 2 = errors; 3 = rejected by \
+             $(b,--max-mem).")
     Term.(const run $ query_arg $ data_opt $ format_arg $ relational_arg
           $ opt_arg $ morsel_rows_arg $ max_mem_arg $ drift_arg)
 

@@ -20,9 +20,7 @@
       brute-force budget (Algebra_eval beyond it) and a brute
       strict-subsumption filter for p_m(D);
    3. under the drawn configuration, check against them:
-      - Semantics.eval, eval_max and Cq.Eval.answers (twice with the drift
-        checks drawn: the first pass may install a calibration, the second
-        serves it);
+      - Semantics.eval, eval_max and Cq.Eval.answers;
       - within the brute-force budget, Cq.Yannakakis and the
         tree-decomposition evaluator (Cq.Decomp_eval with a supplied
         decomposition) on the full-tree CQ, Cq.Decomp_eval on its
@@ -35,13 +33,13 @@
         re-verifies (E007-E010) and it answers like Cq.Eval.Naive under
         the same init;
       - the full-tree plan: its optimization trail re-verifies (E007-E010),
-        any swap certificate cached for it re-verifies (E025), its batched
-        layout audits clean (E017-E020), a count plus an enumeration stay
-        within its certified envelope (E021), and its unoptimized original
-        (Engine.Inspect.base) enumerates exactly the naive answers;
+        its batched layout audits clean (E017-E020), a count plus an
+        enumeration stay within its certified envelope (E021), and its
+        unoptimized original (Engine.Inspect.base) enumerates exactly the
+        naive answers;
       - with the drift checks drawn: the genuine feedback view audits
-        clean (E022-E026) and a drift injected into a corrupted copy is
-        caught as E022;
+        clean (E022, E023, E026) and a drift injected into a corrupted copy
+        is caught as E022;
       - within the delta budget: a standing view over 6 random batches of
         insertions, deletions and re-adds, checked after each refresh
         against full evaluation on Database.copy of D at both semantics
@@ -69,9 +67,7 @@ let with_engine ?checked ?morsel f =
 type config = {
   checked : bool;
   morsel : int;
-  drift : bool;
-      (** a second answer pass over any installed calibration, the feedback
-          audit and the E022 injection *)
+  drift : bool;  (** the feedback audit and the E022 injection *)
   deletes : int;  (** standing-view delete weight, in quarters *)
 }
 
@@ -180,10 +176,9 @@ let check_brute fail db p q ~reference ~max_ref ~cq_ref =
       then fail "projection-free-eval")
     (probes pf_reference)
 
-(* The full-tree plan under the drawn configuration: certificate trail, swap
-   certificate, batch layout, resource envelope and the unoptimized
-   original's answers, and with the drift checks drawn the feedback view and
-   a drift injection. *)
+(* The full-tree plan under the drawn configuration: certificate trail, batch
+   layout, resource envelope and the unoptimized original's answers, and
+   with the drift checks drawn the feedback view and a drift injection. *)
 let check_plan fail st ~drift db q ~cq_ref =
   let module I = Engine.Inspect in
   let fail_ds name = function [] -> () | ds -> fail (name ^ "-" ^ codes ds) in
@@ -224,16 +219,6 @@ let check_plan fail st ~drift db q ~cq_ref =
       if not (Mapping.Set.equal !got want) then fail "bound-plan-vs-naive")
     (if bound = [] then [] else inside @ outside);
   fail_ds "audit" (Analysis.Batch_audit.audit plan);
-  (* any calibration the earlier runs installed must carry a certificate
-     that re-verifies from the uncalibrated before-plan, compiled on a copy
-     whose store has learned nothing *)
-  (match Engine.cached_swap plan with
-  | None -> ()
-  | Some cert ->
-      let before = Engine.compile (Database.copy db) atoms ~init:Mapping.empty in
-      fail_ds "swap-cert"
-        (Analysis.Feedback.verify_swap ~before:(I.plan before)
-           ~after:(I.plan plan) cert));
   let resource = Analysis.Resource.of_plan plan in
   Engine.reset_batch_stats ();
   ignore (Engine.count_envs plan);
@@ -268,7 +253,7 @@ let check_plan fail st ~drift db q ~cq_ref =
     let v = I.feedback plan in
     if Array.length v.I.f_atoms > 0 then begin
       let fa = v.I.f_atoms.(0) in
-      let est = fa.I.f_score +. fa.I.f_calib in
+      let est = fa.I.f_score in
       let surv =
         int_of_float (Float.min 1e8 (10. ** (est +. v.I.f_threshold +. 2.))) + 10
       in
@@ -362,15 +347,12 @@ let check_instance st c ~brute ~delta p db =
       reference
   in
   with_engine ~checked:c.checked ~morsel:c.morsel (fun () ->
-      for pass = 1 to if c.drift then 2 else 1 do
-        let fail name = fail (if pass = 1 then name else name ^ "-pass-2") in
-        if not (Mapping.Set.equal (Wdpt.Semantics.eval db p) reference) then
-          fail "procedural-vs-reference";
-        if not (Mapping.Set.equal (Wdpt.Semantics.eval_max db p) max_ref) then
-          fail "eval-max-vs-reference";
-        if not (Mapping.Set.equal (Cq.Eval.answers db q) cq_ref) then
-          fail "cq-eval-vs-naive"
-      done;
+      if not (Mapping.Set.equal (Wdpt.Semantics.eval db p) reference) then
+        fail "procedural-vs-reference";
+      if not (Mapping.Set.equal (Wdpt.Semantics.eval_max db p) max_ref) then
+        fail "eval-max-vs-reference";
+      if not (Mapping.Set.equal (Cq.Eval.answers db q) cq_ref) then
+        fail "cq-eval-vs-naive";
       if brute then check_brute fail db p q ~reference ~max_ref ~cq_ref;
       check_plan fail (Random.State.copy st) ~drift:c.drift db q ~cq_ref;
       if delta then check_stream fail st ~deletes:c.deletes p db);

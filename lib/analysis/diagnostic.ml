@@ -29,8 +29,6 @@ type code =
   | Resource_envelope
   | Drift
   | Counter_coverage
-  | Stale_epoch
-  | Unjustified_replan
   | Collector_inconsistent
   | Delta_dirty
   | Frontier_nonmaximal
@@ -63,8 +61,6 @@ let code_id = function
   | Resource_envelope -> "E021"
   | Drift -> "E022"
   | Counter_coverage -> "E023"
-  | Stale_epoch -> "E024"
-  | Unjustified_replan -> "E025"
   | Collector_inconsistent -> "E026"
   | Delta_dirty -> "E027"
   | Frontier_nonmaximal -> "E028"
@@ -97,8 +93,6 @@ let code_name = function
   | Resource_envelope -> "unsound-resource-envelope"
   | Drift -> "estimate-drift"
   | Counter_coverage -> "counter-coverage"
-  | Stale_epoch -> "stale-stats-epoch"
-  | Unjustified_replan -> "unjustified-replan"
   | Collector_inconsistent -> "inconsistent-collector"
   | Delta_dirty -> "delta-dirty-coverage"
   | Frontier_nonmaximal -> "frontier-nonmaximal"
@@ -116,11 +110,9 @@ let code_severity = function
   | Resource_envelope ->
       Error
   (* drift is evidence the estimates were off, not that anything computed a
-     wrong answer — the other four mean the feedback loop itself is broken *)
+     wrong answer — the other two mean the collector itself is broken *)
   | Drift -> Warning
-  | Counter_coverage | Stale_epoch | Unjustified_replan
-  | Collector_inconsistent ->
-      Error
+  | Counter_coverage | Collector_inconsistent -> Error
   | Delta_dirty | Frontier_nonmaximal | Support_mismatch | Event_mismatch ->
       Error
 
@@ -167,7 +159,7 @@ type witness =
   | Envelope of { component : string; certified : int; measured : int }
   | Drifted of {
       atom : int;
-      estimated : float;  (* calibrated log10 selectivity estimate *)
+      estimated : float;  (* static log10 selectivity estimate *)
       observed : float;  (* log10 (survived / contexts) *)
       threshold : float;
       contexts : int;
@@ -175,8 +167,6 @@ type witness =
       survived : int;
     }
   | Counter_of of { atom : int; detail : string }
-  | Epoch of { costed : int; store : int; live : int }
-  | Replan_of of { field : string; detail : string }
   | Collector_of of {
       atom : int;
       survived : int;
@@ -387,13 +377,6 @@ let witness_json w =
       kind "counter-coverage"
         [ ("atom", if atom < 0 then Json.Null else Int atom);
           ("detail", Str detail) ]
-  | Epoch { costed; store; live } ->
-      kind "stale-stats-epoch"
-        [ ("costed-at", Int costed);
-          ("store-version", Int store);
-          ("live-version", Int live) ]
-  | Replan_of { field; detail } ->
-      kind "unjustified-replan" [ ("field", Str field); ("detail", Str detail) ]
   | Collector_of { atom; survived; runs; bound } ->
       kind "inconsistent-collector"
         [ ("atom", Int atom);

@@ -82,29 +82,25 @@
       component ({!Resource}) smaller than a measured high-water mark, i.e.
       the admission-control bound under-promised (error).
 
-    The E022–E026 codes are findings of the cardinality-feedback auditor
-    ({!Feedback}) over the runtime counter view
-    ({!Engine.Inspect.feedback_view}) and adaptive swap certificates
-    ({!Engine.swap_cert}):
+    The E022, E023 and E026 codes are findings of the cardinality-feedback
+    auditor ({!Feedback}) over the runtime counter view
+    ({!Engine.Inspect.feedback_view}):
 
     - [E022 estimate-drift] — an atom's observed log10 selectivity exceeds
-      its calibrated estimate by more than the configured threshold
-      (warning: the estimates were off, nothing computed wrongly);
+      its static estimate by more than the view's threshold (warning: the
+      estimates were off, nothing computed wrongly);
     - [E023 counter-coverage] — the counter vector does not cover the
       plan's instruction list, or the counters are internally impossible
       (negative, or more survivors than probes) (error);
-    - [E024 stale-stats-epoch] — a plan served under a stats epoch newer
-      than the one its calibration was costed against: the feedback that
-      justified its order no longer describes the store (error; extends the
-      E006 three-way version story to the feedback cache);
-    - [E025 unjustified-replan] — an adaptive plan-swap certificate that
-      does not re-verify: the calibration does not recompute from the
-      drift evidence, the drift evidence is below threshold, or the
-      re-sorted order does not follow the calibrated key (error; the
-      engine keeps the old plan);
     - [E026 inconsistent-collector] — an observed survivor count exceeding
       the sound per-run ceiling (runs × the stored relation rows reachable
       per context), i.e. the collector itself is broken (error).
+
+    E024 and E025 are retired. E024 flagged a plan served with a learned
+    calibration under a newer stats epoch than it was learned at, and E025
+    a plan-swap certificate of the adaptive re-planning loop that did not
+    re-verify. The engine learns no calibration and swaps no plan any
+    more, and the numbers are not reused.
 
     The E027–E030 codes are findings of the delta-maintenance auditor
     ({!Delta_audit}) over standing-query views ([Wdpt.Standing.view]),
@@ -158,8 +154,6 @@ type code =
   | Resource_envelope  (** E021 *)
   | Drift  (** E022 *)
   | Counter_coverage  (** E023 *)
-  | Stale_epoch  (** E024 *)
-  | Unjustified_replan  (** E025 *)
   | Collector_inconsistent  (** E026 *)
   | Delta_dirty  (** E027 *)
   | Frontier_nonmaximal  (** E028 *)
@@ -299,7 +293,7 @@ type witness =
     }  (** E021 *)
   | Drifted of {
       atom : int;  (** plan atom index *)
-      estimated : float;  (** calibrated log10 selectivity estimate *)
+      estimated : float;  (** static log10 selectivity estimate *)
       observed : float;  (** log10 (survived / contexts) *)
       threshold : float;  (** the threshold in force at audit time *)
       contexts : int;
@@ -310,12 +304,6 @@ type witness =
       atom : int;  (** offending atom index, [-1] = the vector itself *)
       detail : string;
     }  (** E023 *)
-  | Epoch of {
-      costed : int;  (** stats epoch the calibration was costed at *)
-      store : int;  (** compiled store version actually serving the plan *)
-      live : int;  (** live database version *)
-    }  (** E024 *)
-  | Replan_of of { field : string; detail : string }  (** E025 *)
   | Collector_of of {
       atom : int;
       survived : int;  (** the impossible observed count *)

@@ -457,16 +457,10 @@ let check_order pass ~(before : I.view) ~(after : I.view) (c : Engine.cert)
       expect (g @ ng) "not the stable ground-first partition of the prior order"
     end
     else begin
-      (* a full reorder must leave the (ground, selectivity) invariant —
-         with the feedback calibration folded into the score component, so
-         an adapted plan's reorder pass verifies against the same calibrated
-         key the compiler sorted by (zero on fresh plans) *)
+      (* a full reorder must leave the (ground, selectivity) invariant *)
       let key ai =
         let av = after.i_atoms.(ai) in
-        let g, s =
-          Engine.order_key ~rows:av.I.a_rows ~dcounts:av.I.a_dcounts av.I.a_ops
-        in
-        (g, s +. av.I.a_calib)
+        Engine.order_key ~rows:av.I.a_rows ~dcounts:av.I.a_dcounts av.I.a_ops
       in
       for k = 0 to n - 2 do
         if compare (key order.(k)) (key (order.(k + 1))) > 0 then

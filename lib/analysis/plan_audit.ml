@@ -158,11 +158,7 @@ let check_dead_slots (v : I.view) acc =
    recomputed here from the view's row counts and distinct counts, not read
    from anywhere the optimizer wrote. *)
 let atom_order_key (av : I.atom_view) =
-  (* the feedback calibration shifts the score component: an adapted plan
-     is sorted by the calibrated key (zero calibration on fresh plans, so
-     this degrades to the pure static key) *)
-  let g, s = Engine.order_key ~rows:av.I.a_rows ~dcounts:av.I.a_dcounts av.I.a_ops in
-  (g, s +. av.I.a_calib)
+  Engine.order_key ~rows:av.I.a_rows ~dcounts:av.I.a_dcounts av.I.a_ops
 
 let check_order (v : I.view) acc =
   let n = Array.length v.i_atoms in
@@ -336,7 +332,6 @@ let view_json (v : I.view) =
                           (Engine.selectivity ~rows:av.I.a_rows
                              ~dcounts:av.I.a_dcounts av.I.a_ops) );
                       ("ground", Bool (Engine.ground av.I.a_ops));
-                      ("calib", Float av.I.a_calib);
                       ("ops", List (Array.to_list (Array.map op_json av.I.a_ops))) ])
                 v.i_atoms)) );
       ("order", List (Array.to_list (Array.map (fun i -> Json.Int i) v.i_order)));

@@ -49,19 +49,11 @@ module Db = struct
   type plan_store = ..
   type plan_store += No_plans
 
-  (* learned calibrations are cached separately from plan cores: unlike
-     cores they are NOT discarded on [sync] — each entry carries the
-     stats epoch it was learned at and is lazily evicted when looked up
-     under a newer epoch (the E024 discipline) *)
-  type adapt_store = ..
-  type adapt_store += No_adapts
-
   type t = {
     pool : Value.t Interner.t;
     rels : (string * int, rel) Hashtbl.t;  (* keyed by (name, arity) *)
     mutable db_version : int;  (* the Database.version the store is synced at *)
     mutable plans : plan_store;
-    mutable adapts : adapt_store;
   }
 
   let find_rel c name arity = Hashtbl.find_opt c.rels (name, arity)
@@ -258,8 +250,7 @@ module Db = struct
       { pool = Interner.create ~capacity:256 ();
         rels = Hashtbl.create 16;
         db_version = 0;
-        plans = No_plans;
-        adapts = No_adapts }
+        plans = No_plans }
     in
     sync c db;
     c
@@ -384,6 +375,12 @@ let fb_add dst src =
   done;
   dst.fb_runs <- dst.fb_runs + src.fb_runs
 
+(* what the feedback view hands its auditor: drift beyond this many log10
+   decades between an atom's static estimate and its observed per-context
+   survival is E022, once at least [drift_min_probed] rows were probed *)
+let drift_threshold = 2.0
+let drift_min_probed = 64
+
 type t = {
   cdb : Db.t;
   vars : string Interner.t;  (* variable name <-> slot *)
@@ -396,10 +393,6 @@ type t = {
   src_db : Database.t;       (* the database the plan was compiled against *)
   compiled_at : int;         (* database version at compile time; the cdb may
                                 since have been incrementally extended *)
-  calib : float array;       (* per-atom log10 selectivity adjustment learned
-                                from observed counters; zero on fresh plans *)
-  costed_at : int;           (* stats epoch the calibration was costed
-                                against (= compiled_at when uncalibrated) *)
   mutable feedback : fb option;  (* accumulated counters of completed runs *)
   provenance : provenance;
 }
@@ -427,8 +420,7 @@ and prepared = {
   pr_bound : string list;      (* the bound variables, in [bind]'s order *)
   pr_slots : int array;        (* per bound variable: its base slot, -1 when
                                   no atom mentions it *)
-  pr_adapt : adapt_entry option;  (* the calibration the base applied *)
-  pr_base : t;                 (* calibrated base plan, markers in init_env *)
+  pr_base : t;                 (* base plan, markers in init_env *)
   pr_plan : t;                 (* optimized plan, markers in its checks *)
   pr_subst : int array;        (* atoms of [pr_plan] with a parameter check *)
   pr_ground : int array;       (* of those, the all-Check atoms: matched by a
@@ -439,39 +431,10 @@ and prepared = {
   pr_table : (int * string) array Lazy.t;  (* read-back table of [pr_plan] *)
 }
 
-(* the stats-epoch-keyed calibration cache, living on the compiled database
-   beside the plan cores but with a different lifetime: Db.sync discards
-   cores eagerly but leaves these entries to be epoch-evicted at lookup *)
-and adapt_entry = {
-  ad_epoch : int;          (* store version the calibration was costed at *)
-  ad_calib : float array;
-  ad_cert : swap_cert;     (* the justifying swap, re-verifiable by audit *)
-}
-
-(* certificate of one plan swap: enough to recompute the calibration and
-   the re-sorted order from the before-plan and re-verify both *)
-and swap_cert = {
-  sw_epoch : int;     (* stats epoch (store version) the swap was costed at *)
-  sw_runs : int;      (* completed runs the evidence covers *)
-  sw_drift : (int * float * float) array;
-      (* (atom, calibrated estimate, observed log10 selectivity) per
-         drifted atom — the E022-level evidence justifying the swap *)
-  sw_calib : float array;  (* full per-atom calibration after the swap *)
-}
-
 (* parameter [k] of a prepared plan, as it sits in a [Check] or an
    [init_env] entry: below -1, so it is neither an interned id nor the
    unbound marker *)
 let param_id k = -2 - k
-
-(* calibrated selectivity: the static score shifted by the plan's learned
-   per-atom log10 adjustment. Zero on fresh plans, so every calibrated key
-   below degenerates to the static one unless adaptation applied. *)
-let calib_of (p : t) i = if i < Array.length p.calib then p.calib.(i) else 0.
-let calibrated_score (p : t) i = atom_score p.atoms.(i) +. calib_of p i
-
-let calibrated_key (p : t) i =
-  ((if ground p.atoms.(i).a_ops then 0 else 1), calibrated_score p i)
 
 (* the init-independent part of a plan, cached on the compiled database
    keyed by the atom list — repeated evaluation of the same body under
@@ -608,8 +571,6 @@ let param_base db cdb core atom_list bound =
       src_atoms = atom_list;
       src_db = db;
       compiled_at = cdb.Db.db_version;
-      calib = Array.make (max 1 (Array.length atoms)) 0.;
-      costed_at = cdb.Db.db_version;
       feedback = None;
       provenance = Compiled }
   in
@@ -728,8 +689,8 @@ let ground_witness_row (ap : atom_plan) =
   end
 
 (* [p] without the atoms marked in [dead]: survivors keep their relative
-   order and calibration, the static order is filtered. Returns the atom
-   map (old -> new, -1 dropped) too. *)
+   order, the static order is filtered. Returns the atom map (old -> new,
+   -1 dropped) too. *)
 let drop_atoms (p : t) dead =
   let atom_map = Array.make (Array.length p.atoms) (-1) in
   let nkept = ref 0 in
@@ -752,10 +713,7 @@ let drop_atoms (p : t) dead =
     p.order;
   let atoms = Array.map (fun i -> p.atoms.(i)) kept in
   let src_atoms = List.filteri (fun i _ -> not dead.(i)) p.src_atoms in
-  let calib =
-    if !nkept = 0 then [| 0. |] else Array.map (fun i -> calib_of p i) kept
-  in
-  ({ p with atoms; order; src_atoms; calib }, atom_map)
+  ({ p with atoms; order; src_atoms }, atom_map)
 
 (* dead-instruction elimination: an atom that exactly duplicates an earlier
    kept atom constrains nothing new; an all-Check atom satisfied by some
@@ -857,12 +815,10 @@ let pass_hoist (p : t) =
   (p', lazy { (identity_cert "check-hoist" p') with cert_reorders = true })
 
 (* selectivity-aware reordering: re-establish the full static-order invariant
-   (ground first, ascending calibrated selectivity) that constant folding
-   broke by turning Slot instructions into Checks. The key includes the
-   plan's learned calibration so adapted plans keep their observed order
-   through the pass pipeline (zero calibration = the static key). *)
+   (ground first, ascending selectivity) that constant folding broke by
+   turning Slot instructions into Checks *)
 let pass_reorder (p : t) =
-  let key ai = calibrated_key p ai in
+  let key ai = atom_key p.atoms.(ai) in
   let order =
     Array.of_list
       (List.stable_sort
@@ -899,174 +855,6 @@ let optimize p =
         let q, stages = run_passes p in
         let stages = List.map (fun (q, cert) -> (q, Lazy.force cert)) stages in
         { q with provenance = Optimized { stages } }
-      end
-
-(* ------------------------------------------------------------------ *)
-(* Verified adaptive re-planning                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Adaptation re-calibrates the static selectivity scores from the observed
-   per-atom counters and re-sorts the static order for the NEXT compile of
-   the same atom list. Every swap emits a plain-data certificate that
-   Analysis.Feedback can re-verify (E025) from the before-plan alone. *)
-
-(* drift beyond this many log10 decades between the calibrated estimate and
-   the observed per-context survival triggers re-calibration (and E022) *)
-let drift_threshold_flag = Atomic.make 2.0
-
-let set_drift_threshold t =
-  Atomic.set drift_threshold_flag (Float.max 0.1 t)
-
-let drift_threshold () = Atomic.get drift_threshold_flag
-
-(* below this many probed rows the evidence is too thin to act on *)
-let drift_min_probed_flag = Atomic.make 64
-let set_drift_min_probed n = Atomic.set drift_min_probed_flag (max 1 n)
-let drift_min_probed () = Atomic.get drift_min_probed_flag
-
-(* [replan p]: inspect the accumulated counters; on E022-level drift return
-   the re-calibrated plan and its certificate. The drift baseline is the
-   CALIBRATED score, so a well-calibrated plan observes obs ≈ est and never
-   re-triggers on its own evidence. One-sided: only underestimates (more
-   survivors than predicted) force a swap — overestimates only make the
-   static order conservative. *)
-let replan (p : t) =
-  match p.feedback with
-  | None -> None
-  | Some fb ->
-      let n = Array.length p.atoms in
-      if n = 0 || not p.feasible then None
-      else begin
-        let threshold = drift_threshold () in
-        let min_probed = drift_min_probed () in
-        let drifts = ref [] in
-        for i = n - 1 downto 0 do
-          let c = fb.fb_contexts.(i) and s = fb.fb_survived.(i) in
-          if c > 0 && fb.fb_probed.(i) >= min_probed && s > 0 then begin
-            let obs = log10 (float_of_int s /. float_of_int c) in
-            let est = calibrated_score p i in
-            if obs -. est > threshold then drifts := (i, est, obs) :: !drifts
-          end
-        done;
-        match !drifts with
-        | [] -> None
-        | ds ->
-            let calib = Array.copy p.calib in
-            List.iter
-              (fun (i, est, obs) -> calib.(i) <- calib.(i) +. (obs -. est))
-              ds;
-            let p1 = { p with calib } in
-            let key ai = calibrated_key p1 ai in
-            let order =
-              Array.of_list
-                (List.stable_sort
-                   (fun a b -> compare (key a) (key b))
-                   (Array.to_list p.order))
-            in
-            let p' =
-              { p1 with
-                order;
-                costed_at = p.cdb.Db.db_version;
-                feedback = None }
-            in
-            let cert =
-              { sw_epoch = p.cdb.Db.db_version;
-                sw_runs = fb.fb_runs;
-                sw_drift = Array.of_list ds;
-                sw_calib = calib }
-            in
-            Some (p', cert)
-      end
-
-type Db.adapt_store += Adapts of (Atom.t list, adapt_entry) Hashtbl.t
-
-let adapt_tbl (cdb : Db.t) =
-  match cdb.Db.adapts with
-  | Adapts t -> t
-  | _ ->
-      let t = Hashtbl.create 16 in
-      cdb.Db.adapts <- Adapts t;
-      t
-
-(* the atom list [p] was compiled from: a running plan's [src_atoms] may
-   have lost atoms to dead-instruction elimination or to [bind] *)
-let source_atoms (p : t) =
-  match p.provenance with
-  | Bound { prep; _ } -> prep.pr_atoms
-  | Optimized { stages = (q, _) :: _ } -> q.src_atoms
-  | Compiled | Optimized _ -> p.src_atoms
-
-(* per atom of [p], its index in [source_atoms p]. [drop_atoms] filters
-   [src_atoms] with the atoms' own mask, so the running list is a
-   subsequence of the source list, element for element; where one atom
-   value occurs twice, the passes and [bind] keep the earlier copy, so the
-   leftmost embedding is the one they took *)
-let source_positions (p : t) =
-  let pos = Array.make (List.length p.src_atoms) 0 in
-  let rec go i j src run =
-    match (src, run) with
-    | _, [] -> ()
-    | [], _ :: _ -> invalid_arg "Engine.source_positions"
-    | a :: src', b :: run' ->
-        if a == b then begin
-          pos.(i) <- j;
-          go (i + 1) (j + 1) src' run'
-        end
-        else go i (j + 1) src' run
-  in
-  go 0 0 (source_atoms p) p.src_atoms;
-  pos
-
-(* A calibration is keyed by the source atom list and indexed like the base
-   plan, which is what [prepare] looks up and [apply_adapt] applies; the
-   learning plan's per-atom calibration is mapped back through its source
-   positions (an atom the running plan dropped gets none). The certificate
-   stays in the learning plan's own atom indices. *)
-let store_adapt (p : t) cert =
-  let src = source_atoms p in
-  let calib = Array.make (max 1 (List.length src)) 0. in
-  Array.iteri (fun i j -> calib.(j) <- cert.sw_calib.(i)) (source_positions p);
-  let t = adapt_tbl p.cdb in
-  if Hashtbl.length t > 4096 then Hashtbl.reset t;
-  Hashtbl.replace t src { ad_epoch = cert.sw_epoch; ad_calib = calib; ad_cert = cert }
-
-(* a store that never learned a calibration has no table: the lookup
-   neither allocates one nor hashes the atom list *)
-let find_adapt_of (cdb : Db.t) atom_list =
-  match cdb.Db.adapts with
-  | Adapts t when Hashtbl.length t > 0 -> Hashtbl.find_opt t atom_list
-  | _ -> None
-
-let find_adapt (p : t) = find_adapt_of p.cdb (source_atoms p)
-
-let cached_swap (p : t) = Option.map (fun e -> e.ad_cert) (find_adapt p)
-
-(* apply a cached calibration to a freshly compiled plan, returning the
-   entry applied. An entry learned under an older stats epoch than the
-   store now carries is stale (the E024 shape): it is evicted and the plan
-   compiles uncalibrated. *)
-let apply_adapt (p : t) =
-  match find_adapt p with
-  | None -> (p, None)
-  | Some e ->
-      if
-        e.ad_epoch <> p.cdb.Db.db_version
-        || Array.length e.ad_calib <> max 1 (Array.length p.atoms)
-        || not p.feasible
-      then begin
-        Hashtbl.remove (adapt_tbl p.cdb) (source_atoms p);
-        (p, None)
-      end
-      else begin
-        let p1 = { p with calib = e.ad_calib; costed_at = e.ad_epoch } in
-        let key ai = calibrated_key p1 ai in
-        let order =
-          Array.of_list
-            (List.stable_sort
-               (fun a b -> compare (key a) (key b))
-               (Array.to_list p1.order))
-        in
-        ({ p1 with order }, Some e)
       end
 
 (* ------------------------------------------------------------------ *)
@@ -1111,7 +899,6 @@ let may_collide a b =
    table. What the values decide is left to [bind], in O(plan). *)
 let build_prepared db cdb core atom_list bound =
   let base, slots = param_base db cdb core atom_list bound in
-  let base, adapt = apply_adapt base in
   (* certificates are left unforced: a bound plan re-derives its trail *)
   let plan = if base.feasible then fst (run_passes base) else base in
   let n = Array.length plan.atoms in
@@ -1135,7 +922,6 @@ let build_prepared db cdb core atom_list bound =
     pr_atoms = atom_list;
     pr_bound = bound;
     pr_slots = slots;
-    pr_adapt = adapt;
     pr_base = base;
     pr_plan = plan;
     pr_subst = Array.of_list subst;
@@ -1144,40 +930,26 @@ let build_prepared db cdb core atom_list bound =
     pr_pairs = Array.of_list !pairs;
     pr_table = lazy (read_back plan.vars Mapping.empty) }
 
-let same_adapt a b =
-  match (a, b) with
-  | None, None -> true
-  | Some x, Some y -> x == y
-  | _ -> false
-
 (* One prepared plan per (compiled store, atom list, bound variables),
-   cached on the atom list's core: [Db.sync] drops it with the cores, and
-   an entry whose calibration is no longer the store's current one is
-   prepared again. *)
+   cached on the atom list's core: [Db.sync] drops it with the cores. *)
 let prepare db atom_list ~bound =
   let cdb = Db.of_database db in
   let core = core_of cdb atom_list in
-  let adapt = find_adapt_of cdb atom_list in
   match List.assoc_opt bound core.c_prepared with
-  | Some pr when same_adapt pr.pr_adapt adapt -> pr
-  | _ ->
+  | Some pr -> pr
+  | None ->
       let pr = build_prepared db cdb core atom_list bound in
-      let others = List.filter (fun (b, _) -> b <> bound) core.c_prepared in
       (* one entry per distinct set of bound variables; a dumb reset bounds
          the list like the core table *)
       core.c_prepared <-
-        (bound, pr) :: (if List.length others >= 32 then [] else others);
+        (bound, pr)
+        :: (if List.length core.c_prepared >= 32 then [] else core.c_prepared);
       pr
 
-(* [pr] itself while its store is unchanged and its calibration current,
-   else its replacement *)
+(* [pr] itself while its store is unchanged, else its replacement *)
 let current pr =
   let cdb = Db.of_database pr.pr_db in
-  if
-    cdb == pr.pr_cdb
-    && cdb.Db.db_version = pr.pr_version
-    && same_adapt pr.pr_adapt (find_adapt_of cdb pr.pr_atoms)
-  then pr
+  if cdb == pr.pr_cdb && cdb.Db.db_version = pr.pr_version then pr
   else prepare pr.pr_db pr.pr_atoms ~bound:pr.pr_bound
 
 (* the base plan under binding [ids] (one id per parameter): parameter
@@ -1214,9 +986,7 @@ let bind_with pr values init =
     { (instantiate pr ids init) with
       atoms = [||];
       order = [||];
-      feasible = false;
-      calib = [| 0. |];
-      costed_at = s.compiled_at }
+      feasible = false }
   else begin
     let atoms =
       if Array.length pr.pr_subst = 0 then s.atoms
@@ -1293,12 +1063,14 @@ let slot_of p x = Interner.find p.vars x
    count among bound positions of each atom in [order], strict first-wins
    minimum — is a pure function of the plan. Runs over contiguous slices of
    this row sequence, concatenated in slice order, reproduce the whole
-   enumeration order exactly. *)
+   enumeration order exactly. Every atom's count is kept: [fixed_order]
+   breaks its ties by them. *)
 type first_choice = {
   fc_pos : int;          (* position of the chosen atom inside [order] *)
   fc_rows : int array;   (* candidate row indices (live prefix [fc_count]) *)
   fc_scan : bool;        (* no bound position: iterate the whole relation *)
   fc_count : int;        (* number of top-level candidates *)
+  fc_costs : int array;  (* per plan atom: its top-level candidate count *)
 }
 
 let select_first p =
@@ -1306,6 +1078,7 @@ let select_first p =
   if not p.feasible || n = 0 then None
   else begin
     let env = p.init_env in
+    let costs = Array.make n 0 in
     let best_pos = ref 0 and best_cost = ref 0 in
     let best_rows = ref [||] and best_scan = ref false in
     for j = 0 to n - 1 do
@@ -1330,6 +1103,7 @@ let select_first p =
               rows := [||];
               scan := false
       done;
+      costs.(p.order.(j)) <- !cost;
       if j = 0 || !cost < !best_cost then begin
         best_pos := j;
         best_cost := !cost;
@@ -1341,24 +1115,21 @@ let select_first p =
       { fc_pos = !best_pos;
         fc_rows = !best_rows;
         fc_scan = !best_scan;
-        fc_count = !best_cost }
+        fc_count = !best_cost;
+        fc_costs = costs }
   end
 
-(* Commit one completed enumeration's counters into the plan:
-   the top-level atom gets its single probe context (one per run), the
-   record is folded into the plan's accumulator, and the accumulated
-   evidence is re-examined for E022-level drift. *)
+(* Commit one completed enumeration's counters into the plan: the top-level
+   atom gets its single probe context (one per run), and the record is
+   folded into the plan's accumulator. *)
 let fb_commit p fc fb =
   let top = p.order.(fc.fc_pos) in
   if top >= 0 && top < Array.length fb.fb_contexts then
     fb.fb_contexts.(top) <- fb.fb_contexts.(top) + 1;
   fb.fb_runs <- fb.fb_runs + 1;
-  (match p.feedback with
+  match p.feedback with
   | Some dst -> fb_add dst fb
-  | None -> p.feedback <- Some fb);
-  match replan p with
-  | None -> ()
-  | Some (_, cert) -> store_adapt p cert
+  | None -> p.feedback <- Some fb
 
 (* ------------------------------------------------------------------ *)
 (* Batched (vectorized) execution                                       *)
@@ -1448,13 +1219,18 @@ type bstage = {
 
 (* the fixed stage order shared by the batched interpreter and its scalar
    twin: the pre-computed top-level choice first, then greedily the atom
-   with the most already-bound positions (constant positions count, static
-   order breaks ties). Connected queries therefore always probe on at least
-   one bound column — processing the remaining atoms in static order would
-   expand a cartesian product whenever the selective atom (e.g. one holding
-   an init-bound sink variable) sits late in the plan. The order depends
-   only on (plan, fc), so it is identical between the batched run and the
-   fixed twin. *)
+   with the most already-bound positions (constant positions count).
+   Connected queries therefore always probe on at least one bound column —
+   processing the remaining atoms in static order would expand a cartesian
+   product whenever the selective atom (e.g. one holding an init-bound sink
+   variable) sits late in the plan. A tie goes to the smaller top-level
+   candidate count ([fc_costs], read off the index cells by
+   [select_first]), then to the static order: an atom whose constant hits
+   a hot key (R(1, ?y) with most of R under key 1) waits behind a join
+   partner with as many bound positions, and then runs as a filter instead
+   of expanding the hot cell once per earlier row. The order depends only
+   on (plan, fc), so it is identical between the batched run and the fixed
+   twin. *)
 let fixed_order p fc =
   let fc_atom = p.order.(fc.fc_pos) in
   let nslots = max 1 (Array.length p.init_env) in
@@ -1480,9 +1256,11 @@ let fixed_order p fc =
     | hd :: tl ->
         let best, _ =
           List.fold_left
-            (fun ((_, bs) as b) ai ->
+            (fun ((b, bs) as acc) ai ->
               let sa = score ai in
-              if sa > bs then (ai, sa) else b)
+              if sa > bs || (sa = bs && fc.fc_costs.(ai) < fc.fc_costs.(b))
+              then (ai, sa)
+              else acc)
             (hd, score hd) tl
         in
         bind_atom best;
@@ -2322,14 +2100,7 @@ let sanitize_static p =
         check_fail "static order is not a permutation of the atoms";
       seen.(ai) <- true)
     p.order;
-  (* the order discipline is checked against the *calibrated* key: a plan
-     whose order was adapted from observed feedback is sorted by the same
-     key the reorder pass used, so zero-calibration plans degrade to the
-     static (ground, selectivity) check exactly *)
-  let key i =
-    let g, s = atom_key p.atoms.(p.order.(i)) in
-    (g, s +. calib_of p p.order.(i))
-  in
+  let key i = atom_key p.atoms.(p.order.(i)) in
   for i = 0 to n - 2 do
     if compare (key i) (key (i + 1)) > 0 then
       check_fail
@@ -2640,7 +2411,6 @@ module Inspect = struct
     a_dcounts : int array;
     a_ranges : (int * int) array;
     a_ops : op array;
-    a_calib : float;  (* feedback calibration, log10; 0. on fresh plans *)
     a_current : bool;  (* the store still holds this relation record *)
   }
 
@@ -2670,7 +2440,6 @@ module Inspect = struct
             a_dcounts = Array.copy ap.a_rel.Db.dcounts;
             a_ranges = Array.copy ap.a_rel.Db.ranges;
             a_ops = Array.copy ap.a_ops;
-            a_calib = calib_of p i;
             a_current = Db.holds p.cdb ap.a_rel })
         p.atoms
     in
@@ -2693,7 +2462,6 @@ module Inspect = struct
     f_survived : int;    (* rows surviving all checks (matches) *)
     f_rows : int;        (* stored relation rows, for the sound E026 bound *)
     f_score : float;     (* static selectivity estimate, log10 *)
-    f_calib : float;     (* feedback calibration applied on top, log10 *)
   }
 
   type feedback_view = {
@@ -2702,7 +2470,6 @@ module Inspect = struct
     f_top : int option;      (* the top-level atom select_first would choose *)
     f_threshold : float;     (* drift threshold in force, log10 decades *)
     f_min_probed : int;      (* evidence floor in force *)
-    f_costed_at : int;       (* stats epoch the calibration was costed at *)
     f_compiled_version : int;
     f_store_version : int;
     f_live_version : int;
@@ -2731,8 +2498,7 @@ module Inspect = struct
               | Some fb -> get fb.fb_survived i
               | None -> 0);
             f_rows = ap.a_rel.Db.nrows;
-            f_score = atom_score ap;
-            f_calib = calib_of p i })
+            f_score = atom_score ap })
         p.atoms
     in
     { f_atoms = atoms;
@@ -2741,9 +2507,8 @@ module Inspect = struct
         (match select_first p with
         | None -> None
         | Some fc -> Some p.order.(fc.fc_pos));
-      f_threshold = drift_threshold ();
-      f_min_probed = drift_min_probed ();
-      f_costed_at = p.costed_at;
+      f_threshold = drift_threshold;
+      f_min_probed = drift_min_probed;
       f_compiled_version = p.compiled_at;
       f_store_version = p.cdb.Db.db_version;
       f_live_version = Database.version p.src_db }

@@ -45,20 +45,18 @@ type prepared
 
 (** [prepare db atoms ~bound] runs the plan pipeline once for the
     homomorphisms of [atoms] into [db] that extend some binding of the
-    (distinct) variables [bound]: the base plan, then any calibration the
-    adaptive loop learned for [atoms] on [db]'s store (below), then the
-    optimization pass pipeline ({!optimize}) over a base whose bound slots
-    hold parameters instead of values. Neither step has a switch: both
-    only reorder or prune the plan, never change its answer set.
-    Everything the passes decide from the set of bound variables alone is
-    fixed here: fold positions, the (ground, selectivity) keys, the static
-    and hoisted order, dead slots and the read-back table.
+    (distinct) variables [bound]: the base plan, then the optimization pass
+    pipeline ({!optimize}) over a base whose bound slots hold parameters
+    instead of values. The pipeline has no switch: it only reorders or
+    prunes the plan, never changes its answer set. Everything the passes
+    decide from the set of bound variables alone is fixed here: fold
+    positions, the (ground, selectivity) keys, the static and hoisted
+    order, dead slots and the read-back table.
 
     The result is cached beside the plan core of [atoms] on [db]'s compiled
     store, keyed by [bound] as given. [Database.add] / [Database.remove]
-    drop it with the cores at the next sync, and a cached entry whose
-    applied calibration is no longer the store's current one is prepared
-    again, so a later [prepare] is never served stale. *)
+    drop it with the cores at the next sync, so a later [prepare] is never
+    served stale. *)
 val prepare : Database.t -> Atom.t list -> bound:string list -> prepared
 
 (** [bind pr values] is the plan of [pr] under [bound] = [values] (same
@@ -68,9 +66,8 @@ val prepare : Database.t -> Atom.t list -> bound:string list -> prepared
     an atom that equals an earlier one only once the values are in, and a
     value the store never interned makes the plan infeasible. No
     certificate is allocated; {!Inspect.trail} re-derives one on demand.
-    [bind] first re-prepares when [pr]'s store has synced changes or its
-    calibration was replaced since. Each bound plan accumulates its own
-    feedback counters. *)
+    [bind] first re-prepares when [pr]'s store has synced changes since.
+    Each bound plan accumulates its own feedback counters. *)
 val bind : prepared -> Value.t list -> t
 
 (** [compile db atoms ~init] is [prepare db atoms ~bound |> bind] with
@@ -135,72 +132,6 @@ type cert = {
     can time the pipeline in isolation on {!Inspect.base}. *)
 val optimize : t -> t
 
-(** {2 Verified adaptive re-planning}
-
-    Every completed (uncancelled) enumeration accumulates cheap per-atom
-    counters into its plan — probe contexts entered, candidate rows probed,
-    rows surviving all checks — exposed as plain data by
-    {!Inspect.feedback}; checked runs commit none. After each committed
-    run, when an atom's observed log10 selectivity drifts more than
-    {!drift_threshold} decades above its calibrated estimate (with at least
-    {!drift_min_probed} rows of evidence), the engine re-calibrates: the
-    drift is folded into a per-atom calibration term, the static order
-    re-sorted by the calibrated key, and the result cached on the compiled
-    store, keyed by the source atom list and the stats epoch (store
-    version) it was costed at. The running plan keeps its order; a later
-    [compile] of the same atom list on the same store may run the
-    calibrated order instead, with the same answer set — calibration only
-    reorders the static atom order, and the answer set is order-independent
-    ([wdpt_fuzz] checks this). Entries from an older epoch are evicted,
-    never applied (the E024 discipline). A store without calibrations
-    ([Database.copy], or any store before its first run) compiles the
-    static order. Every swap emits a {!swap_cert}; the engine adopts its
-    own swaps without verifying them, and [Analysis.Feedback.verify_swap]
-    re-verifies a certificate from the before-plan on demand (E025:
-    [explain --drift], [wdpt_fuzz], the test suite). *)
-
-(** Drift threshold in log10 decades (default 2.0, clamped to [>= 0.1]):
-    re-calibration (and the E022 diagnostic) trigger when the observed
-    per-context survival exceeds the calibrated estimate by more than
-    this. One-sided — overestimates never force a swap. *)
-val set_drift_threshold : float -> unit
-
-val drift_threshold : unit -> float
-
-(** Minimum probed rows before drift evidence is acted on (default 64,
-    clamped to [>= 1]). *)
-val set_drift_min_probed : int -> unit
-
-val drift_min_probed : unit -> int
-
-(** Plain-data certificate of one adaptive plan swap: enough to recompute
-    the calibration from the drift evidence and re-verify the re-sorted
-    order, without trusting the loop that produced it. *)
-type swap_cert = {
-  sw_epoch : int;
-      (** stats epoch (store version) the swap was costed at *)
-  sw_runs : int;  (** completed runs the evidence covers *)
-  sw_drift : (int * float * float) array;
-      (** per drifted atom: (index, calibrated estimate, observed log10
-          selectivity) — the E022-level evidence justifying the swap *)
-  sw_calib : float array;  (** full per-atom calibration after the swap *)
-}
-
-(** [replan p]: examine [p]'s accumulated counters; on E022-level drift
-    return the re-calibrated plan and its certificate, [None] otherwise
-    (no evidence, no drift, or infeasible). Pure with respect to the
-    adapt cache — [compile] + the commit hook drive the cache itself. *)
-val replan : t -> (t * swap_cert) option
-
-(** The cached swap certificate for the atom list [p] was compiled from
-    (before any atom was dropped), if an adaptive swap has been stored for
-    it on [p]'s compiled store ([None] otherwise) — what
-    [Analysis.Feedback.verify_swap] re-verifies as E025. The certificate
-    is in the atom indices of the plan that learned it; the calibration
-    the next [prepare] applies is the same one, indexed by the source atom
-    list. *)
-val cached_swap : t -> swap_cert option
-
 (** {2 Batched (vectorized) execution}
 
     Every enumeration ({!iter_envs}, {!count_envs}, the projections)
@@ -209,11 +140,17 @@ val cached_swap : t -> swap_cert option
     (one flat [int array] per stage-bound slot, batch-row indexed), checks
     narrow a survivor bitmask in place, and index probes sort/group the
     batch by probe key so counted-cell lookups become sequential runs. The
-    pipeline runs the atoms in a fixed order — the pre-computed top-level
-    choice, then the static order — which makes slot boundness uniform
-    across a batch; enumeration order is the depth-first order of that
-    fixed-order recursion, and validated env-for-env against a scalar
-    fixed-order twin in checked mode. Top-level candidates are processed in
+    pipeline runs the atoms in a fixed order, which makes slot boundness
+    uniform across a batch: the top-level choice (fewest candidates in the
+    index cells of its bound positions) first, then greedily the atom with
+    the most already-bound positions. A tie goes to the atom with the
+    smaller top-level candidate count, read off the same index cells as
+    the top-level choice, then to the static order; so an atom whose
+    constant selects a hot key runs after an equally bound join partner,
+    as a filter, instead of expanding the hot cell once per earlier row.
+    Enumeration order is the depth-first order of that fixed-order
+    recursion, and validated env-for-env against a scalar fixed-order twin
+    in checked mode. Top-level candidates are processed in
     groups of {!morsel_rows} rows, bounding the columnar footprint.
 
     First-match ({!sat}, {!first_homomorphism}) runs on that scalar
@@ -380,9 +317,6 @@ module Inspect : sig
     a_ranges : (int * int) array;
         (** per position: (min, max) stored id, (0, -1) when empty *)
     a_ops : op array;  (** per-position instructions *)
-    a_calib : float;
-        (** feedback calibration applied to this atom's selectivity score
-            (log10 decades); [0.] on fresh or non-adapted plans *)
     a_current : bool;
         (** the store still reads the relation record this atom was compiled
             against; [false] once a removal synced after compile replaced it
@@ -414,8 +348,10 @@ module Inspect : sig
 
       Plain-data snapshot of the per-atom runtime counters beside the
       static estimates that chose the plan — what [Analysis.Feedback]
-      audits (E022–E026) and [explain --drift] prints. All counters are
-      zero for a plan that never ran. *)
+      audits (E022, E023, E026) and [explain --drift] prints. Every
+      completed, unchecked enumeration adds to the counters; nothing reads
+      them back into planning. All counters are zero for a plan that never
+      ran. *)
 
   type feedback_atom = {
     f_atom : int;  (** plan atom index *)
@@ -424,7 +360,6 @@ module Inspect : sig
     f_survived : int;  (** rows surviving all checks (matches) *)
     f_rows : int;  (** stored relation rows (sound E026 probe bound) *)
     f_score : float;  (** static selectivity estimate, log10 *)
-    f_calib : float;  (** feedback calibration applied on top, log10 *)
   }
 
   type feedback_view = {
@@ -432,11 +367,12 @@ module Inspect : sig
     f_runs : int;  (** completed enumerations folded in *)
     f_top : int option;
         (** the top-level atom the first dynamic selection would choose *)
-    f_threshold : float;  (** {!Engine.drift_threshold} in force *)
-    f_min_probed : int;  (** {!Engine.drift_min_probed} in force *)
-    f_costed_at : int;
-        (** stats epoch the plan's calibration was costed at; older than
-            [f_store_version] is the E024 stale-epoch shape *)
+    f_threshold : float;
+        (** E022 drift threshold, log10 decades: 2.0 in every genuine view
+            (tests lower it on a copy) *)
+    f_min_probed : int;
+        (** probed rows an atom needs before its drift counts: 64 in every
+            genuine view *)
     f_compiled_version : int;
     f_store_version : int;
     f_live_version : int;
@@ -473,8 +409,9 @@ module Inspect : sig
   type batch_view = {
     b_morsel_rows : int;  (** batch group size ({!morsel_rows}) *)
     b_stages : batch_stage_view array;
-        (** fixed stage order: top-level choice first, then the static
-            order — empty for infeasible or atomless plans *)
+        (** fixed stage order: top-level choice first, then by bound
+            positions, top-level candidate count and static order — empty
+            for infeasible or atomless plans *)
     b_columns : (int * string) array;
         (** the columnar environment: (slot, variable name) per
             stage-bound slot, one flat [int array] each at run time *)
@@ -498,9 +435,8 @@ module Inspect : sig
       building {!row_matches} probes per stage). *)
   val stage_plans : t -> t list
 
-  (** The unoptimized original of an optimized plan (itself otherwise),
-      with the calibration it was prepared under: the reference the
-      optimized plan is tested against. *)
+  (** The unoptimized original of an optimized plan (itself otherwise): the
+      reference the optimized plan is tested against. *)
   val base : t -> t
 
   (** The prepared plan a plan was bound from ([None] for an infeasible

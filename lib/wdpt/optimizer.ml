@@ -36,7 +36,7 @@ let choose_exec (c : Cq.Cost.t) =
    same body against the same database at an unchanged version reuses the
    analysis; a version bump (Database.add) or a different database misses.
    The store version is part of the lookup — never trusted from the entry —
-   so a stale entry cannot be served (the E024 discipline, optimizer side). *)
+   so a stale entry cannot be served. *)
 let cost_memo :
     (Relational.Atom.t list * string list, Database.t * int * Cq.Cost.t)
     Hashtbl.t =

@@ -3,7 +3,7 @@
    geometry (candidate ranges smaller than a morsel group, survivor masks
    going all-zero mid-instruction, morsel boundaries inside OPT branches),
    paging parity on the batched streamed path, morsel configuration
-   clamping, and qcheck properties pinning the batched answers to the naive
+   clamping, the stage order around a hot constant, and qcheck properties pinning the batched answers to the naive
    oracles (Cq.Eval.Naive, Semantics.eval_naive) at both semantics levels
    and a batched enumeration order independent of the morsel size. *)
 
@@ -11,12 +11,18 @@ open Relational
 open Helpers
 module I = Engine.Inspect
 
-(* every test restores the ambient morsel size, whatever happens (the suite
-   may itself run under WDPT_ENGINE_MORSEL) *)
-let with_engine ?morsel f =
-  let g0 = Engine.morsel_rows () in
+(* every test restores the ambient morsel size and checked mode, whatever
+   happens (the suite may itself run under WDPT_ENGINE_MORSEL or
+   WDPT_ENGINE_CHECKED) *)
+let with_engine ?morsel ?checked f =
+  let g0 = Engine.morsel_rows () and c0 = Engine.checked_enabled () in
   Option.iter Engine.set_morsel_rows morsel;
-  Fun.protect ~finally:(fun () -> Engine.set_morsel_rows g0) f
+  Option.iter Engine.set_checked checked;
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.set_morsel_rows g0;
+      Engine.set_checked c0)
+    f
 
 let envs_of plan =
   let out = ref [] in
@@ -145,6 +151,62 @@ let test_paging_parity () =
            (Mapping.Set.of_list pages)
            (Cq.Eval.Naive.answers db (Cq.Query.make ~head:onto ~body:atoms))))
 
+(* ---- a hot constant --------------------------------------------------------- *)
+
+(* The skewed shape S(?x), R(1, ?y), C(?y, ?x) of examples/queries/skew.*:
+   key 1 holds 2,000 of R's 2,200 rows, and C has 300. After the top-level
+   S, both R(1, ?y) and C(?y, ?x) have one bound position; the tie goes to
+   C, whose top-level candidate count (300) is below the hot cell's
+   (2,000), so R runs last as a mask-only filter instead of expanding the
+   hot cell once per S row. This holds on the first run of a fresh store,
+   and the first run's counters show no drift. *)
+let test_hot_constant () =
+  let fact r args = Fact.make r (List.map Value.int args) in
+  let db =
+    Database.of_list
+      (List.concat
+         [ List.init 10 (fun i -> fact "S" [ i + 1 ]);
+           List.init 2000 (fun j -> fact "R" [ 1; j + 1 ]);
+           List.init 200 (fun k -> fact "R" [ k + 2; 0 ]);
+           List.init 300 (fun j -> fact "C" [ j + 1; (j mod 10) + 1 ]) ])
+  in
+  let atoms =
+    [ atom "S" [ v "x" ]; atom "R" [ c 1; v "y" ]; atom "C" [ v "y"; v "x" ] ]
+  in
+  let plan = Engine.compile db atoms ~init:Mapping.empty in
+  let rel k = (I.plan plan).I.i_atoms.(k).I.a_rel in
+  let stages = (I.batch plan).I.b_stages in
+  Alcotest.(check (list string)) "stage order" [ "S"; "C"; "R" ]
+    (Array.to_list (Array.map (fun st -> rel st.I.bv_atom) stages));
+  check_bool "R is a mask-only filter" true stages.(2).I.bv_filter;
+  let naive =
+    Mapping.Set.of_list
+      (Cq.Eval.Naive.homomorphisms db atoms ~init:Mapping.empty)
+  in
+  check_int "one answer per C row" 300 (Mapping.Set.cardinal naive);
+  let answers () =
+    let got = ref Mapping.Set.empty in
+    Engine.iter_envs plan (fun env ->
+        got := Mapping.Set.add (Engine.mapping_of_env plan env) !got);
+    !got
+  in
+  with_engine ~checked:false (fun () ->
+      check_bool "answers = naive" true (Mapping.Set.equal (answers ()) naive);
+      Alcotest.(check (list string)) "first run's feedback audits clean" []
+        (List.map
+           (fun d -> Analysis.Diagnostic.code_id d.Analysis.Diagnostic.code)
+           (Analysis.Feedback.audit plan)));
+  (* checked mode replays every morsel group on the scalar twin *)
+  List.iter
+    (fun morsel ->
+      with_engine ~morsel ~checked:true (fun () ->
+          check_bool
+            (Printf.sprintf "checked answers = naive (morsel %d)" morsel)
+            true
+            (Mapping.Set.equal (answers ()) naive);
+          check_bool "checked sat" true (Engine.sat plan)))
+    [ 3; 1024 ]
+
 (* ---- properties ---------------------------------------------------------- *)
 
 let prop_batched_cq_agree =
@@ -175,6 +237,8 @@ let suite =
     Alcotest.test_case "morsel boundary inside OPT" `Quick test_opt_boundary;
     Alcotest.test_case "paging parity (batched stream)" `Quick
       test_paging_parity;
+    Alcotest.test_case "a hot constant runs last as a filter" `Quick
+      test_hot_constant;
     prop_batched_cq_agree;
     prop_batched_wdpt_agree;
     prop_batched_order_deterministic ]

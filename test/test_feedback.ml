@@ -1,10 +1,9 @@
-(* The cardinality-feedback auditor (Analysis.Feedback) and the verified
-   adaptive re-planning loop: genuine counter views audit clean, every
-   deliberately corrupted view is rejected with the right E-code and
-   witness (E022-E026), counters do not depend on how the candidate range
-   splits into morsel groups, adaptation never changes
-   answers, and the stats-epoch-keyed calibration cache is evicted on
-   epoch bumps. *)
+(* The cardinality-feedback auditor (Analysis.Feedback): genuine counter
+   views audit clean, a genuine drift is reported once the threshold is
+   lowered on a copy of the view, every deliberately corrupted view is
+   rejected with the right E-code and witness (E023, E026), counters do not
+   depend on how the candidate range splits into morsel groups, and the
+   JSON key set is locked. *)
 
 open Relational
 open Helpers
@@ -15,22 +14,14 @@ module F = Analysis.Feedback
 (* every test restores the ambient engine configuration. Checked runs
    commit no counters — their per-group replay would double-count the
    genuine run's probes — so every test here runs unchecked, also in the
-   WDPT_ENGINE_CHECKED=1 leg. Adaptation is always on: a static baseline
-   is a plan compiled before any run, or one compiled on a Database.copy,
-   whose store has learned no calibration. *)
-let with_config ?threshold ?min_probed ?morsel () f =
-  let thr0 = Engine.drift_threshold () in
-  let mp0 = Engine.drift_min_probed () in
+   WDPT_ENGINE_CHECKED=1 leg. *)
+let with_config ?morsel () f =
   let morsel0 = Engine.morsel_rows () in
   let checked0 = Engine.checked_enabled () in
   Engine.set_checked false;
-  Option.iter Engine.set_drift_threshold threshold;
-  Option.iter Engine.set_drift_min_probed min_probed;
   Option.iter Engine.set_morsel_rows morsel;
   Fun.protect
     ~finally:(fun () ->
-      Engine.set_drift_threshold thr0;
-      Engine.set_drift_min_probed mp0;
       Engine.set_morsel_rows morsel0;
       Engine.set_checked checked0)
     f
@@ -38,10 +29,9 @@ let with_config ?threshold ?min_probed ?morsel () f =
 (* A skewed instance the static cost model underestimates. R's key 1 is hot
    (50 of 70 rows) while the per-key average is 70/21 < 4 rows, so the
    mid-pipeline stage R(1, ?y) — estimated 10^0.52 survivors per context —
-   actually yields 10^1.70, a drift of ~1.18 decades: the batched pipeline
-   runs its fixed stage order and probes the hot key for every S row.
-   Statically R orders before S and C;
-   once the calibration absorbs the drift the order inverts to S, C, R. *)
+   actually yields 10^1.70, a drift of ~1.18 decades: after the top-level
+   S(?x), R has the only bound position (C(?y, ?z) shares no variable with
+   S), so the batched pipeline probes the hot key for every S row. *)
 let s_rows = 10
 let hot = 50
 let tail = 20
@@ -96,12 +86,13 @@ let corrupt_atom (v : I.feedback_view) i f =
   { v with I.f_atoms = atoms }
 
 let test_e022 () =
-  (* E022 needs no corruption: lower the threshold below the genuine drift
-     of the skewed instance and the auditor fires on the real counters *)
-  with_config ~threshold:0.5 ~min_probed:1 ()
-    (fun () ->
+  (* E022 needs no corrupted counter: lower the threshold of a copy of the
+     genuine view below the skewed instance's drift and the auditor fires
+     on the real counters *)
+  with_config () (fun () ->
       let p = ran_plan (skew_db ()) skew_atoms in
-      match F.audit p with
+      let view = { (I.feedback p) with I.f_threshold = 0.5; f_min_probed = 1 } in
+      match F.audit_view view with
       | [ { D.code = D.Drift;
             witness =
               Some
@@ -171,28 +162,6 @@ let test_e023 () =
             _ } ] -> ()
       | ds -> Alcotest.failf "negative runs: got %s" (String.concat "," (codes ds))))
 
-let test_e024 () =
-  with_config () (fun () ->
-      let p = ran_plan (skew_db ()) skew_atoms in
-      let view = I.feedback p in
-      (* a CALIBRATED view whose costing epoch predates the store version *)
-      let bad =
-        corrupt_atom
-          { view with I.f_costed_at = view.I.f_store_version - 1 }
-          0
-          (fun fa -> { fa with I.f_calib = 1.5 })
-      in
-      (match F.audit_view bad with
-      | [ { D.code = D.Stale_epoch; witness = Some (D.Epoch { costed; store; live }); _ } ] ->
-          check_int "costed epoch" (view.I.f_store_version - 1) costed;
-          check_int "store epoch" view.I.f_store_version store;
-          check_int "live epoch" view.I.f_live_version live
-      | ds -> Alcotest.failf "expected one E024, got %s" (String.concat "," (codes ds)));
-      (* the same stale epoch WITHOUT calibration is the legitimate E006
-         note-form story: no finding *)
-      let uncalibrated = { view with I.f_costed_at = view.I.f_store_version - 1 } in
-      check_codes "uncalibrated stale epoch is exempt" [] (F.audit_view uncalibrated))
-
 let test_e026 () =
   with_config () (fun () ->
       let p = ran_plan (skew_db ()) skew_atoms in
@@ -216,59 +185,6 @@ let test_e026 () =
           check_bool "ceiling below the claim" true
             (log10 (float_of_int impossible) > bound)
       | ds -> Alcotest.failf "expected one E026, got %s" (String.concat "," (codes ds)))
-
-(* ---- E025: swap certificates -------------------------------------------- *)
-
-let test_e025 () =
-  with_config ~threshold:0.5 ~min_probed:1 ()
-    (fun () ->
-      let db = skew_db () in
-      let p = ran_plan db skew_atoms in
-      match Engine.replan p with
-      | None -> Alcotest.fail "skewed instance must justify a re-plan"
-      | Some (p', cert) ->
-          (* a caller adopts a swap only when its certificate re-verifies *)
-          let adopt cert =
-            match F.verify_swap ~before:(I.plan p) ~after:(I.plan p') cert with
-            | [] -> (p', [])
-            | ds -> (p, ds)
-          in
-          (* the genuine certificate re-verifies, and the swap is adopted *)
-          check_codes "genuine swap certificate verifies" []
-            (F.verify_swap ~before:(I.plan p) ~after:(I.plan p') cert);
-          let adopted, ds = adopt cert in
-          check_codes "genuine swap accepted" [] ds;
-          check_bool "after-plan adopted" true (adopted == p');
-          (* corrupted certificates are rejected and the before-plan kept *)
-          let reject name bad field =
-            match F.verify_swap ~before:(I.plan p) ~after:(I.plan p') bad with
-            | [] -> Alcotest.failf "%s: corrupted certificate verified" name
-            | ds ->
-                check_bool name true
-                  (List.exists
-                     (fun d ->
-                       d.D.code = D.Unjustified_replan
-                       && match d.D.witness with
-                          | Some (D.Replan_of w) -> w.field = field
-                          | _ -> false)
-                     ds);
-                let kept, _ = adopt bad in
-                check_bool (name ^ " keeps before-plan") true (kept == p)
-          in
-          reject "wrong epoch" { cert with Engine.sw_epoch = cert.Engine.sw_epoch + 1 } "epoch";
-          reject "no evidence" { cert with Engine.sw_runs = 0 } "runs";
-          reject "nothing drifted" { cert with Engine.sw_drift = [||] } "drift";
-          reject "forged estimate"
-            { cert with
-              Engine.sw_drift =
-                Array.map (fun (i, est, obs) -> (i, est -. 1., obs)) cert.Engine.sw_drift }
-            "drift";
-          reject "forged calibration"
-            { cert with
-              Engine.sw_calib =
-                Array.map (fun c -> c +. 1.) cert.Engine.sw_calib }
-            "calibration";
-          reject "truncated calibration" { cert with Engine.sw_calib = [||] } "calibration")
 
 (* ---- counters across morsel groupings ------------------------------------ *)
 
@@ -305,72 +221,6 @@ let test_morsel_grouping () =
       check_int (Printf.sprintf "atom %d survived" i) ws ns)
     wide
 
-(* ---- the adaptive cache across epochs ------------------------------------ *)
-
-let test_adapt_cache () =
-  with_config ~threshold:0.5 ~min_probed:1 ()
-    (fun () ->
-      let db = skew_db () in
-      let static =
-        Engine.count_envs
-          (Engine.compile (Database.copy db) skew_atoms ~init:Mapping.empty)
-      in
-      (* run 1 collects the evidence and installs the calibration *)
-      let p1 = ran_plan db skew_atoms in
-      check_int "statically the hot atom R is ordered first" 1
-        (I.plan p1).I.i_order.(0);
-      check_bool "first run stored a swap certificate" true
-        (Engine.cached_swap p1 <> None);
-      (* run 2 is served the re-planned plan: calibrated, order inverted,
-         same answers *)
-      let p2 = Engine.compile db skew_atoms ~init:Mapping.empty in
-      let v2 = I.plan p2 in
-      check_bool "hot atom calibrated" true (v2.I.i_atoms.(1).I.a_calib > 0.);
-      check_int "skew inverted the static order" 0 v2.I.i_order.(0);
-      check_int "adaptive answers unchanged" static (Engine.count_envs p2);
-      check_codes "re-planned run audits clean" [] (F.audit p2);
-      (* a well-calibrated plan does not re-trigger on its own evidence *)
-      check_bool "re-plan is idempotent" true (Engine.replan p2 = None);
-      (* an epoch bump (Database.add) evicts the entry at the next compile *)
-      Database.add db (Fact.make "R" [ Value.int 999; Value.int 999 ]);
-      let p3 = Engine.compile db skew_atoms ~init:Mapping.empty in
-      check_bool "stale entry evicted on epoch bump" true
-        (Engine.cached_swap p3 = None);
-      let v3 = I.plan p3 in
-      check_bool "post-eviction plan is uncalibrated" true
-        (Array.for_all (fun (av : I.atom_view) -> av.I.a_calib = 0.) v3.I.i_atoms);
-      (* the loop re-learns at the new epoch... *)
-      ignore (Engine.count_envs p3);
-      let p4 = Engine.compile db skew_atoms ~init:Mapping.empty in
-      check_bool "re-learned at the new epoch" true (Engine.cached_swap p4 <> None);
-      (* ...and clear_cache discards the compiled store with its adapt table *)
-      Database.clear_cache db;
-      let p5 = Engine.compile db skew_atoms ~init:Mapping.empty in
-      check_bool "clear_cache drops the calibration cache" true
-        (Engine.cached_swap p5 = None))
-
-(* a repeated atom is dropped from the running plan: the calibration it
-   learns must still reach the next compile of the same atom list *)
-let test_adapt_cache_dropped_atom () =
-  with_config ~threshold:0.5 ~min_probed:1 () (fun () ->
-      let db = skew_db () in
-      let atoms = skew_atoms @ [ atom "S" [ v "x" ] ] in
-      let static =
-        Engine.count_envs
-          (Engine.compile (Database.copy db) atoms ~init:Mapping.empty)
-      in
-      let p1 = ran_plan db atoms in
-      check_int "the repeated atom is dropped" 3 (Array.length (I.plan p1).I.i_atoms);
-      check_bool "first run stored a swap certificate" true
-        (Engine.cached_swap p1 <> None);
-      let p2 = Engine.compile db atoms ~init:Mapping.empty in
-      let v2 = I.plan p2 in
-      check_bool "hot atom calibrated" true (v2.I.i_atoms.(1).I.a_calib > 0.);
-      check_int "skew inverted the static order" 0 v2.I.i_order.(0);
-      check_int "adaptive answers unchanged" static (Engine.count_envs p2);
-      check_codes "re-planned run audits clean" [] (F.audit p2);
-      check_bool "re-plan is idempotent" true (Engine.replan p2 = None))
-
 (* ---- schema stability ---------------------------------------------------- *)
 
 let test_schema () =
@@ -379,17 +229,24 @@ let test_schema () =
   | Analysis.Json.Obj (("schema", Analysis.Json.Int 4) :: ("version", Analysis.Json.Int 1) :: _) -> ()
   | _ -> Alcotest.fail "diagnostic reports must lead with the schema version");
   (* the feedback view JSON is keyed for the explain --drift consumer *)
+  let fields = function
+    | Analysis.Json.Obj fields -> fields
+    | _ -> Alcotest.fail "feedback JSON must be objects"
+  in
   with_config () (fun () ->
       let p = ran_plan (skew_db ()) skew_atoms in
-      match F.view_json (I.feedback p) with
-      | Analysis.Json.Obj fields ->
-          List.iter
-            (fun k ->
-              check_bool (Printf.sprintf "feedback JSON carries %S" k) true
-                (List.mem_assoc k fields))
-            [ "runs"; "top"; "threshold"; "min-probed"; "costed-at";
-              "store-version"; "live-version"; "atoms" ]
-      | _ -> Alcotest.fail "feedback view JSON must be an object")
+      let view = fields (F.view_json (I.feedback p)) in
+      Alcotest.(check (list string)) "feedback view keys"
+        [ "runs"; "top"; "threshold"; "min-probed"; "compiled-version";
+          "store-version"; "live-version"; "atoms" ]
+        (List.map fst view);
+      match List.assoc "atoms" view with
+      | Analysis.Json.List (a :: _) ->
+          Alcotest.(check (list string)) "feedback atom keys"
+            [ "atom"; "contexts"; "probed"; "survived"; "rows"; "score";
+              "estimated"; "observed" ]
+            (List.map fst (fields a))
+      | _ -> Alcotest.fail "feedback JSON lists its atoms")
 
 (* ---- properties ---------------------------------------------------------- *)
 
@@ -403,29 +260,12 @@ let prop_genuine_clean =
           Engine.iter_envs p (fun _ -> ());
           F.audit p = []))
 
-let prop_adaptive_answers =
-  qtest ~count:60 "adaptive re-planning never changes answers"
-    QCheck.(pair arbitrary_db arbitrary_cq)
-    (fun (db, q) ->
-      (* aggressive thresholds so small random instances re-plan for real;
-         the baseline runs on a copy, whose store has learned nothing *)
-      let base = Cq.Eval.answers (Database.copy db) q in
-      with_config ~threshold:0.1 ~min_probed:1 () (fun () ->
-          Mapping.Set.equal (Cq.Eval.answers db q) base
-          && Mapping.Set.equal (Cq.Eval.answers db q) base))
-
 let suite =
   [ Alcotest.test_case "genuine views are clean" `Quick test_clean;
     Alcotest.test_case "E022 estimate-drift" `Quick test_e022;
     Alcotest.test_case "E023 counter-coverage" `Quick test_e023;
-    Alcotest.test_case "E024 stale-stats-epoch" `Quick test_e024;
-    Alcotest.test_case "E025 unjustified-replan" `Quick test_e025;
     Alcotest.test_case "E026 inconsistent-collector" `Quick test_e026;
     Alcotest.test_case "counters independent of morsel size" `Quick
       test_morsel_grouping;
-    Alcotest.test_case "adaptive cache epochs" `Quick test_adapt_cache;
-    Alcotest.test_case "adaptive cache with a dropped atom" `Quick
-      test_adapt_cache_dropped_atom;
     Alcotest.test_case "JSON schema lock" `Quick test_schema;
-    prop_genuine_clean;
-    prop_adaptive_answers ]
+    prop_genuine_clean ]
