@@ -2979,11 +2979,8 @@ module Delta = struct
 
   let is_empty b = b.added = [] && b.removed = []
 
-  type index = {
-    i_added : Fact.Set.t;
-    i_removed : Fact.Set.t;
-    i_added_by_rel : (string, Fact.t list) Hashtbl.t;  (* oldest first *)
-  }
+  (* relation -> its net-added facts, oldest first *)
+  type index = (string, Fact.t list) Hashtbl.t
 
   let index b =
     let by_rel = Hashtbl.create 8 in
@@ -2993,15 +2990,9 @@ module Delta = struct
         let prev = Option.value ~default:[] (Hashtbl.find_opt by_rel r) in
         Hashtbl.replace by_rel r (f :: prev))
       (List.rev b.added);
-    { i_added = Fact.Set.of_list b.added;
-      i_removed = Fact.Set.of_list b.removed;
-      i_added_by_rel = by_rel }
+    by_rel
 
-  let mem_added idx f = Fact.Set.mem f idx.i_added
-  let mem_removed idx f = Fact.Set.mem f idx.i_removed
-
-  let added_of idx rel =
-    Option.value ~default:[] (Hashtbl.find_opt idx.i_added_by_rel rel)
+  let added_of idx rel = Option.value ~default:[] (Hashtbl.find_opt idx rel)
 
   type dirty_range = {
     dr_atom : int;

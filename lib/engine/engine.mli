@@ -498,12 +498,11 @@ module Delta : sig
 
   val is_empty : batch -> bool
 
-  (** Membership/per-relation view of a batch, built once per refresh. *)
+  (** Per-relation view of a batch's net-added facts, built once per
+      refresh. *)
   type index
 
   val index : batch -> index
-  val mem_added : index -> Fact.t -> bool
-  val mem_removed : index -> Fact.t -> bool
 
   (** Net-added facts of a relation, oldest first. *)
   val added_of : index -> string -> Fact.t list

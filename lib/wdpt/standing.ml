@@ -24,8 +24,14 @@ open Relational
    partitions. Dirtiness comes from two sound sources:
 
    - deletions: a stored hom whose atom image meets the net-removed set dies
-     with its partition. This also covers removal-induced *promotions* (a
-     hom newly maximal because its extensions died): any such hom was
+     with its partition. A hom [h] maps atom [a] onto fact [f] exactly when
+     it extends their unifier [u], so the candidates come from the removed
+     facts: when [u] binds every root variable, the one rootkey [u] restricts
+     to; when it binds some, a posting (root variable, value) -> rootkeys
+     kept where partitions appear and vanish; when it binds none, every
+     rootkey, in one pass per batch. A candidate is dirty iff one of its
+     homs extends [u]. This also covers removal-induced *promotions* (a hom
+     newly maximal because its extensions died): any such hom was
      previously covered by a maximal extension with the same rootkey, and
      that extension used a removed fact.
 
@@ -39,6 +45,7 @@ open Relational
      fact in the child, and shares the rootkey. *)
 
 module MMap = Map.Make (Mapping)
+module VTbl = Hashtbl.Make (Value)
 
 type event = Frontier.event =
   | Added of { answer : Mapping.t; maximal : bool }
@@ -59,11 +66,14 @@ type t = {
   query : Pattern_tree.t;
   db : Database.t;
   all_atoms : Atom.t list;          (* every atom of the tree *)
-  root_vars : string list;
-  root_free : string list;          (* root_vars ∩ free vars: the group key *)
+  root_vars : String_set.t;
+  root_free : String_set.t;         (* root_vars ∩ free vars: the group key *)
   free : String_set.t;
   paths : (Atom.t list * int * int) array;
       (* per node: (atoms of the path root→node, first pivot index, #pivots) *)
+  posting : (string * Mapping.t VTbl.t) list;
+      (* per root variable, one binding value -> rootkey for each rootkey of
+         [homs] ([VTbl.find_all] lists the rootkeys binding it so) *)
   mutable version : int;
   mutable homs : Mapping.Set.t MMap.t;   (* rootkey -> maximal homs *)
   mutable groups : Frontier.t MMap.t;    (* root-free-key -> answer frontier *)
@@ -73,14 +83,32 @@ type t = {
   mutable stats : stats;
 }
 
-let rootkey t h = Mapping.restrict_list t.root_vars h
-let groupkey t rk = Mapping.restrict_list t.root_free rk
+let rootkey t h = Mapping.restrict t.root_vars h
+let groupkey t rk = Mapping.restrict t.root_free rk
 let project t h = Mapping.restrict t.free h
 
 let query t = t.query
 let database t = t.db
 let version t = t.version
 let stats t = t.stats
+
+(* Keep [posting] in step with the rootkeys of [homs]: [post] when a
+   partition appears, [unpost] when it vanishes. *)
+let post t rk =
+  List.iter
+    (fun (x, tbl) -> Option.iter (fun v -> VTbl.add tbl v rk) (Mapping.find x rk))
+    t.posting
+
+let unpost t rk =
+  List.iter
+    (fun (x, tbl) ->
+      Option.iter
+        (fun v ->
+          let rks = VTbl.find_all tbl v in
+          List.iter (fun _ -> VTbl.remove tbl v) rks;
+          List.iter (fun r -> if not (Mapping.equal r rk) then VTbl.add tbl v r) rks)
+        (Mapping.find x rk))
+    t.posting
 
 let build_paths p =
   Array.init (Pattern_tree.node_count p) (fun n ->
@@ -118,8 +146,16 @@ let note_events t evs =
     evs
 
 let register db p =
-  let root_vars = String_set.elements (Pattern_tree.node_vars p (Pattern_tree.root p)) in
+  let root_vars = Pattern_tree.node_vars p (Pattern_tree.root p) in
   let free = Pattern_tree.free_set p in
+  let homs = ref MMap.empty in
+  Semantics.iter_maximal_homomorphisms db p (fun h ->
+      homs :=
+        MMap.update (Mapping.restrict root_vars h)
+          (fun prev ->
+            Some (Mapping.Set.add h (Option.value ~default:Mapping.Set.empty prev)))
+          !homs);
+  let n_keys = MMap.cardinal !homs in
   let t =
     { query = p;
       db;
@@ -127,11 +163,13 @@ let register db p =
         List.concat_map (Pattern_tree.atoms p)
           (List.init (Pattern_tree.node_count p) Fun.id);
       root_vars;
-      root_free = List.filter (fun x -> String_set.mem x free) root_vars;
+      root_free = String_set.inter root_vars free;
       free;
       paths = build_paths p;
+      posting =
+        List.map (fun x -> (x, VTbl.create n_keys)) (String_set.elements root_vars);
       version = Database.version db;
-      homs = MMap.empty;
+      homs = !homs;
       groups = MMap.empty;
       answers = Mapping.Set.empty;
       maximal = Mapping.Set.empty;
@@ -144,15 +182,9 @@ let register db p =
           last_recomputed = 0;
           last_events = 0 } }
   in
-  Semantics.iter_maximal_homomorphisms db p (fun h ->
-      let rk = rootkey t h in
-      t.homs <-
-        MMap.update rk
-          (fun prev ->
-            Some (Mapping.Set.add h (Option.value ~default:Mapping.Set.empty prev)))
-          t.homs);
   MMap.iter
     (fun rk hs ->
+      post t rk;
       let gk = groupkey t rk in
       let projs = List.map (project t) (Mapping.Set.elements hs) in
       t.groups <-
@@ -174,23 +206,38 @@ let maximal_answers t = t.maximal
 let dirty_rootkeys t (b : Engine.Delta.batch) idx =
   let dirty = ref Mapping.Set.empty in
   (* deletions: partitions holding a hom whose atom image meets the removed
-     set. [apply_atom] grounds each atom under the hom; atoms of nodes
-     outside the hom's subtree may stay non-ground and are skipped (their
-     facts are not used by the hom). *)
-  if b.removed <> [] then begin
-    let uses_removed h =
-      List.exists
+     set. A hom [h] maps atom [a] onto fact [f] iff it extends their
+     unifier [u] (which binds every variable of [a]), and [h] extends its
+     rootkey, so only rootkeys agreeing with [u] on the root variables are
+     candidates. [mark us rk hs] marks [rk] when a hom extends some [u]. *)
+  let mark us rk hs =
+    if
+      (not (Mapping.Set.mem rk !dirty))
+      && Mapping.Set.exists (fun h -> List.exists (fun u -> Mapping.subsumes u h) us) hs
+    then dirty := Mapping.Set.add rk !dirty
+  in
+  let mark_key u rk = Option.iter (mark [ u ] rk) (MMap.find_opt rk t.homs) in
+  let unrooted = ref [] in (* unifiers binding no root variable *)
+  let n_root = String_set.cardinal t.root_vars in
+  List.iter
+    (fun f ->
+      List.iter
         (fun a ->
-          let ga = Mapping.apply_atom h a in
-          Atom.is_ground ga && Engine.Delta.mem_removed idx (Atom.to_fact ga))
-        t.all_atoms
-    in
-    MMap.iter
-      (fun rk hs ->
-        if Mapping.Set.exists uses_removed hs then
-          dirty := Mapping.Set.add rk !dirty)
-      t.homs
-  end;
+          match Mapping.matches_fact Mapping.empty a f with
+          | None -> ()
+          | Some u -> (
+              let ur = rootkey t u in
+              if Mapping.cardinal ur = n_root then mark_key u ur
+              else
+                match Mapping.bindings ur with
+                | [] -> unrooted := u :: !unrooted
+                | (x, v) :: _ ->
+                    List.iter
+                      (fun rk -> if Mapping.subsumes ur rk then mark_key u rk)
+                      (VTbl.find_all (List.assoc x t.posting) v)))
+        t.all_atoms)
+    b.removed;
+  if !unrooted <> [] then MMap.iter (mark !unrooted) t.homs;
   (* insertions: path probes with the pivot constrained to net-added facts *)
   if b.added <> [] then
     Array.iter
@@ -248,9 +295,14 @@ let refresh t =
           let fresh = !fresh in
           if not (Mapping.Set.equal old fresh) then begin
             incr recomputed;
-            t.homs <-
-              (if Mapping.Set.is_empty fresh then MMap.remove rk t.homs
-               else MMap.add rk fresh t.homs);
+            if Mapping.Set.is_empty fresh then begin
+              t.homs <- MMap.remove rk t.homs;
+              unpost t rk
+            end
+            else begin
+              if Mapping.Set.is_empty old then post t rk;
+              t.homs <- MMap.add rk fresh t.homs
+            end;
             let gk = groupkey t rk in
             let adds =
               List.map (project t) (Mapping.Set.elements (Mapping.Set.diff fresh old))

@@ -8,9 +8,9 @@
     free variables; only answers agreeing there can ever be ⊑-comparable).
     After any sequence of {!Database.add} / {!Database.remove} on [db],
     {!refresh} nets the modification-log window ({!Engine.Delta.batch}),
-    marks the dirty rootkeys (deletion scan over the stored homs + insertion
-    path probes with delta-constrained pivots), recomputes exactly those
-    partitions via scoped re-runs [extend ~init:rootkey] of one
+    marks the dirty rootkeys (deletion lookups driven by the removed facts
+    + insertion path probes with delta-constrained pivots), recomputes
+    exactly those partitions via scoped re-runs [extend ~init:rootkey] of one
     {!Semantics.extender} built for the refresh (dirty partitions that
     share an OPT child's interface binding evaluate it once), and reports the
     answer change set as events — including OPT-specific [Demoted] /
@@ -22,12 +22,17 @@
     group events are exactly the changes of the unions); {!answers} and
     {!maximal_answers} return them in O(1).
 
-    Cost per refresh is O(window + deletion scan + probe hits + dirty
+    Cost per refresh is O(window + deletion candidates + probe hits + dirty
     partitions re-run + touched frontier groups · log |p(D)|), not
-    O(database): the deletion scan is O(stored homs × atoms) and runs only
-    when the window removed facts, and the compiled engine store absorbs
-    the window in place (appends for insertions, a compaction of the
-    touched relations for removals) instead of being rebuilt. The
+    O(database). Each net-removed fact is unified with the tree atoms; a
+    unifier binding every root variable names its one candidate rootkey, one
+    binding some is looked up in a (root variable, value) → rootkeys posting
+    kept as partitions appear and vanish, and only unifiers binding no root
+    variable (atoms of nodes sharing none with the root) fall back to one
+    pass over the stored homs per batch. Each candidate costs one
+    subsumption test per stored hom of its partition. The compiled engine
+    store absorbs the window in place (appends for insertions, a compaction
+    of the touched relations for removals) instead of being rebuilt. The
     differential guarantee (events applied to the old answer sets reproduce
     full re-evaluation at both semantics levels) is fuzz-tested by
     [wdpt_fuzz] against a freshly built copy of the database,

@@ -366,6 +366,75 @@ let test_standing_mixed_batches () =
   check_set "empty database, empty answers" Mapping.Set.empty
     (Wdpt.Standing.answers st)
 
+(* Deletion marking against a brute-force oracle: the rootkeys of the
+   pre-refresh view holding a stored hom that grounds some tree atom into
+   the removed set. The tree covers every way a removed fact can reach a
+   partition: the root atom E(x,y) binds every root variable; the root atom
+   U(x) and the OPT atoms G(y,z) and K(x,x,3) (a repeated variable and a
+   constant) bind only some; H(z,w), nested under G, binds none. *)
+let test_standing_deletion_marking () =
+  let p =
+    Wdpt.Pattern_tree.make ~free:[ "x"; "y"; "z"; "w" ]
+      (Wdpt.Pattern_tree.Node
+         ( [ atom "E" [ v "x"; v "y" ]; atom "U" [ v "x" ] ],
+           [ Wdpt.Pattern_tree.Node
+               ( [ atom "G" [ v "y"; v "z" ] ],
+                 [ Wdpt.Pattern_tree.Node ([ atom "H" [ v "z"; v "w" ] ], []) ] );
+             Wdpt.Pattern_tree.Node ([ atom "K" [ v "x"; v "x"; c 3 ] ], []) ] ))
+  in
+  let atoms =
+    List.concat_map (Wdpt.Pattern_tree.atoms p)
+      (List.init (Wdpt.Pattern_tree.node_count p) Fun.id)
+  in
+  let db =
+    Database.of_list
+      [ e2 1 2; e2 1 3; e2 2 3; u1 1; u1 2;
+        fact "G" [ 2; 5 ]; fact "G" [ 3; 5 ]; fact "G" [ 3; 6 ];
+        fact "H" [ 5; 8 ]; fact "H" [ 6; 9 ];
+        fact "K" [ 1; 1; 3 ]; fact "K" [ 2; 2; 4 ] ]
+  in
+  let st = Wdpt.Standing.register db p in
+  check_against_full st;
+  let oracle removed =
+    List.length
+      (List.filter
+         (fun (_, hs) ->
+           List.exists
+             (fun h ->
+               List.exists
+                 (fun a ->
+                   let ga = Mapping.apply_atom h a in
+                   Atom.is_ground ga
+                   && List.exists (Fact.equal (Atom.to_fact ga)) removed)
+                 atoms)
+             hs)
+         (Wdpt.Standing.view st).Wdpt.Standing.v_rootkeys)
+  in
+  let delete name removed expected =
+    let want = oracle removed in
+    check_int (name ^ ": oracle") expected want;
+    List.iter (Database.remove db) removed;
+    ignore (refresh_checked st);
+    check_int (name ^ ": dirty = oracle") want
+      (Wdpt.Standing.stats st).Wdpt.Standing.last_dirty
+  in
+  (* H(7,7) unifies with H(z,w) but no hom binds z to 7; K(2,2,4) misses
+     K's constant *)
+  delete "unused facts" [ fact "H" [ 7; 7 ]; fact "K" [ 2; 2; 4 ] ] 0;
+  (* binds no root variable: every partition with a hom using z = 5 *)
+  delete "nested node, no root variable" [ fact "H" [ 5; 8 ] ] 3;
+  delete "OPT atom binding y" [ fact "G" [ 3; 6 ] ] 2;
+  delete "repeated variable and constant" [ fact "K" [ 1; 1; 3 ] ] 2;
+  (* the second root atom; partition (2,3) vanishes *)
+  delete "root atom binding x" [ u1 2 ] 1;
+  delete "two facts of one hom" [ e2 1 2; fact "G" [ 2; 5 ] ] 1;
+  (* the vanished partition reappears and must be found again *)
+  Database.add db (u1 2);
+  ignore (refresh_checked st);
+  delete "reappeared partition" [ u1 2 ] 1;
+  delete "root atom binding every root variable" [ e2 1 3 ] 1;
+  check_set "no answers left" Mapping.Set.empty (Wdpt.Standing.answers st)
+
 (* ---- frontier unit behavior ------------------------------------------- *)
 
 let test_frontier_apply () =
@@ -612,6 +681,7 @@ let suite =
     Alcotest.test_case "standing: inserts" `Quick test_standing_insert_extends;
     Alcotest.test_case "standing: demotion and promotion" `Quick test_standing_demotion;
     Alcotest.test_case "standing: mixed batches" `Quick test_standing_mixed_batches;
+    Alcotest.test_case "standing: deletion marking" `Quick test_standing_deletion_marking;
     Alcotest.test_case "frontier apply" `Quick test_frontier_apply;
     Alcotest.test_case "E027 dirty-range corruption" `Quick test_audit_dirty_ranges;
     Alcotest.test_case "E028/E029 view corruption" `Quick test_audit_view_corruptions;
