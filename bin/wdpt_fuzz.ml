@@ -339,8 +339,9 @@ let check_instance st c ~brute ~delta p db =
   let reference =
     if brute then Wdpt.Semantics.eval_naive db p else Wdpt.Algebra_eval.eval db p
   in
-  (* brute-force strict-subsumption filter, independent of the indexed
-     Mapping.maximal_set kernel that eval_max runs *)
+  (* brute-force strict-subsumption filter, independent of eval_max's
+     filter over interned answer rows (and of its skip on projection-free
+     trees) *)
   let max_ref =
     Mapping.Set.filter
       (fun h -> not (Mapping.Set.exists (Mapping.strictly_subsumes h) reference))

@@ -61,7 +61,11 @@ val pp : Format.formatter -> t -> unit
 module Set : Set.S with type elt = t
 
 (** [maximal_set s] keeps the elements of [s] that no other element strictly
-    subsumes: the [⊑]-maximal mappings, as MAX-EVAL needs them.
+    subsumes: the [⊑]-maximal mappings of a set of mappings built
+    elsewhere (a standing view's frontier, the answers of a union or of the
+    algebraic evaluator, the reference oracle). [Semantics.eval_max] does
+    not call it: it filters its answers as interned rows before any mapping
+    exists.
 
     One call indexes every binding [x ↦ v] to the elements holding it, then
     tests each [h] only against the elements of larger domain in the

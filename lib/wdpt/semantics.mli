@@ -10,10 +10,15 @@
     interface binding: it memoises the node's homomorphisms, as deltas over
     the incoming mapping, keyed by the incoming mapping's values on the
     node's variables, and extends every parent that agrees on them from the
-    one shared list. The memo lives as long as one {!extender} value (one
-    call of the enumerations below, or every run of one shared extender)
-    and holds one delta list per distinct key and node. The root is never
-    memoised: its homomorphisms are streamed. *)
+    one shared list. The incoming mapping is one mutable row of interned
+    value ids (a slot per tree variable), so memo keys and deltas are int
+    arrays and the walk itself builds no mapping: {!eval}, {!eval_max} and
+    {!stream_eval} project, deduplicate and filter on rows and build a
+    mapping only for an answer they return or emit, and {!extender} builds
+    one per homomorphism it yields. The memo lives as long as one
+    {!extender} value (one call of the enumerations below, or every run of
+    one shared extender) and holds one delta array per distinct key and
+    node. The root is never memoised: its homomorphisms are streamed. *)
 
 open Relational
 
@@ -28,7 +33,9 @@ val iter_maximal_homomorphisms :
 (** [extender db p] is the procedural walk with a fresh, empty memo:
     [extender db p ~init yield] enumerates the maximal homomorphisms
     extending the partial mapping [init] ({!iter_maximal_homomorphisms} is
-    one run with the empty mapping). With [init] binding all root-node
+    one run with the empty mapping). A value of [init] the database does
+    not hold matches nothing, and [init]'s bindings of variables outside
+    the tree are kept in every mapping yielded. With [init] binding all root-node
     variables this enumerates exactly the maximal homomorphisms whose root
     restriction equals [init] — the per-root-key scoped re-run {!Standing}
     is built on.
@@ -47,13 +54,15 @@ val extender :
   Database.t -> Pattern_tree.t -> init:Mapping.t -> (Mapping.t -> unit) -> unit
 
 (** [stream_eval db p ~offset ~limit yield]: stream the answers of p(D) —
-    deduplicated projections of the maximal homomorphisms — skipping the
-    first [offset] and yielding at most [limit] (all when [None]); returns
-    the number yielded. Enumeration short-circuits once the page is full:
+    deduplicated projections of the maximal homomorphisms — in first-seen
+    order, skipping the first [offset] and yielding at most [limit] (all
+    when [None]; nothing, without evaluating, when [Some 0]); returns the
+    number yielded. Enumeration short-circuits once the page is full:
     every procedurally enumerated homomorphism is already maximal, so an
     answer can be emitted the moment it is first seen and the working set is
     a bounded dedup buffer of at most [offset + limit] (or all-distinct)
-    answers, never the full materialized answer set. Works for arbitrary
+    answer rows, never the full materialized answer set; only the yielded
+    answers become mappings. Works for arbitrary
     tree-shaped (OPT) queries at {!eval} semantics; {!eval_max} semantics
     inherently needs the frontier of the whole answer set, so it cannot
     stream this way. *)
@@ -80,7 +89,15 @@ val eval : Database.t -> Pattern_tree.t -> Mapping.Set.t
 val eval_naive : Database.t -> Pattern_tree.t -> Mapping.Set.t
 
 (** The maximal-mappings evaluation p_m(D) (Section 3.4): the ⊑-maximal
-    elements of p(D). *)
+    elements of p(D).
+
+    Cost: the walk of {!eval}, then a filter over the distinct answers as
+    interned rows, grouped by which free variables they bind: each answer
+    is looked up once per smaller binding pattern that occurs, restricted
+    to it (one hash probe each, never a pairwise comparison). A
+    projection-free tree skips the filter: without projection p(D) is
+    already an antichain, so p_m(D) = p(D) at exactly the cost of {!eval}.
+    Mappings are built only for the answers kept. *)
 val eval_max : Database.t -> Pattern_tree.t -> Mapping.Set.t
 
 (** EVAL(C): is [h ∈ p(D)]? *)

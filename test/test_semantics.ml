@@ -185,6 +185,35 @@ let prop_projection_free_antichain =
       in
       is_antichain (Sem.eval db pf))
 
+(* Workload.Gen_wdpt trees with every variable free *)
+let arbitrary_projection_free_wdpt =
+  QCheck.make
+    ~print:(Format.asprintf "%a" Pt.pp)
+    QCheck.Gen.(
+      let* seed = int_bound 1_000_000 in
+      let* depth = int_range 1 2 in
+      let* branching = int_range 1 2 in
+      let* vars_per_node = int_range 1 3 in
+      let* interface = int_range 1 2 in
+      let* style = oneofl [ Workload.Gen_wdpt.Chain; Workload.Gen_wdpt.Clique 3 ] in
+      let p =
+        Workload.Gen_wdpt.random ~seed ~depth ~branching ~vars_per_node ~interface
+          ~free_per_node:0 ~style ~rel:"E"
+      in
+      return (Pt.make ~free:(String_set.elements (Pt.vars p)) (Pt.to_spec p)))
+
+(* The lemma [Semantics.eval_max] skips its filter on (the argument is next
+   to it): without projection, no answer strictly subsumes another, checked
+   here pair by pair, so p_m(D) = p(D). *)
+let prop_projection_free_max_is_eval =
+  qtest ~count:150 "projection-free: no strictly subsumed pair, eval_max = eval"
+    (QCheck.pair arbitrary_projection_free_wdpt arbitrary_db) (fun (p, db) ->
+      QCheck.assume (Workload.Budget.brute_force_feasible p db);
+      let ans = Sem.eval db p in
+      let l = Mapping.Set.elements ans in
+      List.for_all (fun h -> not (List.exists (Mapping.strictly_subsumes h) l)) l
+      && Mapping.Set.equal (Sem.eval_max db p) ans)
+
 (* ---- the shared tree walk --------------------------------------------- *)
 
 (* Every non-root node's CQ is evaluated once per distinct binding of its
@@ -275,6 +304,186 @@ let test_walk_nested () =
       [ ("p", 3); ("q", 12) ];
       [ ("p", 4) ] ]
 
+(* ---- the row walk's edge cases ---------------------------------------- *)
+
+(* Literal sequences: the order in which [extender] yields, and the order in
+   which [stream_eval] emits a page, are part of the contract, so each case
+   pins them exactly. *)
+
+let check_seq name expected got =
+  Alcotest.(check (list mapping_testable)) name (List.map mapping expected) got
+
+let run_extender db p init =
+  let out = ref [] in
+  Sem.extender db p ~init:(mapping init) (fun h -> out := h :: !out);
+  List.rev !out
+
+let stream_page db p ~offset ~limit =
+  let out = ref [] in
+  let n = Sem.stream_eval db p ~offset ~limit (fun h -> out := h :: !out) in
+  check_int "stream_eval count" (List.length !out) n;
+  List.rev !out
+
+(* [~init] may bind a value the store never interned (99 occurs in no
+   fact) and a variable outside the tree ([w]): the first leaves its node
+   unmatched, the second rides along into every answer *)
+let test_walk_init_edges () =
+  let db =
+    Database.of_list
+      [ fact "E" [ 1; 2 ]; fact "E" [ 1; 3 ]; fact "E" [ 2; 3 ];
+        fact "F" [ 2; 5 ]; fact "F" [ 3; 6 ]; fact "F" [ 3; 7 ] ]
+  in
+  let p =
+    Pt.make ~free:[ "x"; "y"; "z" ]
+      (Node ([ atom "E" [ v "x"; v "y" ] ], [ Node ([ atom "F" [ v "y"; v "z" ] ], []) ]))
+  in
+  let run = run_extender db p in
+  check_seq "init x"
+    [ [ ("x", 1); ("y", 2); ("z", 5) ];
+      [ ("x", 1); ("y", 3); ("z", 6) ];
+      [ ("x", 1); ("y", 3); ("z", 7) ] ]
+    (run [ ("x", 1) ]);
+  check_seq "init root variable never interned" [] (run [ ("x", 99) ]);
+  check_seq "init child variable never interned"
+    [ [ ("x", 1); ("y", 2); ("z", 99) ]; [ ("x", 1); ("y", 3); ("z", 99) ] ]
+    (run [ ("x", 1); ("z", 99) ]);
+  check_seq "init child variable"
+    [ [ ("x", 1); ("y", 2); ("z", 6) ]; [ ("x", 1); ("y", 3); ("z", 6) ] ]
+    (run [ ("x", 1); ("z", 6) ]);
+  check_seq "init outside the tree"
+    [ [ ("w", 42); ("x", 1); ("y", 2); ("z", 5) ];
+      [ ("w", 42); ("x", 1); ("y", 3); ("z", 6) ];
+      [ ("w", 42); ("x", 1); ("y", 3); ("z", 7) ] ]
+    (run [ ("x", 1); ("w", 42) ]);
+  check_seq "init outside the tree, never interned"
+    [ [ ("w", 99); ("x", 1); ("y", 2); ("z", 5) ];
+      [ ("w", 99); ("x", 1); ("y", 3); ("z", 6) ];
+      [ ("w", 99); ("x", 1); ("y", 3); ("z", 7) ];
+      [ ("w", 99); ("x", 2); ("y", 3); ("z", 6) ];
+      [ ("w", 99); ("x", 2); ("y", 3); ("z", 7) ] ]
+    (run [ ("w", 99) ]);
+  check_seq "init second root variable"
+    [ [ ("x", 1); ("y", 3); ("z", 6) ];
+      [ ("x", 1); ("y", 3); ("z", 7) ];
+      [ ("x", 2); ("y", 3); ("z", 6) ];
+      [ ("x", 2); ("y", 3); ("z", 7) ] ]
+    (run [ ("y", 3) ])
+
+(* the child E(y, x) adds no variable: it only decides whether its own
+   child F(x, u) is reached *)
+let test_walk_no_new_vars () =
+  let db =
+    Database.of_list
+      [ fact "E" [ 1; 2 ]; fact "E" [ 2; 1 ]; fact "E" [ 2; 3 ]; fact "E" [ 3; 3 ];
+        fact "F" [ 1; 4 ]; fact "F" [ 3; 5 ]; fact "F" [ 3; 6 ] ]
+  in
+  let p =
+    Pt.make ~free:[ "x"; "y"; "z"; "u" ]
+      (Node
+         ( [ atom "E" [ v "x"; v "y" ] ],
+           [ Node
+               ( [ atom "E" [ v "y"; v "x" ] ],
+                 [ Node ([ atom "F" [ v "x"; v "u" ] ], []) ] );
+             Node ([ atom "F" [ v "y"; v "z" ] ], []) ] ))
+  in
+  check_walk "no new variables" db p
+    [ [ ("u", 4); ("x", 1); ("y", 2) ];
+      [ ("x", 2); ("y", 1); ("z", 4) ];
+      [ ("x", 2); ("y", 3); ("z", 5) ];
+      [ ("x", 2); ("y", 3); ("z", 6) ];
+      [ ("u", 5); ("x", 3); ("y", 3); ("z", 5) ];
+      [ ("u", 5); ("x", 3); ("y", 3); ("z", 6) ];
+      [ ("u", 6); ("x", 3); ("y", 3); ("z", 5) ];
+      [ ("u", 6); ("x", 3); ("y", 3); ("z", 6) ] ]
+
+(* y is projected away and shared by the branches F(y, a) and G(y, b): x = 1
+   reaches the answer {a 10, b 20} twice, and x = 8's bare answer is
+   strictly subsumed by its other one *)
+let test_walk_projected_shared () =
+  let db =
+    Database.of_list
+      [ fact "E" [ 1; 2 ]; fact "E" [ 1; 3 ]; fact "E" [ 4; 5 ]; fact "E" [ 6; 7 ];
+        fact "E" [ 8; 9 ]; fact "E" [ 1; 4 ]; fact "E" [ 8; 2 ];
+        fact "F" [ 4; 10 ]; fact "G" [ 4; 20 ]; fact "F" [ 2; 10 ]; fact "F" [ 3; 10 ];
+        fact "F" [ 5; 11 ]; fact "G" [ 2; 20 ]; fact "G" [ 3; 21 ]; fact "G" [ 7; 22 ] ]
+  in
+  let p =
+    Pt.make ~free:[ "x"; "a"; "b" ]
+      (Node
+         ( [ atom "E" [ v "x"; v "y" ] ],
+           [ Node ([ atom "F" [ v "y"; v "a" ] ], []);
+             Node ([ atom "G" [ v "y"; v "b" ] ], []) ] ))
+  in
+  check_walk "projected shared" db p
+    [ [ ("a", 10); ("b", 20); ("x", 1); ("y", 2) ];
+      [ ("a", 10); ("b", 21); ("x", 1); ("y", 3) ];
+      [ ("a", 11); ("x", 4); ("y", 5) ];
+      [ ("b", 22); ("x", 6); ("y", 7) ];
+      [ ("x", 8); ("y", 9) ];
+      [ ("a", 10); ("b", 20); ("x", 1); ("y", 4) ];
+      [ ("a", 10); ("b", 20); ("x", 8); ("y", 2) ] ];
+  let answers =
+    [ [ ("a", 10); ("b", 20); ("x", 1) ];
+      [ ("a", 10); ("b", 21); ("x", 1) ];
+      [ ("a", 11); ("x", 4) ];
+      [ ("b", 22); ("x", 6) ];
+      [ ("x", 8) ];
+      [ ("a", 10); ("b", 20); ("x", 8) ] ]
+  in
+  check_seq "eval"
+    (List.sort
+       (fun a b -> Mapping.compare (mapping a) (mapping b))
+       answers)
+    (Mapping.Set.elements (Sem.eval db p));
+  check_seq "eval_max"
+    [ [ ("a", 10); ("b", 20); ("x", 1) ];
+      [ ("a", 10); ("b", 20); ("x", 8) ];
+      [ ("a", 10); ("b", 21); ("x", 1) ];
+      [ ("a", 11); ("x", 4) ];
+      [ ("b", 22); ("x", 6) ] ]
+    (Mapping.Set.elements (Sem.eval_max db p));
+  (* pages keep first-seen order *)
+  check_seq "stream_eval, all" answers (stream_page db p ~offset:0 ~limit:None);
+  check_seq "stream_eval, page 2 of size 2"
+    [ [ ("a", 11); ("x", 4) ]; [ ("b", 22); ("x", 6) ] ]
+    (stream_page db p ~offset:2 ~limit:(Some 2));
+  check_seq "stream_eval, last page"
+    [ [ ("x", 8) ]; [ ("a", 10); ("b", 20); ("x", 8) ] ]
+    (stream_page db p ~offset:4 ~limit:(Some 3));
+  check_seq "stream_eval, past the end" [] (stream_page db p ~offset:6 ~limit:(Some 3));
+  check_seq "stream_eval, empty page" [] (stream_page db p ~offset:0 ~limit:(Some 0))
+
+(* constants and a repeated variable inside node atoms: H(y, 7, u) with
+   E(y, y), H(y, w, w), and the variable-free-but-y K(7, y) *)
+let test_walk_constants_repeats () =
+  let db =
+    Database.of_list
+      [ fact "E" [ 1; 2 ]; fact "E" [ 2; 2 ]; fact "E" [ 3; 4 ]; fact "E" [ 4; 4 ];
+        fact "H" [ 2; 7; 8 ]; fact "H" [ 2; 9; 9 ]; fact "H" [ 4; 7; 7 ];
+        fact "H" [ 4; 7; 5 ]; fact "K" [ 7; 2 ] ]
+  in
+  let p =
+    Pt.make ~free:[ "x"; "y"; "u"; "w" ]
+      (Node
+         ( [ atom "E" [ v "x"; v "y" ] ],
+           [ Node ([ atom "H" [ v "y"; c 7; v "u" ]; atom "E" [ v "y"; v "y" ] ], []);
+             Node ([ atom "H" [ v "y"; v "w"; v "w" ] ], []);
+             Node ([ atom "K" [ c 7; v "y" ] ], []) ] ))
+  in
+  let homs =
+    [ [ ("u", 8); ("w", 9); ("x", 1); ("y", 2) ];
+      [ ("u", 8); ("w", 9); ("x", 2); ("y", 2) ];
+      [ ("u", 7); ("w", 7); ("x", 3); ("y", 4) ];
+      [ ("u", 5); ("w", 7); ("x", 3); ("y", 4) ];
+      [ ("u", 7); ("w", 7); ("x", 4); ("y", 4) ];
+      [ ("u", 5); ("w", 7); ("x", 4); ("y", 4) ] ]
+  in
+  check_walk "constants and repeats" db p homs;
+  check_seq "eval_max"
+    (List.sort (fun a b -> Mapping.compare (mapping a) (mapping b)) homs)
+    (Mapping.Set.elements (Sem.eval_max db p));
+  check_seq "stream_eval" homs (stream_page db p ~offset:0 ~limit:None)
+
 (* Standing's use: one extender run on every root key (in reverse order, so
    the memo is filled differently than by a single run) enumerates exactly
    the maximal homomorphisms *)
@@ -311,8 +520,16 @@ let suite =
     prop_max_eval_correct;
     prop_answers_incomparable_under_max;
     prop_projection_free_antichain;
+    prop_projection_free_max_is_eval;
     Alcotest.test_case "shared walk: star" `Quick test_walk_shared_star;
     Alcotest.test_case "shared walk: cached miss falls through" `Quick
       test_walk_cached_miss;
     Alcotest.test_case "shared walk: nested interfaces" `Quick test_walk_nested;
+    Alcotest.test_case "row walk: init edges" `Quick test_walk_init_edges;
+    Alcotest.test_case "row walk: node with no new variables" `Quick
+      test_walk_no_new_vars;
+    Alcotest.test_case "row walk: projected variable shared by branches" `Quick
+      test_walk_projected_shared;
+    Alcotest.test_case "row walk: constants and repeated variables" `Quick
+      test_walk_constants_repeats;
     prop_shared_extender_rootkeys ]
