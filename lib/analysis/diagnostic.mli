@@ -166,9 +166,6 @@ val code_id : code -> string
 (** ["not-well-designed"] *)
 val code_name : code -> string
 
-(** The fixed severity of each code (diagnostics never deviate from it). *)
-val code_severity : code -> severity
-
 (** Machine-checkable evidence, one constructor per kind of defect. Node
     indices refer to {!Wdpt.Pattern_tree} preorder numbering. *)
 type witness =

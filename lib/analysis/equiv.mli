@@ -62,10 +62,6 @@ val verify_trail : Engine.t -> report
 (** All diagnostics of a report, in pass order. *)
 val diagnostics : report -> Diagnostic.t list
 
-(** One-line summary of a certificate's effects. *)
-val cert_summary : Engine.cert -> string
-
-val cert_json : Engine.cert -> Json.t
 val report_json : report -> Json.t
 
 (** Multi-line; boxed by the caller. *)

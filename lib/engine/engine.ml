@@ -1049,7 +1049,6 @@ let compile db atom_list ~init =
   let pr = prepare db atom_list ~bound:(List.map fst bindings) in
   bind_with pr (List.map snd bindings) (Lazy.from_val init)
 
-let slot_count p = Interner.size p.vars
 let value_of p id = Interner.get p.cdb.Db.pool id
 let slot_of p x = Interner.find p.vars x
 

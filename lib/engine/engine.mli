@@ -193,9 +193,6 @@ val batch_stats : unit -> batch_stats
 (** Reset all marks to 0 (before a measured run). *)
 val reset_batch_stats : unit -> unit
 
-(** Number of environment slots (distinct variables occurring in the atoms). *)
-val slot_count : t -> int
-
 (** [slot_of p x] is the environment slot of variable [x], if it occurs. *)
 val slot_of : t -> string -> int option
 
@@ -503,9 +500,6 @@ module Delta : sig
   type index
 
   val index : batch -> index
-
-  (** Net-added facts of a relation, oldest first. *)
-  val added_of : index -> string -> Fact.t list
 
   (** One touched probe range: matching the atom at index [dr_atom] of the
       probed atom list, position [dr_pos] can only have gained or lost

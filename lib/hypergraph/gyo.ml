@@ -93,14 +93,3 @@ let is_join_forest hg jf =
         end)
       (Hypergraph.vertices hg)
   end
-
-let pp_join_forest ppf jf =
-  Format.fprintf ppf "roots: %a; parents: %a"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ",")
-       Format.pp_print_int)
-    jf.roots
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-       (fun ppf (a, b) -> Format.fprintf ppf "%d->%d" a b))
-    jf.parents

@@ -24,4 +24,3 @@ val join_forest : Hypergraph.t -> join_forest option
 (** [is_join_forest hg jf] validates the running-intersection property. *)
 val is_join_forest : Hypergraph.t -> join_forest -> bool
 
-val pp_join_forest : Format.formatter -> join_forest -> unit

@@ -51,6 +51,8 @@ let well_designed_witness e =
 
 let is_well_designed e = Option.is_none (well_designed_witness e)
 
+(* OPT normal form: no OPT below an AND. Assumes well-designedness (the
+   rewriting (P1 OPT P2) AND P3 ≡ (P1 AND P3) OPT P2 is only sound then). *)
 let rec normal_form = function
   | Bgp _ as b -> b
   | Opt (a, b) -> Opt (normal_form a, normal_form b)

@@ -37,11 +37,6 @@ val is_well_designed : expr -> bool
     outside the subpattern but not in [e1]). [None] iff well-designed. *)
 val well_designed_witness : expr -> (string * expr) option
 
-(** OPT normal form: no OPT below an AND. Assumes well-designedness (the
-    rewriting [(P1 OPT P2) AND P3 ≡ (P1 AND P3) OPT P2] is only sound
-    then). *)
-val normal_form : expr -> expr
-
 (** Structural translation to a tree description (free variables, spec),
     without the well-designedness check: the OPT-normal-form rewriting is
     only a semantics-preserving translation for well-designed patterns, but

@@ -185,9 +185,6 @@ let distinct_count db rel pos =
   | Some n -> !n
   | None -> 0
 
-let arity_of db rel =
-  match facts_of db rel with [] -> None | f :: _ -> Some (Fact.arity f)
-
 let version db = db.version
 let deletions db = db.deletions
 

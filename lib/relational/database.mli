@@ -51,9 +51,6 @@ val distinct_count : t -> string -> int -> int
 (** [|active_domain db|] in O(1). *)
 val adom_size : t -> int
 
-(** Arity of [rel]'s stored facts ([None] if the relation is empty). *)
-val arity_of : t -> string -> int option
-
 val relations : t -> string list
 val schema : t -> Schema.t
 

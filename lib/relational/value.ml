@@ -26,10 +26,6 @@ let fresh ?(tag = "c") () =
 
 let reset_fresh () = fresh_counter := 0
 
-let with_fresh_counter f =
-  let saved = !fresh_counter in
-  Fun.protect ~finally:(fun () -> fresh_counter := saved) f
-
 let pp ppf = function
   | Int x -> Format.pp_print_int ppf x
   | Str s -> Format.pp_print_string ppf s

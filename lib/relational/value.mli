@@ -27,10 +27,6 @@ val fresh : ?tag:string -> unit -> t
     previous epoch are still alive in a database. *)
 val reset_fresh : unit -> unit
 
-(** [with_fresh_counter f] runs [f] and restores the counter afterwards, even
-    on exceptions — a scoped variant of {!reset_fresh}. *)
-val with_fresh_counter : (unit -> 'a) -> 'a
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

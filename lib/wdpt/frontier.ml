@@ -2,9 +2,9 @@ open Relational
 
 (* A support-counted answer set with its subsumption frontier, for one
    comparability group (answers sharing the root-free-key — only those can
-   ever be ⊑-comparable, see standing.ml). The structure doubles as the
-   bounded answer buffer of the streaming evaluator: all answers with
-   multiplicity, plus the ⊑-maximal ones on top. *)
+   ever be ⊑-comparable, see standing.ml): all answers with multiplicity,
+   plus the ⊑-maximal ones on top. Only a projected standing view keeps
+   one; a projection-free view's answers are all maximal and need none. *)
 
 module MMap = Map.Make (Mapping)
 

@@ -6,10 +6,10 @@
     number of maximal homomorphisms projecting to it) together with the
     ⊑-maximal answers. {!apply} shifts the supports by a delta and reports
     the induced status changes as {!event}s: this is the unit of work
-    standing-query refresh ({!Standing.refresh}) performs per touched group,
-    and the structure that makes OPT demotion observable — an insertion can
-    push a new answer above an existing maximal one, which then leaves the
-    frontier while remaining an answer. *)
+    standing-query refresh ({!Standing.refresh}) of a projected view
+    performs per touched group, and the structure that makes OPT demotion
+    observable — an insertion can push a new answer above an existing
+    maximal one, which then leaves the frontier while remaining an answer. *)
 
 open Relational
 

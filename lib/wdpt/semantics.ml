@@ -209,6 +209,12 @@ let extender db p =
     in
     w.run ~init (fun row -> yield (mapping_of w ~base all row))
 
+let row_extender db p =
+  let w = walk db p in
+  let n = Array.length w.names in
+  let cell row s = if row.(s) = -1 then None else Some (w.value row.(s)) in
+  (w.names, fun ~init yield -> w.run ~init (fun row -> yield (Array.init n (cell row))))
+
 let iter_maximal_homomorphisms db p yield = extender db p ~init:Mapping.empty yield
 
 let maximal_homomorphisms db p =

@@ -53,6 +53,19 @@ val iter_maximal_homomorphisms :
 val extender :
   Database.t -> Pattern_tree.t -> init:Mapping.t -> (Mapping.t -> unit) -> unit
 
+(** [row_extender db p] is {!extender} in row form, the one {!Standing}
+    keeps its partitions in: the tree variables in sorted order, and a run
+    that yields each maximal homomorphism extending [init], in
+    {!extender}'s order, as a fresh array of its values on those variables
+    ([None] where unbound). It builds no mapping, and [init]'s bindings of
+    variables outside the tree are dropped. The values are resolved, so a
+    row stays valid after the store's interner is rebuilt
+    ({!Database.clear_cache}). *)
+val row_extender :
+  Database.t ->
+  Pattern_tree.t ->
+  string array * (init:Mapping.t -> (Value.t option array -> unit) -> unit)
+
 (** [stream_eval db p ~offset ~limit yield]: stream the answers of p(D) —
     deduplicated projections of the maximal homomorphisms — in first-seen
     order, skipping the first [offset] and yielding at most [limit] (all

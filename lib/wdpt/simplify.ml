@@ -185,5 +185,3 @@ let describe_rewrite = function
   | Drop_subtree { node } ->
       Printf.sprintf
         "drop dead branch at node %d (its subtree binds no new variables)" node
-
-let pp_rewrite ppf r = Format.pp_print_string ppf (describe_rewrite r)

@@ -59,4 +59,3 @@ val apply : Pattern_tree.t -> rewrite -> Pattern_tree.t option
 val simplify : Pattern_tree.t -> Pattern_tree.t * rewrite list
 
 val describe_rewrite : rewrite -> string
-val pp_rewrite : Format.formatter -> rewrite -> unit

@@ -144,6 +144,26 @@ let arbitrary_small_wdpt =
     ~print:(Format.asprintf "%a" Wdpt.Pattern_tree.pp)
     (gen_wdpt_sized ~max_depth:1 ~max_branch:2 ~interface:1)
 
+(* Workload.Gen_wdpt trees over E with every variable free *)
+let arbitrary_projection_free_wdpt =
+  QCheck.make
+    ~print:(Format.asprintf "%a" Wdpt.Pattern_tree.pp)
+    QCheck.Gen.(
+      let* seed = int_bound 1_000_000 in
+      let* depth = int_range 1 2 in
+      let* branching = int_range 1 2 in
+      let* vars_per_node = int_range 1 3 in
+      let* interface = int_range 1 2 in
+      let* style = oneofl [ Workload.Gen_wdpt.Chain; Workload.Gen_wdpt.Clique 3 ] in
+      let p =
+        Workload.Gen_wdpt.random ~seed ~depth ~branching ~vars_per_node ~interface
+          ~free_per_node:0 ~style ~rel:"E"
+      in
+      return
+        (Wdpt.Pattern_tree.make
+           ~free:(String_set.elements (Wdpt.Pattern_tree.vars p))
+           (Wdpt.Pattern_tree.to_spec p)))
+
 let qtest ?(count = 100) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
 

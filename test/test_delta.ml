@@ -433,7 +433,89 @@ let test_standing_deletion_marking () =
   ignore (refresh_checked st);
   delete "reappeared partition" [ u1 2 ] 1;
   delete "root atom binding every root variable" [ e2 1 3 ] 1;
-  check_set "no answers left" Mapping.Set.empty (Wdpt.Standing.answers st)
+  check_set "no answers left" Mapping.Set.empty (Wdpt.Standing.answers st);
+  (* H(6,9) binds z and w, which the hom of (2,4) leaves unbound and the
+     hom of (2,3) binds to 5 and nothing: neither extends the unifier *)
+  Database.add db (e2 2 4);
+  Database.add db (u1 2);
+  ignore (refresh_checked st);
+  delete "variables a hom leaves unbound" [ fact "H" [ 6; 9 ] ] 0
+
+(* A projection-free view keeps no frontier: its answers are its maximal
+   homomorphisms, which form an antichain, so under any batches it never
+   demotes or promotes, every new answer is maximal and every vanished one
+   was. Its events and its view pass the auditor against full evaluation
+   of a copy of the database after every refresh. The batches add at most
+   24 edges over the draw's constants, within the standing-view budget. *)
+let prop_standing_projection_free =
+  let batches =
+    QCheck.(
+      list_of_size
+        Gen.(int_range 1 8)
+        (list_of_size Gen.(int_range 1 3) (pair bool (pair (int_range 0 5) (int_range 0 5)))))
+  in
+  qtest ~count:100 "standing: projection-free view never demotes or promotes"
+    (QCheck.triple arbitrary_projection_free_wdpt arbitrary_db batches)
+    (fun (p, db, batches) ->
+      QCheck.assume (Workload.Budget.delta_feasible p db);
+      let db = Database.copy db in
+      let st = Wdpt.Standing.register db p in
+      List.for_all
+        (fun ops ->
+          List.iter
+            (fun (add, (a, b)) ->
+              if add then Database.add db (e2 a b)
+              else if Database.mem db (e2 a b) then Database.remove db (e2 a b))
+            ops;
+          let before_eval = Wdpt.Standing.answers st
+          and before_max = Wdpt.Standing.maximal_answers st in
+          let events = Wdpt.Standing.refresh st in
+          let fresh = Database.copy db in
+          let after_eval = Wdpt.Semantics.eval fresh p
+          and after_max = Wdpt.Semantics.eval_max fresh p in
+          List.for_all
+            (function
+              | Wdpt.Standing.Added { maximal; _ } -> maximal
+              | Removed { was_maximal; _ } -> was_maximal
+              | Promoted _ | Demoted _ -> false)
+            events
+          && Mapping.Set.equal (Wdpt.Standing.answers st) after_eval
+          && Mapping.Set.equal (Wdpt.Standing.maximal_answers st) after_max
+          && Analysis.Delta_audit.check_events ~before_eval ~before_max ~after_eval
+               ~after_max events
+             = []
+          && Analysis.Delta_audit.audit st = [])
+        batches)
+
+(* Database.clear_cache starts a new interner pool. A view registered
+   before it, projection-free or projected, still refreshes to full
+   evaluation after it, also when the pool is rebuilt after a rootkey's
+   facts are gone and the partition later comes back. *)
+let test_standing_clear_cache () =
+  let projected =
+    Wdpt.Pattern_tree.make ~free:[ "x"; "z" ]
+      (Wdpt.Pattern_tree.Node
+         ([ atom "E" [ v "x"; v "y" ] ],
+          [ Wdpt.Pattern_tree.Node ([ atom "E" [ v "y"; v "z" ] ], []) ]))
+  in
+  List.iter
+    (fun p ->
+      let db = Database.of_list [ e2 1 2; e2 1 5; e2 2 3; u1 2 ] in
+      let st = Wdpt.Standing.register db p in
+      Database.add db (e2 3 4);
+      ignore (refresh_checked st);
+      Database.clear_cache db;
+      Database.add db (e2 4 6);
+      Database.remove db (e2 1 2);
+      ignore (refresh_checked st);
+      Database.remove db (e2 1 5);
+      Database.clear_cache db;
+      ignore (refresh_checked st);
+      Database.add db (e2 1 5);
+      ignore (refresh_checked st);
+      check_bool "answers back" false
+        (Mapping.Set.is_empty (Wdpt.Standing.answers st)))
+    [ tree_p; projected ]
 
 (* ---- frontier unit behavior ------------------------------------------- *)
 
@@ -682,6 +764,9 @@ let suite =
     Alcotest.test_case "standing: demotion and promotion" `Quick test_standing_demotion;
     Alcotest.test_case "standing: mixed batches" `Quick test_standing_mixed_batches;
     Alcotest.test_case "standing: deletion marking" `Quick test_standing_deletion_marking;
+    prop_standing_projection_free;
+    Alcotest.test_case "standing: clear_cache between refreshes" `Quick
+      test_standing_clear_cache;
     Alcotest.test_case "frontier apply" `Quick test_frontier_apply;
     Alcotest.test_case "E027 dirty-range corruption" `Quick test_audit_dirty_ranges;
     Alcotest.test_case "E028/E029 view corruption" `Quick test_audit_view_corruptions;

@@ -185,23 +185,6 @@ let prop_projection_free_antichain =
       in
       is_antichain (Sem.eval db pf))
 
-(* Workload.Gen_wdpt trees with every variable free *)
-let arbitrary_projection_free_wdpt =
-  QCheck.make
-    ~print:(Format.asprintf "%a" Pt.pp)
-    QCheck.Gen.(
-      let* seed = int_bound 1_000_000 in
-      let* depth = int_range 1 2 in
-      let* branching = int_range 1 2 in
-      let* vars_per_node = int_range 1 3 in
-      let* interface = int_range 1 2 in
-      let* style = oneofl [ Workload.Gen_wdpt.Chain; Workload.Gen_wdpt.Clique 3 ] in
-      let p =
-        Workload.Gen_wdpt.random ~seed ~depth ~branching ~vars_per_node ~interface
-          ~free_per_node:0 ~style ~rel:"E"
-      in
-      return (Pt.make ~free:(String_set.elements (Pt.vars p)) (Pt.to_spec p)))
-
 (* The lemma [Semantics.eval_max] skips its filter on (the argument is next
    to it): without projection, no answer strictly subsumes another, checked
    here pair by pair, so p_m(D) = p(D). *)
